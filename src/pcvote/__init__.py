@@ -11,6 +11,7 @@ from .model import (
     AlternativeSet,
     ApplicabilityError,
     DomainError,
+    InternalError,
     Lottery,
     MarginMatrix,
     Profile,
@@ -52,6 +53,7 @@ from .rules import (
     f2,
     get_rule,
     is_maximal_lottery,
+    maximal_lottery,
     maximal_lottery_is_unique,
     ml,
     rd,

@@ -39,7 +39,7 @@ from .efficiency import (
     is_efficient,
     pc1_find_dominator,
 )
-from .rules import SocialDecisionScheme
+from .rules import SocialDecisionScheme, memoized_by_margins
 
 
 class Mode(Enum):
@@ -458,8 +458,12 @@ def exhaustive_scan(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> AxiomReport:
     """Run one axiom checker over every profile with n_min..n_max voters,
-    stopping at the first witness. Deterministic enumeration order."""
+    stopping at the first witness. Deterministic enumeration order.
+
+    A margin-based rule is evaluated once per distinct margin matrix of
+    the scan; the memo is dropped when the scan returns."""
     spec = axiom(axiom_name)
+    rule = memoized_by_margins(rule)
     lo = max(spec.min_voters, n_min if n_min is not None else 1)
     if n_max < lo:
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")

@@ -27,6 +27,12 @@ class ApplicabilityError(DomainError):
     """A rule or check was asked about a profile it is not defined for."""
 
 
+class InternalError(RuntimeError):
+    """A library invariant failed: a defect in pcvote, not in its input.
+
+    Raised explicitly, so the guard survives `python -O`."""
+
+
 def _require_exact(value: object, what: str) -> Fraction:
     """Coerce ints/Fractions to Fraction; floats are refused outright."""
     if isinstance(value, float):

@@ -17,13 +17,14 @@ All rules return exact `Lottery` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .model import (
     ApplicabilityError,
     DomainError,
+    InternalError,
     Lottery,
     MarginMatrix,
     Profile,
@@ -38,11 +39,17 @@ from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
 
 @dataclass(frozen=True)
 class SocialDecisionScheme:
-    """A named rule mapping profiles to lotteries."""
+    """A named rule mapping profiles to lotteries.
+
+    `margin_based` declares that the output depends on the margin matrix
+    alone (Fishburn's C2 class), so callers may reuse an output across
+    profiles with equal margins (see `memoized_by_margins`).
+    """
 
     name: str
     evaluate: Callable[[Profile], Lottery]
     applicability: Optional[Callable[[Profile], bool]] = None
+    margin_based: bool = False
 
     def applicable(self, profile: Profile) -> bool:
         return self.applicability is None or self.applicability(profile)
@@ -145,19 +152,16 @@ def _margin_rows(margins: MarginMatrix) -> list[Constraint]:
     return rows
 
 
+def _beats_or_ties_every_alternative(margins: MarginMatrix, probs: tuple[Fraction, ...]) -> bool:
+    """(G p)_x <= 0 for every alternative x: no alternative beats p in expectation."""
+    return all(sum(g * p for g, p in zip(row, probs)) <= 0 for row in margins.rows)
+
+
 def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:
     """Does the lottery beat-or-tie every alternative in expectation?"""
     if lottery.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    g = margin_matrix(profile)
-    names = profile.alternatives.names
-    for i, x in enumerate(names):
-        against_x = sum(
-            Fraction(g.rows[i][j]) * lottery.probs[j] for j in range(len(names))
-        )
-        if against_x > 0:
-            return False
-    return True
+    return _beats_or_ties_every_alternative(margin_matrix(profile), lottery.probs)
 
 
 def _unit(m: int, j: int, value: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
@@ -204,20 +208,11 @@ def _ml_coordinate_max(
     return outcome.value
 
 
-def ml(profile: Profile) -> Lottery:
-    """The leximin point of the optimal-strategy set of the margin game.
-
-    Iterated max-min: raise the smallest coordinate as far as the optimal
-    set allows, pin every coordinate that cannot go higher, repeat on the
-    rest. The leximin point of a non-empty convex polytope is unique, so
-    the output is deterministic and inherits anonymity and neutrality
-    from the margin game itself. In particular the result is degenerate
-    exactly when the optimal set is a single degenerate strategy (e.g.
-    with a Condorcet winner), and ties inside the optimal set resolve
-    toward the most balanced strategy.
-    """
-    margins = margin_matrix(profile)
-    m = profile.m
+def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
+    """The leximin point of the optimal set, by iterated max-min: raise the
+    smallest coordinate as far as the optimal set allows, pin every
+    coordinate that cannot go higher, repeat on the rest."""
+    m = len(margins.alternatives)
     fixed: dict[int, Fraction] = {}
     free = list(range(m))
     while free:
@@ -226,13 +221,58 @@ def ml(profile: Profile) -> Lottery:
             j for j in free
             if _ml_coordinate_max(margins, fixed, free, floor, j) == floor
         ]
-        assert stuck, "every max-min round must pin at least one coordinate"
+        if not stuck:
+            raise InternalError("a max-min round of ml pinned no coordinate")
         for j in stuck:
             fixed[j] = floor
         free = [j for j in free if j not in stuck]
-    lottery = Lottery(profile.alternatives, tuple(fixed[j] for j in range(m)))
-    assert is_maximal_lottery(profile, lottery)
-    return lottery
+    return tuple(fixed[j] for j in range(m))
+
+
+def _ml_unique_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
+    """Any point of the optimal set, found by one LP with a zero objective;
+    only canonical when the optimal set is a single point."""
+    m = len(margins.alternatives)
+    outcome = lp_solve(LinearProgram(tuple([Fraction(0)] * m), tuple(_margin_rows(margins))))
+    if outcome.status is not LpStatus.Optimal or outcome.solution is None:
+        raise InternalError(f"the margin game's optimal set came out {outcome.status.name}")
+    return outcome.solution
+
+
+def maximal_lottery(margins: MarginMatrix) -> Lottery:
+    """The leximin point of the optimal-strategy set of the margin game.
+
+    The leximin point of a non-empty convex polytope is unique, so the
+    output is deterministic and inherits anonymity and neutrality from the
+    margin game itself; ties inside the optimal set resolve toward the
+    most balanced strategy. Three cases, cheapest first:
+
+    * a Condorcet winner (a row positive off the diagonal) is the whole
+      optimal set, so the lottery is degenerate on it, with no LP;
+    * when every off-diagonal margin is odd the optimal strategy is unique
+      (Laffond, Laslier & Le Breton 1997), so one LP finds it;
+    * otherwise the leximin point is computed by iterated max-min.
+    """
+    off_diagonal = [
+        [g for j, g in enumerate(row) if j != i] for i, row in enumerate(margins.rows)
+    ]
+    winner = next((i for i, gs in enumerate(off_diagonal) if all(g > 0 for g in gs)), None)
+    if winner is not None:
+        probs = _unit(len(margins.alternatives), winner)
+    elif all(g % 2 for gs in off_diagonal for g in gs):
+        probs = _ml_unique_point(margins)
+    else:
+        probs = _ml_leximin(margins)
+    if not _beats_or_ties_every_alternative(margins, probs):
+        raise InternalError(f"ml produced a non-maximal lottery {probs}")
+    return Lottery(margins.alternatives, probs)
+
+
+def ml(profile: Profile) -> Lottery:
+    """Maximal lottery of the profile: `maximal_lottery` of its margins.
+    The result is degenerate exactly when the optimal set is a single
+    degenerate strategy, e.g. with a Condorcet winner."""
+    return maximal_lottery(margin_matrix(profile))
 
 
 def maximal_lottery_is_unique(profile: Profile) -> bool:
@@ -269,6 +309,29 @@ def solve_margin_game(margins: MarginMatrix) -> tuple[Fraction, tuple[Fraction, 
     return outcome.value, outcome.solution[:m]
 
 
+def memoized_by_margins(rule: SocialDecisionScheme) -> SocialDecisionScheme:
+    """The rule with its evaluations cached by margin matrix, when it is
+    margin-based; otherwise the rule itself.
+
+    A miss calls the rule's own `evaluate`, so a replaced evaluate is
+    still the function that runs. The cache lives as long as the returned
+    rule and holds one entry per distinct margin matrix seen.
+    """
+    if not rule.margin_based:
+        return rule
+    evaluate = rule.evaluate
+    cache: dict[MarginMatrix, Lottery] = {}
+
+    def lookup(profile: Profile) -> Lottery:
+        # MarginMatrix hashes and compares by (alternatives, rows)
+        key = margin_matrix(profile)
+        if key not in cache:
+            cache[key] = evaluate(profile)
+        return cache[key]
+
+    return replace(rule, evaluate=lookup)
+
+
 def _three_alternatives_only(profile: Profile) -> bool:
     return profile.m == 3
 
@@ -277,7 +340,7 @@ RULES: dict[str, SocialDecisionScheme] = {
     sds.name: sds
     for sds in (
         SocialDecisionScheme("rd", rd),
-        SocialDecisionScheme("ml", ml),
+        SocialDecisionScheme("ml", ml, margin_based=True),
         SocialDecisionScheme("condorcet-uniform", condorcet_uniform),
         SocialDecisionScheme("f1", f1, _three_alternatives_only),
         SocialDecisionScheme("f2", f2, _three_alternatives_only),

@@ -28,6 +28,7 @@ from pcvote import (
     find_manipulation,
     fixture_profile,
     get_rule,
+    ml,
     profile,
     ranking,
     strategyproofness_ladder_gaps,
@@ -353,3 +354,48 @@ def test_scan_respects_min_voters():
     assert rep.profiles_checked == 36  # n=1 is skipped for participation
     with pytest.raises(DomainError):
         exhaustive_scan(RD, 3, 1, "sd-participation")
+
+
+def _plain_manipulation_scan(rule, m, n_min, n_max, extension, mode, anonymous):
+    """`exhaustive_scan` spelled out as a loop of `find_manipulation` on the
+    rule as given, with no memo."""
+    checked = 0
+    for n in range(n_min, n_max + 1):
+        for prof in enumerate_profiles(m, n, anonymous):
+            checked += 1
+            witness = find_manipulation(rule, prof, extension, mode)
+            if witness is not None:
+                return Verdict.Violated, witness, checked
+    return Verdict.Holds, None, checked
+
+
+@pytest.mark.parametrize(
+    "axiom_name, m, n_min, n_max, anonymous, verdict",
+    [
+        ("pc-strategyproofness", 3, 2, 2, False, Verdict.Holds),
+        ("weak-pc-strategyproofness", 3, 4, 4, True, Verdict.Violated),
+        ("sd-strategyproofness", 3, 1, 2, False, Verdict.Violated),
+    ],
+)
+def test_margin_memo_leaves_scan_reports_unchanged(axiom_name, m, n_min, n_max, anonymous, verdict):
+    extension = {"pc": Extension.PC, "sd": Extension.SD}[axiom_name.split("-")[-2]]
+    mode = Mode.Weak if axiom_name.startswith("weak-") else Mode.Strong
+    rep = exhaustive_scan(ML, m, n_max, axiom_name, up_to_anonymity=anonymous, n_min=n_min)
+    plain = _plain_manipulation_scan(ML, m, n_min, n_max, extension, mode, anonymous)
+    assert rep.verdict is verdict
+    assert (rep.verdict, rep.witness, rep.profiles_checked) == plain
+
+
+def test_margin_memo_evaluates_once_per_matrix_and_per_scan():
+    evaluations = []
+
+    def counting_ml(prof):
+        evaluations.append(prof)
+        return ml(prof)
+
+    rule = SocialDecisionScheme("ml", counting_ml, margin_based=True)
+    for _ in range(2):
+        evaluations.clear()
+        rep = exhaustive_scan(rule, 3, 2, "pc-strategyproofness", n_min=2)
+        assert rep.verdict is Verdict.Holds and rep.profiles_checked == 36
+        assert len(evaluations) == 19

@@ -1,16 +1,23 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import pcvote
 from pcvote import (
     ApplicabilityError,
     DomainError,
+    InternalError,
     Lottery,
     RULES,
     alternative_set,
     condorcet_uniform,
     condorcet_winner,
+    enumerate_profiles,
     f1,
     f2,
     fixture_profile,
@@ -24,6 +31,8 @@ from pcvote import (
     relabel,
     solve_margin_game,
 )
+from pcvote import rules
+from pcvote.ratlp import lp_solve
 from helpers import random_profile
 
 F = Fraction
@@ -185,6 +194,172 @@ def test_ml_anonymity_sampled():
         order = list(range(1, prof.n + 1))
         rng.shuffle(order)
         assert ml(relabel(prof, voter_perm=tuple(order))) == ml(prof)
+
+
+# ---------------------------------------------------------------------------
+# maximal lotteries: the three cases and their guards
+# ---------------------------------------------------------------------------
+
+def _distinct_margin_profiles(regions):
+    """First profile of every distinct margin matrix, in enumeration order
+    over `(m, n)` regions."""
+    firsts = {}
+    for m, n in regions:
+        for prof in enumerate_profiles(m, n, up_to_anonymity=True):
+            firsts.setdefault(margin_matrix(prof), prof)
+    return firsts
+
+
+@pytest.fixture(scope="module")
+def leximin_results():
+    return {}
+
+
+@pytest.fixture
+def forced_leximin(monkeypatch, leximin_results):
+    """The leximin loop as a function of the margins, run at most once per
+    matrix in this module: `ml`'s own calls into the loop share the
+    results, so a matrix that takes the loop anyway is not solved twice."""
+    loop = rules._ml_leximin
+
+    def leximin(margins):
+        if margins not in leximin_results:
+            leximin_results[margins] = loop(margins)
+        return leximin_results[margins]
+
+    monkeypatch.setattr(rules, "_ml_leximin", leximin)
+    return leximin
+
+
+def test_ml_equals_the_leximin_loop_on_small_spaces(forced_leximin):
+    regions = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(4, 1), (4, 2)]
+    firsts = _distinct_margin_profiles(regions)
+    assert len(firsts) == 1 + 7 + 63 + 24 + 219
+    for mm, prof in firsts.items():
+        assert ml(prof).probs == forced_leximin(mm), mm.rows
+
+
+def test_ml_equals_the_leximin_loop_on_the_criterion_08_corpus(forced_leximin):
+    rng = random.Random(90210)  # criterion 08's seed and generator
+    for k in range(500):
+        prof = random_profile(rng, m_max=4, n_max=7)
+        assert ml(prof).probs == forced_leximin(margin_matrix(prof)), k
+
+
+def test_ml_outputs_pinned_on_every_margin_matrix_up_to_four_by_three(forced_leximin):
+    # The digest was computed with the leximin-loop-only `ml` (every matrix
+    # through the iterated max-min), before the Condorcet and odd-margin
+    # cases existed. There are 1426 matrices: 1 for m=1, 7 for m=2, 63 for
+    # m=3 and 1355 for m=4. `forced_leximin` only lets the matrices that
+    # take the loop reuse the gate tests' results.
+    regions = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3)]
+    firsts = _distinct_margin_profiles(regions)
+    assert len(firsts) == 1426
+    digest = hashlib.sha256()
+    for mm, prof in firsts.items():
+        probs = " ".join(map(str, ml(prof).probs))
+        digest.update(f"{mm.rows} -> {probs}\n".encode())
+    assert digest.hexdigest() == "350e29899b528d23d0f724e4fd6f4ca95b9abf965a389014880b31b74583d485"
+
+
+def test_ml_builds_the_margins_once(monkeypatch):
+    calls = []
+
+    def counting(prof):
+        calls.append(prof)
+        return margin_matrix(prof)
+
+    monkeypatch.setattr(rules, "margin_matrix", counting)
+    condorcet = fixture_profile("rd_example")
+    odd_cycle = fixture_profile("ml_manipulation_R")
+    even_tie = profile("abc", [("a", "b", "c"), ("c", "b", "a")])
+    for prof in (condorcet, odd_cycle, even_tie):
+        calls.clear()
+        ml(prof)
+        assert calls == [prof]
+
+
+def test_ml_is_margin_based_on_the_three_by_two_space():
+    assert get_rule("ml").margin_based
+    assert not any(get_rule(name).margin_based for name in ("rd", "f1", "f2", "condorcet-uniform"))
+    outputs = {}
+    for prof in enumerate_profiles(3, 2):
+        outputs.setdefault(margin_matrix(prof), set()).add(ml(prof))
+    assert len(outputs) == 19
+    assert all(len(lotteries) == 1 for lotteries in outputs.values())
+
+
+def test_ml_case_selection_counts_lps(monkeypatch):
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(rules, "lp_solve", counting)
+    for name, lps in (("rd_example", 0), ("ml_manipulation_R", 1)):
+        solves.clear()
+        ml(fixture_profile(name))
+        assert len(solves) == lps, name
+    solves.clear()
+    ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))  # all margins 0: the loop
+    assert len(solves) > 1
+
+
+def test_internal_error_is_not_a_domain_error():
+    assert not issubclass(InternalError, DomainError)
+
+
+def _unpinnable(margins, fixed, free, floor, coord):
+    return floor + 1
+
+
+def test_ml_raises_when_a_max_min_round_pins_nothing(monkeypatch):
+    monkeypatch.setattr(rules, "_ml_coordinate_max", _unpinnable)
+    with pytest.raises(InternalError):
+        ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
+
+
+def test_ml_raises_on_a_non_maximal_result(monkeypatch):
+    monkeypatch.setattr(rules, "_ml_unique_point", lambda margins: (F(1), F(0), F(0)))
+    with pytest.raises(InternalError):
+        ml(fixture_profile("ml_manipulation_R"))
+
+
+_OPTIMIZED_GUARDS = """
+import sys
+from fractions import Fraction
+from pcvote import InternalError, fixture_profile, ml, profile, rules
+
+assert False, "asserts must be stripped here"
+tied = profile("abc", [("a", "b", "c"), ("c", "b", "a")])
+rules._ml_coordinate_max = lambda margins, fixed, free, floor, coord: floor + 1
+try:
+    ml(tied)
+except InternalError:
+    pass
+else:
+    sys.exit("the max-min guard did not fire")
+rules._ml_unique_point = lambda margins: (Fraction(1), Fraction(0), Fraction(0))
+try:
+    ml(fixture_profile("ml_manipulation_R"))
+except InternalError:
+    pass
+else:
+    sys.exit("the maximality guard did not fire")
+print("guards held")
+"""
+
+
+def test_ml_guards_survive_python_dash_o():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pcvote.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_GUARDS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guards held"
 
 
 # ---------------------------------------------------------------------------
