@@ -42,6 +42,7 @@ from .extensions import (
     pc1_compare,
     pc_compare,
     pc_score,
+    pc_weights,
     sd_compare,
 )
 from .ratlp import Constraint, LinearProgram, LpOutcome, LpStatus, lp_feasible, lp_solve

@@ -274,7 +274,7 @@ def check_decisiveness(
     must put probability one on it. No trigger, nothing to check."""
     target: Optional[str] = None
     if level is Decisiveness.Unanimity:
-        tops = {b.top for b in profile.ballots}
+        tops = {b.top for b, _ in profile.runs}
         if len(tops) == 1:
             (target,) = tops
     elif level is Decisiveness.AbsoluteWinner:
@@ -373,7 +373,7 @@ def enumerate_profiles(
         else itertools.product(rankings, repeat=n)
     )
     for ballots in combos:
-        yield Profile(alts, tuple(ballots))
+        yield Profile.from_ballots(alts, ballots)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from .model import (
     ApplicabilityError,
     DomainError,
+    InternalError,
     Lottery,
     Profile,
     Ranking,
@@ -35,8 +36,9 @@ from .extensions import (
     Extension,
     dominance_outcomes,
     dominates,
+    pc_weights,
 )
-from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, lp_solve
+from .ratlp import EQ, GE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
 
 
 class EfficiencyNotion(Enum):
@@ -83,18 +85,15 @@ def _certificate(
     outcomes = dominance_outcomes(profile, extension, q, p)
     cert = DominanceCertificate(extension, p, q, outcomes)
     if not dominates(profile, extension, q, p):
-        raise AssertionError("internal error: dominance witness failed re-validation")
+        raise InternalError("dominance witness failed re-validation")
     return cert
 
 
-def _pc_voter_weights(ranking: Ranking, p: Lottery) -> tuple[Fraction, ...]:
-    """Coefficients w with w · q = (PC score of q against p) for this voter."""
-    weights = []
-    for x in ranking.alternatives:
-        better = sum((p.prob(y) for y in ranking.above(x)), Fraction(0))
-        worse = sum((p.prob(y) for y in ranking.below(x)), Fraction(0))
-        weights.append(worse - better)
-    return tuple(weights)
+def _dominator_optimum(outcome: LpOutcome) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Value and solution of a dominator LP, whose feasible set contains p."""
+    if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
+        raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
+    return outcome.value, outcome.solution
 
 
 def _pc_dominator_lp(
@@ -102,21 +101,25 @@ def _pc_dominator_lp(
 ) -> tuple[Fraction, Lottery]:
     """Maximize a positive combination of per-voter PC scores against p,
     over lotteries q that no voter PC-objects to. Value 0 means p is
-    PC-efficient; a positive value comes with a dominating q."""
+    PC-efficient; a positive value comes with a dominating q.
+
+    One row per voter, in voter order; the PC form is computed once per
+    distinct ballot."""
     m = profile.m
     lam = _positive_weights(profile.n, weights)
+    forms: dict[Ranking, tuple[Fraction, ...]] = {}
     rows: list[Constraint] = []
     objective = [Fraction(0)] * m
     for ballot, factor in zip(profile.ballots, lam):
-        w = _pc_voter_weights(ballot, p)
+        if ballot not in forms:
+            forms[ballot] = pc_weights(ballot, p)
+        w = forms[ballot]
         rows.append(Constraint(w, GE, Fraction(0)))
         for j in range(m):
             objective[j] += factor * w[j]
     rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
-    outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
-    assert outcome.status is LpStatus.Optimal, "the feasible set contains p itself"
-    assert outcome.solution is not None and outcome.value is not None
-    return outcome.value, Lottery(profile.alternatives, outcome.solution)
+    value, solution = _dominator_optimum(lp_solve(LinearProgram(tuple(objective), tuple(rows))))
+    return value, Lottery(profile.alternatives, solution)
 
 
 def _sd_dominator_lp(
@@ -141,10 +144,8 @@ def _sd_dominator_lp(
                 objective[j] += factor * indicator[j]
             gains_baseline += factor * prefix
     rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
-    outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
-    assert outcome.status is LpStatus.Optimal, "the feasible set contains p itself"
-    assert outcome.solution is not None and outcome.value is not None
-    return outcome.value - gains_baseline, Lottery(profile.alternatives, outcome.solution)
+    value, solution = _dominator_optimum(lp_solve(LinearProgram(tuple(objective), tuple(rows))))
+    return value - gains_baseline, Lottery(profile.alternatives, solution)
 
 
 def _positive_weights(
@@ -297,7 +298,7 @@ def m3_efficiency_certificate(profile: Profile, p: Lottery) -> bool:
     if any(p.prob(x) > 0 for x in pareto_dominated_set(profile)):
         return False
     never_bottom = never_bottom_set(profile)
-    bottoms = {b.bottom for b in profile.ballots}
+    bottoms = {b.bottom for b, _ in profile.runs}
     for x in alts:
         if x in never_bottom and top_count(profile, x) >= 1:
             if not any(p.prob(y) == 0 for y in alts if y != x):

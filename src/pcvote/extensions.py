@@ -20,6 +20,7 @@ deliberately broken one to prove their checks can fail.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -49,20 +50,47 @@ def _check_arena(ranking: Ranking, p: Lottery, q: Lottery) -> None:
         raise DomainError("ranking and both lotteries must share one alternative set")
 
 
+def _scaled(p: Lottery) -> tuple[list[int], int]:
+    """p's probabilities as integers over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in p.probs))
+    return [x.numerator * (den // x.denominator) for x in p.probs], den
+
+
+def _pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
+    """The voter's PC weights against p as integers over a common
+    denominator: p's mass below x minus p's mass above x, for every x,
+    from one prefix sum along the ranking."""
+    mass, den = _scaled(p)
+    weights = [0] * len(mass)
+    above = 0
+    for x in ranking.order:
+        i = p.alternatives.index(x)
+        # p sums to one, so its mass below x is den - above - mass[i]
+        weights[i] = den - mass[i] - 2 * above
+        above += mass[i]
+    return weights, den
+
+
+def pc_weights(ranking: Ranking, p: Lottery) -> tuple[Fraction, ...]:
+    """The voter's PC form against p: coefficients w, in alternative order,
+    with w · q = pc_score(ranking, q, p) for every lottery q."""
+    if p.alternatives != ranking.alternatives:
+        raise DomainError("ranking and lottery must share one alternative set")
+    weights, den = _pc_form(ranking, p)
+    return tuple(Fraction(w, den) for w in weights)
+
+
 def pc_score(ranking: Ranking, p: Lottery, q: Lottery) -> Fraction:
-    """Net probability that an independent draw from p beats one from q.
+    """Net probability that an independent draw from p beats one from q:
+    pc_weights(ranking, q) · p, in integers until the one division.
 
     Positive means the voter leans toward p, zero means indifference;
     the sign carries the whole PC comparison.
     """
     _check_arena(ranking, p, q)
-    score = Fraction(0)
-    order = ranking.order
-    for i, x in enumerate(order):
-        px, qx = p.prob(x), q.prob(x)
-        for y in order[i + 1:]:
-            score += px * q.prob(y) - qx * p.prob(y)
-    return score
+    weights, den = _pc_form(ranking, q)
+    mass, p_den = _scaled(p)
+    return Fraction(sum(w * x for w, x in zip(weights, mass)), den * p_den)
 
 
 def outcome_from_score(score: Fraction) -> ComparisonOutcome:
@@ -143,8 +171,12 @@ def weakly_prefers(outcome: ComparisonOutcome) -> bool:
 def dominance_outcomes_under(
     profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery
 ) -> tuple[ComparisonOutcome, ...]:
-    """Per-voter outcome of the challenger q measured against p."""
-    return tuple(compare_fn(b, q, p) for b in profile.ballots)
+    """Per-voter outcome of the challenger q measured against p, compared
+    once per run of identical ballots."""
+    outcomes: list[ComparisonOutcome] = []
+    for ballot, count in profile.runs:
+        outcomes += [compare_fn(ballot, q, p)] * count
+    return tuple(outcomes)
 
 
 def dominates_under(profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery) -> bool:

@@ -2,6 +2,10 @@
 preference profiles, lotteries, and the majority statistics derived from
 them.
 
+A profile is stored as maximal runs of identical consecutive ballots, so
+its size grows with the number of runs, not with the number of voters.
+Margins and top counts are computed once per profile, from the runs.
+
 Everything here is exact: probabilities are `fractions.Fraction`, margins
 are integers, and no operation ever rounds. The construction order of an
 alternative set is canonical — it drives deterministic iteration and the
@@ -10,8 +14,11 @@ order in which lotteries print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -61,6 +68,10 @@ class AlternativeSet:
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate alternative labels in {names!r}")
 
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -72,8 +83,8 @@ class AlternativeSet:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._indices[name]
+        except (KeyError, TypeError):
             raise UnknownAlternativeError(
                 f"unknown alternative {name!r}; expected one of: {', '.join(self.names)}"
             ) from None
@@ -108,17 +119,19 @@ class Ranking:
                 parts.append(f"unknown {sorted(extra)}")
             raise DomainError(f"ranking does not cover the alternative set exactly: {'; '.join(parts)}")
 
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """The 0-based place of each alternative, in alternative order."""
+        return tuple(map(self.order.index, self.alternatives.names))
+
     def rank(self, x: str) -> int:
         """1-based position of `x` (1 = best)."""
-        if x not in self.alternatives:
-            raise UnknownAlternativeError(
-                f"unknown alternative {x!r}; expected one of: {', '.join(self.alternatives.names)}"
-            )
-        return self.order.index(x) + 1
+        return self.positions[self.alternatives.index(x)] + 1
 
     def prefers(self, x: str, y: str) -> bool:
         """True iff the voter strictly prefers `x` to `y`."""
-        return self.rank(x) < self.rank(y)
+        index = self.alternatives.index
+        return self.positions[index(x)] < self.positions[index(y)]
 
     @property
     def top(self) -> str:
@@ -149,60 +162,125 @@ def ranking(alternatives: Iterable[str] | AlternativeSet, order: Iterable[str]) 
     return Ranking(alternative_set(alternatives), tuple(order))
 
 
+Run = tuple[Ranking, int]
+
+
 @dataclass(frozen=True)
 class Profile:
-    """A preference profile: one strict ranking per voter, voters 1-based."""
+    """A preference profile: one strict ranking per voter, voters 1-based.
+
+    The voters are stored in order as runs `(ranking, count)` of identical
+    consecutive ballots. Adjacent runs of one ranking are merged at
+    construction, so two profiles are equal (and hash equal) exactly when
+    their voter sequences are, however the runs were split.
+    """
 
     alternatives: AlternativeSet
-    ballots: tuple[Ranking, ...]
+    runs: tuple[Run, ...]
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ballots = tuple(self.ballots)
-        object.__setattr__(self, "ballots", ballots)
-        if not ballots:
-            raise DomainError("a profile needs at least one voter")
-        for b in ballots:
-            if b.alternatives != self.alternatives:
+        alts = self.alternatives
+        runs: list[Run] = []
+        ends: list[int] = []
+        for ballot, count in self.runs:
+            if ballot.alternatives is not alts and ballot.alternatives != alts:
                 raise DomainError("all ballots must range over the profile's alternative set")
+            if type(count) is not int or count < 1:
+                raise DomainError(f"a run needs a positive integer count, got {count!r}")
+            if runs and runs[-1][0] == ballot:
+                runs[-1] = (ballot, runs[-1][1] + count)
+                ends[-1] += count
+            else:
+                runs.append((ballot, count))
+                ends.append(ends[-1] + count if ends else count)
+        if not runs:
+            raise DomainError("a profile needs at least one voter")
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "_ends", tuple(ends))
+
+    @classmethod
+    def from_ballots(
+        cls, alternatives: AlternativeSet, ballots: Iterable[Ranking]
+    ) -> "Profile":
+        """The profile in which voter `i` casts `ballots[i-1]`."""
+        return cls(alternatives, tuple((b, 1) for b in ballots))
 
     @property
     def n(self) -> int:
         """Number of voters."""
-        return len(self.ballots)
+        return self._ends[-1]
 
     @property
     def m(self) -> int:
         """Number of alternatives."""
         return len(self.alternatives)
 
+    @property
+    def ballots(self) -> tuple[Ranking, ...]:
+        """Per-voter view, voter `i` at index `i-1`; O(n), for small profiles."""
+        return tuple(chain.from_iterable(repeat(b, count) for b, count in self.runs))
+
     def ballot(self, i: int) -> Ranking:
         """Ballot of voter `i` (1-based)."""
         self._check_voter(i)
-        return self.ballots[i - 1]
+        return self.runs[bisect_left(self._ends, i)][0]
 
     def replace_ballot(self, i: int, new_ballot: Ranking) -> "Profile":
         self._check_voter(i)
         if new_ballot.alternatives != self.alternatives:
             raise DomainError("replacement ballot must range over the same alternatives")
-        ballots = list(self.ballots)
-        ballots[i - 1] = new_ballot
-        return Profile(self.alternatives, tuple(ballots))
+        return self._splice(i, ((new_ballot, 1),))
 
     def append(self, *rankings: Ranking) -> "Profile":
         for r in rankings:
             if r.alternatives != self.alternatives:
                 raise DomainError("appended ballots must range over the same alternatives")
-        return Profile(self.alternatives, self.ballots + tuple(rankings))
+        return Profile(self.alternatives, self.runs + tuple((r, 1) for r in rankings))
+
+    def _splice(self, i: int, middle: tuple[Run, ...]) -> "Profile":
+        """The profile with voter `i`'s ballot replaced by the runs `middle`."""
+        k = bisect_left(self._ends, i)
+        ballot, count = self.runs[k]
+        after = self._ends[k] - i
+        before = count - 1 - after
+        head = self.runs[:k] + (((ballot, before),) if before else ())
+        tail = (((ballot, after),) if after else ()) + self.runs[k + 1:]
+        return Profile(self.alternatives, head + middle + tail)
 
     def _check_voter(self, i: int) -> None:
         if not isinstance(i, int) or not 1 <= i <= self.n:
             raise DomainError(f"voter index {i!r} out of range 1..{self.n}")
 
+    @cached_property
+    def _margins(self) -> "MarginMatrix":
+        """The margin matrix, from the runs in O(runs * m^2)."""
+        m = self.m
+        upper = [[0] * m for _ in range(m)]  # margins of i over j > i
+        for ballot, count in self.runs:
+            pos = ballot.positions
+            for i in range(m - 1):
+                row, place = upper[i], pos[i]
+                for j in range(i + 1, m):
+                    row[j] += count if place < pos[j] else -count
+        rows = tuple(
+            tuple(upper[i][j] if i < j else -upper[j][i] for j in range(m)) for i in range(m)
+        )
+        return MarginMatrix(self.alternatives, rows)
+
+    @cached_property
+    def _top_counts(self) -> tuple[int, ...]:
+        """First places per alternative, in alternative order."""
+        counts = [0] * self.m
+        for ballot, count in self.runs:
+            counts[self.alternatives.index(ballot.top)] += count
+        return tuple(counts)
+
 
 def profile(alternatives: Iterable[str] | AlternativeSet, orders: Iterable[Iterable[str]]) -> Profile:
     """Build a profile from raw order tuples (convenience constructor)."""
     alts = alternative_set(alternatives)
-    return Profile(alts, tuple(Ranking(alts, tuple(o)) for o in orders))
+    return Profile.from_ballots(alts, (Ranking(alts, tuple(o)) for o in orders))
 
 
 @dataclass(frozen=True)
@@ -305,29 +383,17 @@ class MarginMatrix:
 
 def majority_margin(p: Profile, x: str, y: str) -> int:
     """#voters preferring x to y minus #voters preferring y to x."""
-    ix = p.alternatives.index(x)
-    iy = p.alternatives.index(y)
-    if ix == iy:
-        return 0
-    wins = sum(1 for b in p.ballots if b.prefers(x, y))
-    return wins - (p.n - wins)
+    return p._margins.rows[p.alternatives.index(x)][p.alternatives.index(y)]
 
 
 def margin_matrix(p: Profile) -> MarginMatrix:
-    names = p.alternatives.names
-    rows = tuple(
-        tuple(majority_margin(p, x, y) if x != y else 0 for y in names) for x in names
-    )
-    return MarginMatrix(p.alternatives, rows)
+    """All pairwise majority margins; computed once per profile."""
+    return p._margins
 
 
 def top_count(p: Profile, x: str) -> int:
     """How many voters rank `x` first."""
-    if x not in p.alternatives:
-        raise UnknownAlternativeError(
-            f"unknown alternative {x!r}; expected one of: {', '.join(p.alternatives.names)}"
-        )
-    return sum(1 for b in p.ballots if b.top == x)
+    return p._top_counts[p.alternatives.index(x)]
 
 
 def condorcet_winner(p: Profile) -> Optional[str]:
@@ -357,19 +423,18 @@ def absolute_winner(p: Profile) -> Optional[str]:
 
 
 def pareto_dominated_set(p: Profile) -> frozenset[str]:
-    """Alternatives unanimously beaten by some single other alternative."""
-    out = set()
-    for y in p.alternatives:
-        for x in p.alternatives:
-            if x != y and all(b.prefers(x, y) for b in p.ballots):
-                out.add(y)
-                break
-    return frozenset(out)
+    """Alternatives unanimously beaten by some single other alternative,
+    that is, beaten by a margin of n."""
+    rows = p._margins.rows
+    return frozenset(
+        y for j, y in enumerate(p.alternatives)
+        if any(row[j] == p.n for i, row in enumerate(rows) if i != j)
+    )
 
 
 def never_bottom_set(p: Profile) -> frozenset[str]:
     """Alternatives that no voter ranks last."""
-    bottoms = {b.bottom for b in p.ballots}
+    bottoms = {b.bottom for b, _ in p.runs}
     return frozenset(set(p.alternatives.names) - bottoms)
 
 
@@ -388,7 +453,7 @@ def remove_voter(p: Profile, i: int) -> Profile:
     if p.n < 2:
         raise DomainError("cannot remove the only voter of a profile")
     p._check_voter(i)
-    return Profile(p.alternatives, p.ballots[: i - 1] + p.ballots[i:])
+    return p._splice(i, ())
 
 
 def _check_alt_perm(alts: AlternativeSet, alt_perm: Mapping[str, str]) -> None:
@@ -410,14 +475,14 @@ def relabel(
     `voter_perm[i-1]` of the input. `alt_perm` maps old labels to new
     labels and is applied elementwise inside every ballot.
     """
-    ballots = list(p.ballots)
     if voter_perm is not None:
         if sorted(voter_perm) != list(range(1, p.n + 1)):
             raise DomainError(
                 f"voter permutation must rearrange 1..{p.n}, got {list(voter_perm)!r}"
             )
-        ballots = [ballots[j - 1] for j in voter_perm]
+        ballots = p.ballots
+        p = Profile.from_ballots(p.alternatives, (ballots[j - 1] for j in voter_perm))
     if alt_perm is not None:
         _check_alt_perm(p.alternatives, alt_perm)
-        ballots = [b.relabel(alt_perm) for b in ballots]
-    return Profile(p.alternatives, tuple(ballots))
+        p = Profile(p.alternatives, tuple((b.relabel(alt_perm), count) for b, count in p.runs))
+    return p

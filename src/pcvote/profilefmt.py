@@ -8,8 +8,9 @@ Profile documents look like:
     1: b > a > c
 
 The header names the alternatives (canonical order); each body line is a
-multiplicity followed by one strict ranking, best first. Formatting a
-profile groups consecutive identical ballots, so parse(format(p)) == p.
+multiplicity followed by one strict ranking, best first. A line becomes
+one run of the profile without expanding its count, and formatting writes
+the profile's maximal runs back, so parse(format(p)) == p.
 
 Lottery specs are compact one-liners like "a:1/2,b:1/2": exact rationals
 or integers only (no decimal notation), omitted alternatives get zero,
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable
 
 from .model import AlternativeSet, Lottery, Profile, Ranking
@@ -47,7 +47,7 @@ def _check_label(label: str, line: int | None) -> str:
 def parse_profile(text: str) -> Profile:
     """Parse a profile document; raises ParseError with a line number."""
     alternatives: AlternativeSet | None = None
-    ballots: list[Ranking] = []
+    runs: list[tuple[Ranking, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -91,21 +91,19 @@ def parse_profile(text: str) -> Profile:
         if len(order) != len(alternatives):
             missing = [x for x in alternatives.names if x not in seen]
             raise ParseError(f"ranking does not mention: {', '.join(missing)}", lineno)
-        ballot = Ranking(alternatives, order)
-        ballots.extend([ballot] * count)
+        runs.append((Ranking(alternatives, order), count))
     if alternatives is None:
         raise ParseError("empty document: no alternatives header found")
-    if not ballots:
+    if not runs:
         raise ParseError("profile has no ballots")
-    return Profile(alternatives, tuple(ballots))
+    return Profile(alternatives, tuple(runs))
 
 
 def format_profile(profile: Profile) -> str:
-    """Canonical text form; consecutive identical ballots are grouped, so
-    the voter order round-trips exactly."""
+    """Canonical text form: one line per maximal run of identical ballots,
+    so the voter order round-trips exactly."""
     lines = [f"alternatives: {' '.join(profile.alternatives.names)}"]
-    for ballot, group in groupby(profile.ballots):
-        count = sum(1 for _ in group)
+    for ballot, count in profile.runs:
         lines.append(f"{count}: {' > '.join(ballot.order)}")
     return "\n".join(lines) + "\n"
 

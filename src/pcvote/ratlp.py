@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .model import DomainError, _require_exact
+from .model import DomainError, InternalError, _require_exact
 
 LE = "<="
 EQ = "="
@@ -225,7 +225,8 @@ def _solve_standardized(
         for j in art_cols:
             phase1_cost[j] = Fraction(-1)
         status = _run_simplex(rows, rhs, basis, phase1_cost, banned=art_cols)
-        assert status == "optimal", "phase one is bounded by construction"
+        if status != "optimal":
+            raise InternalError(f"phase one came out {status}, though it is bounded by construction")
         infeasibility = -sum(
             rhs[r] for r in range(len(rows)) if basis[r] in art_cols
         )

@@ -34,7 +34,7 @@ from .model import (
     top_count,
     weak_condorcet_winners,
 )
-from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
+from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,13 @@ def _unit(m: int, j: int, value: Fraction = Fraction(1)) -> tuple[Fraction, ...]
     return tuple(value if k == j else Fraction(0) for k in range(m))
 
 
+def _optimal_value(outcome: LpOutcome) -> Fraction:
+    """The value of an LP over a face of the non-empty optimal set."""
+    if outcome.status is not LpStatus.Optimal or outcome.value is None:
+        raise InternalError(f"an LP over the margin game's optimal set came out {outcome.status.name}")
+    return outcome.value
+
+
 def _ml_max_min(
     margins: MarginMatrix, fixed: dict[int, Fraction], free: list[int]
 ) -> Fraction:
@@ -184,9 +191,7 @@ def _ml_max_min(
         coeffs = list(_unit(m, j)) + [Fraction(-1)]
         rows.append(Constraint(tuple(coeffs), GE, Fraction(0)))
     objective = tuple([Fraction(0)] * m + [Fraction(1)])
-    outcome = lp_solve(LinearProgram(objective, tuple(rows)))
-    assert outcome.status is LpStatus.Optimal and outcome.value is not None
-    return outcome.value
+    return _optimal_value(lp_solve(LinearProgram(objective, tuple(rows))))
 
 
 def _ml_coordinate_max(
@@ -203,9 +208,7 @@ def _ml_coordinate_max(
         rows.append(Constraint(_unit(m, j), EQ, value))
     for j in free:
         rows.append(Constraint(_unit(m, j), GE, floor))
-    outcome = lp_solve(LinearProgram(_unit(m, coord), tuple(rows)))
-    assert outcome.status is LpStatus.Optimal and outcome.value is not None
-    return outcome.value
+    return _optimal_value(lp_solve(LinearProgram(_unit(m, coord), tuple(rows))))
 
 
 def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:

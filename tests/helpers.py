@@ -171,3 +171,42 @@ def random_lottery(rng: random.Random, alternatives, max_weight: int = 6):
         weights[rng.randrange(len(names))] = 1
     total = sum(weights)
     return Lottery(alternatives, tuple(Fraction(w, total) for w in weights))
+
+
+# ---------------------------------------------------------------------------
+# per-voter reference semantics of a profile
+# ---------------------------------------------------------------------------
+#
+# A profile is a plain list of ballots, voter i at index i-1, each ballot
+# an order tuple (best first). These O(n·m) loops are the definitions the
+# run-length `Profile` must agree with; they share no code with it.
+
+def reference_majority_margin(ballots: list[tuple[str, ...]], x: str, y: str) -> int:
+    if x == y:
+        return 0
+    wins = sum(1 for b in ballots if b.index(x) < b.index(y))
+    return wins - (len(ballots) - wins)
+
+
+def reference_top_count(ballots: list[tuple[str, ...]], x: str) -> int:
+    return sum(1 for b in ballots if b[0] == x)
+
+
+def reference_pareto_dominated_set(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
+    return frozenset(
+        y for y in names
+        if any(x != y and all(b.index(x) < b.index(y) for b in ballots) for x in names)
+    )
+
+
+def reference_never_bottom_set(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
+    return frozenset(set(names) - {b[-1] for b in ballots})
+
+
+def reference_pc_score(order: tuple[str, ...], p, q) -> Fraction:
+    """PC score of p against q for one voter, summed over ordered pairs."""
+    score = Fraction(0)
+    for i, x in enumerate(order):
+        for y in order[i + 1:]:
+            score += p.prob(x) * q.prob(y) - q.prob(x) * p.prob(y)
+    return score

@@ -1,12 +1,18 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import pcvote
 from pcvote import (
     ApplicabilityError,
     DomainError,
+    InternalError,
     EfficiencyNotion,
     Extension,
     Lottery,
@@ -26,6 +32,9 @@ from pcvote import (
     rd,
     f1,
 )
+from pcvote import efficiency, ratlp, rules
+from pcvote.profilefmt import format_lottery
+from pcvote.ratlp import LpOutcome, LpStatus
 from helpers import random_lottery
 
 F = Fraction
@@ -111,6 +120,128 @@ def test_positive_weights_keep_the_oracle_sound():
         cert = find_dominator(prof, p1, Extension.PC, weights=weights)
         assert cert is not None
         assert dominates(prof, Extension.PC, cert.dominator, p1)
+
+
+def _repeat_heavy_profiles(seed, count):
+    """m in [3, 4], n in [2, 9], every ballot drawn from a pool of two to
+    five rankings."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(3, 4), rng.randint(2, 9)
+        alts = "abcd"[:m]
+        pool = [rng.sample(alts, m) for _ in range(rng.randint(2, 5))]
+        yield profile(alts, [rng.choice(pool) for _ in range(n)])
+
+
+def _describe(cert):
+    if cert is None:
+        return "-"
+    return format_lottery(cert.dominator) + " " + ",".join(o.value for o in cert.outcomes)
+
+
+def _witness_digest(seed, count):
+    """sha256 over the PC, SD and PC1 dominators (all-ones and seeded voter
+    weights) of rd, the uniform lottery and a seeded lottery."""
+    rng = random.Random(seed + 1)
+    digest = hashlib.sha256()
+    for prof in _repeat_heavy_profiles(seed, count):
+        alts = prof.alternatives
+        raw = [rng.randint(0, 4) for _ in alts]
+        raw[rng.randrange(len(raw))] += 1
+        seeded = Lottery(alts, tuple(F(w, sum(raw)) for w in raw))
+        for p in (rd(prof), Lottery.uniform(alts), seeded):
+            weights = tuple(F(rng.randint(1, 9)) for _ in range(prof.n))
+            certs = (
+                find_dominator(prof, p, Extension.PC),
+                find_dominator(prof, p, Extension.PC, weights),
+                find_dominator(prof, p, Extension.SD),
+                find_dominator(prof, p, Extension.SD, weights),
+                pc1_find_dominator(prof, p),
+            )
+            digest.update(("|".join(_describe(c) for c in certs) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_dominance_witnesses_pinned():
+    """Any change to the rows or the objective of the dominator LPs, even
+    one that keeps every verdict (merging the rows of equal ballots, say),
+    may move some witness. The digest was computed with the per-voter
+    implementation of these LPs, before profiles were stored as runs. On
+    this corpus, merging equal ballots' rows moves a witness of the fourth
+    profile, and reversing the voter weights moves witnesses of the eighth
+    and the ninth."""
+    digest = _witness_digest(11, 12)
+    assert digest == "65e6826dc3ff1e052f09d4e649039e3d409e9dfa33350e1ea7136749fe174bb3"
+
+
+def _infeasible(lp):
+    return LpOutcome(LpStatus.Infeasible, None, None)
+
+
+def test_dominator_lp_failure_raises_internal_error(monkeypatch):
+    prof = fixture_profile("rd_example")
+    monkeypatch.setattr(efficiency, "lp_solve", _infeasible)
+    for extension in (Extension.PC, Extension.SD):
+        with pytest.raises(InternalError):
+            find_dominator(prof, rd(prof), extension)
+
+
+def test_failed_witness_revalidation_raises_internal_error(monkeypatch):
+    prof = fixture_profile("rd_example")
+    monkeypatch.setattr(efficiency, "dominates", lambda *args: False)
+    with pytest.raises(InternalError):
+        find_dominator(prof, rd(prof), Extension.PC)
+
+
+def test_lp_status_guards_in_ratlp_and_ml_raise_internal_error(monkeypatch):
+    tied = profile("abc", [("a", "b", "c"), ("c", "b", "a")])
+    with monkeypatch.context() as patch:
+        patch.setattr(rules, "lp_solve", _infeasible)
+        with pytest.raises(InternalError):
+            rules.ml(tied)
+    prof = fixture_profile("rd_example")
+    monkeypatch.setattr(ratlp, "_run_simplex", lambda *args, **kwargs: "unbounded")
+    with pytest.raises(InternalError):
+        find_dominator(prof, rd(prof), Extension.PC)
+
+
+_OPTIMIZED_GUARDS = """
+import sys
+from pcvote import Extension, InternalError, efficiency, fixture_profile, rd
+from pcvote.ratlp import LpOutcome, LpStatus
+
+assert False, "asserts must be stripped here"
+prof = fixture_profile("rd_example")
+solve = efficiency.lp_solve
+efficiency.lp_solve = lambda lp: LpOutcome(LpStatus.Infeasible, None, None)
+for extension in (Extension.PC, Extension.SD):
+    try:
+        efficiency.find_dominator(prof, rd(prof), extension)
+    except InternalError:
+        pass
+    else:
+        sys.exit(f"the {extension.value} dominator LP guard did not fire")
+efficiency.lp_solve = solve
+efficiency.dominates = lambda *args: False
+try:
+    efficiency.find_dominator(prof, rd(prof), Extension.PC)
+except InternalError:
+    pass
+else:
+    sys.exit("the witness re-validation guard did not fire")
+print("guards held")
+"""
+
+
+def test_dominator_guards_survive_python_dash_o():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pcvote.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_GUARDS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guards held"
 
 
 def test_expost_efficiency_is_about_pareto_mass():

@@ -13,9 +13,11 @@ from pcvote import (
     dominance_outcomes,
     dominates,
     pc_score,
+    pc_weights,
     profile,
     ranking,
 )
+from pcvote.model import DomainError
 from pcvote.extensions import (
     make_pc_comparator,
     outcome_from_score,
@@ -24,7 +26,7 @@ from pcvote.extensions import (
     sd_compare,
     weakly_prefers,
 )
-from helpers import random_lottery
+from helpers import random_lottery, reference_pc_score
 
 F = Fraction
 SP = ComparisonOutcome.StrictlyPreferred
@@ -65,6 +67,23 @@ def test_pc_score_antisymmetric_random():
         q = random_lottery(rng, ABC)
         assert pc_score(R_ABC, p, q) == -pc_score(R_ABC, q, p)
         assert pc_score(R_ABC, p, p) == 0
+
+
+def test_pc_weights_are_the_bilinear_pc_form():
+    rng = random.Random(11)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        alts = alternative_set("abcd"[:m])
+        r = ranking(alts, rng.sample(alts.names, m))
+        p, q = random_lottery(rng, alts), random_lottery(rng, alts)
+        form = sum((w * x for w, x in zip(pc_weights(r, q), p.probs)), F(0))
+        assert pc_score(r, p, q) == form == reference_pc_score(r.order, p, q)
+
+
+def test_pc_weights_pinned_and_checked():
+    assert pc_weights(R_ABC, lot((1, 2), (1, 4), (1, 4))) == (F(1, 2), F(-1, 4), F(-3, 4))
+    with pytest.raises(DomainError):
+        pc_weights(R_ABC, Lottery.uniform("xyz"))
 
 
 def test_outcome_from_score():

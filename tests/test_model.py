@@ -11,6 +11,7 @@ from pcvote import (
     DomainError,
     Lottery,
     Profile,
+    Ranking,
     UnknownAlternativeError,
     absolute_winner,
     alternative_set,
@@ -27,6 +28,13 @@ from pcvote import (
     support,
     top_count,
     weak_condorcet_winners,
+)
+from pcvote.profilefmt import format_profile, parse_profile
+from helpers import (
+    reference_majority_margin,
+    reference_never_bottom_set,
+    reference_pareto_dominated_set,
+    reference_top_count,
 )
 
 F = Fraction
@@ -344,3 +352,112 @@ def test_pareto_domination_via_brute_force():
                     expected.add(y)
                     break
         assert pareto_dominated_set(prof) == expected
+
+
+# ---------------------------------------------------------------------------
+# run-length profiles against the per-voter reference
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference(prof: Profile, ballots: list[tuple[str, ...]]) -> None:
+    """`prof` holds exactly the voter sequence `ballots`, and every
+    statistic read off its runs equals the per-voter definition."""
+    names = prof.alternatives.names
+    assert prof.n == len(ballots)
+    assert [prof.ballot(i).order for i in range(1, prof.n + 1)] == ballots
+    assert [b.order for b in prof.ballots] == ballots
+    assert all(count >= 1 for _, count in prof.runs)
+    assert all(a != b for (a, _), (b, _) in zip(prof.runs, prof.runs[1:]))
+    want = tuple(tuple(reference_majority_margin(ballots, x, y) for y in names) for x in names)
+    assert margin_matrix(prof).rows == want
+    assert all(
+        majority_margin(prof, x, y) == want[i][j]
+        for i, x in enumerate(names) for j, y in enumerate(names)
+    )
+    assert [top_count(prof, x) for x in names] == [reference_top_count(ballots, x) for x in names]
+    assert pareto_dominated_set(prof) == reference_pareto_dominated_set(ballots, names)
+    assert never_bottom_set(prof) == reference_never_bottom_set(ballots, names)
+    assert parse_profile(format_profile(prof)) == prof
+
+
+@st.composite
+def voter_sequences(draw, m_max=4, n_max=6):
+    """(alternatives, ballots) drawn from a pool of at most three rankings,
+    so that runs of equal ballots are common."""
+    m = draw(st.integers(1, m_max))
+    n = draw(st.integers(1, n_max))
+    alts = alternative_set("abcd"[:m])
+    pool = draw(st.lists(st.permutations(alts.names), min_size=1, max_size=3))
+    ballots = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return alts, [tuple(b) for b in ballots]
+
+
+@settings(max_examples=150)
+@given(voter_sequences(), st.data())
+def test_every_split_into_runs_gives_one_profile(seq, data):
+    alts, ballots = seq
+    runs: list[list] = []
+    for b in ballots:
+        r = Ranking(alts, b)
+        if runs and runs[-1][0] == r and data.draw(st.booleans()):
+            runs[-1][1] += 1
+        else:
+            runs.append([r, 1])
+    split = Profile(alts, tuple((r, count) for r, count in runs))
+    whole = Profile.from_ballots(alts, [Ranking(alts, b) for b in ballots])
+    assert split == whole and hash(split) == hash(whole)
+    assert split.runs == whole.runs
+    assert_matches_reference(split, ballots)
+
+
+@settings(max_examples=150)
+@given(voter_sequences(), st.data())
+def test_profile_operations_match_the_reference(seq, data):
+    alts, ballots = seq
+    n = len(ballots)
+    prof = profile(alts, ballots)
+    assert_matches_reference(prof, ballots)
+    every = [tuple(o) for o in itertools.permutations(alts.names)]
+    i = data.draw(st.integers(1, n))
+    new = data.draw(st.sampled_from(every))
+    edited = ballots[: i - 1] + [new] + ballots[i:]
+    assert_matches_reference(prof.replace_ballot(i, Ranking(alts, new)), edited)
+    extra = data.draw(st.lists(st.sampled_from(every), max_size=3))
+    assert_matches_reference(prof.append(*(Ranking(alts, b) for b in extra)), ballots + extra)
+    if n >= 2:
+        assert_matches_reference(remove_voter(prof, i), ballots[: i - 1] + ballots[i:])
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    assert_matches_reference(relabel(prof, voter_perm=perm), [ballots[j - 1] for j in perm])
+    mapping = dict(zip(alts.names, data.draw(st.permutations(alts.names))))
+    assert_matches_reference(
+        relabel(prof, alt_perm=mapping), [tuple(mapping[x] for x in b) for b in ballots]
+    )
+
+
+def test_small_profiles_and_every_single_edit_match_the_reference():
+    for m in (1, 2, 3):
+        alts = alternative_set("abc"[:m])
+        every = [tuple(o) for o in itertools.permutations(alts.names)]
+        for n in (1, 2, 3):
+            for seq in itertools.product(every, repeat=n):
+                ballots = list(seq)
+                prof = profile(alts, ballots)
+                assert_matches_reference(prof, ballots)
+                for i in range(1, n + 1):
+                    for new in every:
+                        edited = ballots[: i - 1] + [new] + ballots[i:]
+                        assert_matches_reference(prof.replace_ballot(i, Ranking(alts, new)), edited)
+
+
+def test_runs_merge_and_validate_at_construction():
+    alts = alternative_set("abc")
+    abc, cba = Ranking(alts, "abc"), Ranking(alts, "cba")
+    prof = Profile(alts, ((abc, 2), (abc, 1), (cba, 1), (abc, 4)))
+    assert prof.runs == ((abc, 3), (cba, 1), (abc, 4))
+    assert prof.n == 8 and prof.ballot(4) == cba and prof.ballot(8) == abc
+    assert remove_voter(prof, 4).runs == ((abc, 7),)
+    assert prof.replace_ballot(4, abc) == Profile(alts, ((abc, 8),))
+    for bad in ((), ((abc, 0),), ((abc, -1),), ((abc, True),), ((abc, 1.0),)):
+        with pytest.raises(DomainError):
+            Profile(alts, bad)
+    with pytest.raises(DomainError):
+        Profile(alts, ((Ranking(alternative_set("xyz"), "xyz"), 1),))

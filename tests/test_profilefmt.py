@@ -1,0 +1,46 @@
+import time
+
+import pytest
+
+from pcvote import Lottery, margin_matrix, ml, rd
+from pcvote.cli import main
+from pcvote.profilefmt import ParseError, format_profile, parse_profile
+
+HUGE = "alternatives: a b c\n1000000000: a > b > c\n"
+
+
+def test_lines_become_runs_and_format_writes_maximal_runs():
+    prof = parse_profile("# two lines, one run\nalternatives: a b c\n2: a > b > c\n1: a > b > c\n1: c > b > a\n")
+    assert [(b.order, count) for b, count in prof.runs] == [(("a", "b", "c"), 3), (("c", "b", "a"), 1)]
+    text = format_profile(prof)
+    assert text == "alternatives: a b c\n3: a > b > c\n1: c > b > a\n"
+    assert parse_profile(text) == prof
+
+
+def test_every_line_needs_a_count():
+    with pytest.raises(ParseError, match="expected '<count>: <ranking>'"):
+        parse_profile("alternatives: a b c\na > b > c\n")
+    with pytest.raises(ParseError, match="must be positive"):
+        parse_profile("alternatives: a b c\n0: a > b > c\n")
+
+
+def test_a_huge_count_is_one_run():
+    start = time.perf_counter()
+    prof = parse_profile(HUGE)
+    margins = margin_matrix(prof)
+    outcomes = (rd(prof), ml(prof))
+    text = format_profile(prof)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+    n = 10**9
+    assert prof.n == n and len(prof.runs) == 1
+    assert margins.rows == ((0, n, n), (-n, 0, n), (-n, -n, 0))
+    assert outcomes == (Lottery.degenerate(prof.alternatives, "a"),) * 2
+    assert text == HUGE
+
+
+def test_cli_computes_ml_on_a_huge_count(tmp_path, capsys):
+    path = tmp_path / "huge.profile"
+    path.write_text(HUGE)
+    assert main(["compute", "--rule", "ml", "--profile", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "a:1"
