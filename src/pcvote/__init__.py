@@ -25,11 +25,9 @@ from .model import (
     never_bottom_set,
     pareto_dominated_set,
     profile,
-    rank,
     ranking,
     relabel,
     remove_voter,
-    support,
     top_count,
     weak_condorcet_winners,
 )
@@ -45,7 +43,7 @@ from .extensions import (
     pc_weights,
     sd_compare,
 )
-from .ratlp import Constraint, LinearProgram, LpOutcome, LpStatus, lp_feasible, lp_solve
+from .ratlp import Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
 from .rules import (
     RULES,
     SocialDecisionScheme,
@@ -55,10 +53,8 @@ from .rules import (
     get_rule,
     is_maximal_lottery,
     maximal_lottery,
-    maximal_lottery_is_unique,
     ml,
     rd,
-    solve_margin_game,
 )
 from .efficiency import (
     DominanceCertificate,
@@ -92,7 +88,6 @@ from .axioms import (
     enumerate_profiles,
     exhaustive_scan,
     find_manipulation,
-    strategyproofness_ladder_gaps,
 )
 from .paperlab import (
     Bench,

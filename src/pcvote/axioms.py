@@ -310,23 +310,6 @@ def check_efficiency(
     return EfficiencyWitness(profile, outcome, notion, cert)
 
 
-def strategyproofness_ladder_gaps(
-    rule: SocialDecisionScheme, profile: Profile
-) -> list[str]:
-    """Internal consistency probe: a weak PC1 manipulation implies a strong
-    PC one, which implies a strong SD one. Returns descriptions of any
-    broken implication (empty list = consistent)."""
-    weak_pc1 = find_manipulation(rule, profile, Extension.PC1, Mode.Weak)
-    strong_pc = find_manipulation(rule, profile, Extension.PC, Mode.Strong)
-    strong_sd = find_manipulation(rule, profile, Extension.SD, Mode.Strong)
-    gaps = []
-    if weak_pc1 is not None and strong_pc is None:
-        gaps.append("weak PC1 manipulation found but no strong PC manipulation")
-    if strong_pc is not None and strong_sd is None:
-        gaps.append("strong PC manipulation found but no strong SD manipulation")
-    return gaps
-
-
 # ---------------------------------------------------------------------------
 # enumeration and scanning
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and paper-suite (replay every bundled fixture fact).
 
 Exit status: 0 when the computation succeeded and every checked property
 holds; 1 when a violation, dominance, or fact failure was found; 2 for
-usage errors and unparsable inputs.
+usage errors and unparsable inputs; 3 when pcvote caught a defect in
+itself (`model.InternalError`), so no verdict was reached.
 
 `--profile` accepts either a path to a profile document or the name of a
 bundled fixture (an existing file wins if both apply). `--json` switches
@@ -36,7 +37,7 @@ from .axioms import (
 )
 from .efficiency import EfficiencyNotion, PathTermination
 from .extensions import Extension
-from .model import DomainError, Lottery, Profile, remove_voter
+from .model import DomainError, InternalError, Lottery, Profile, remove_voter
 from .profilefmt import ParseError, format_lottery, format_profile, parse_lottery, parse_profile
 
 REPORT_VERSION = 1
@@ -435,12 +436,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, DomainError) as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

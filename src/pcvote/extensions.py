@@ -123,18 +123,20 @@ pc1_compare: Comparator = make_pc1_comparator(pc_score)
 
 
 def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
-    """Stochastic dominance: compare prefix sums along the voter's ranking."""
+    """Stochastic dominance: compare prefix sums along the voter's ranking,
+    in integers over the two lotteries' common denominators."""
     _check_arena(ranking, p, q)
+    p_mass, p_den = _scaled(p)
+    q_mass, q_den = _scaled(q)
     p_ge_q = True   # p weakly dominates q
     q_ge_p = True
-    acc_p = Fraction(0)
-    acc_q = Fraction(0)
+    acc = 0  # (p's prefix sum - q's prefix sum) * p_den * q_den
     for x in ranking.order[:-1]:
-        acc_p += p.prob(x)
-        acc_q += q.prob(x)
-        if acc_p < acc_q:
+        i = p.alternatives.index(x)
+        acc += p_mass[i] * q_den - q_mass[i] * p_den
+        if acc < 0:
             p_ge_q = False
-        elif acc_p > acc_q:
+        elif acc > 0:
             q_ge_p = False
     if p_ge_q and q_ge_p:
         return ComparisonOutcome.Indifferent

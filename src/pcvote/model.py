@@ -438,16 +438,6 @@ def never_bottom_set(p: Profile) -> frozenset[str]:
     return frozenset(set(p.alternatives.names) - bottoms)
 
 
-def rank(r: Ranking, x: str) -> int:
-    """1-based rank of `x` in `r` (1 = best)."""
-    return r.rank(x)
-
-
-def support(lottery: Lottery) -> frozenset[str]:
-    """The set of alternatives a lottery gives positive probability."""
-    return lottery.support()
-
-
 def remove_voter(p: Profile, i: int) -> Profile:
     """Profile without voter `i` (1-based); needs at least two voters."""
     if p.n < 2:

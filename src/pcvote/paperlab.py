@@ -1,10 +1,13 @@
 """Bundled example profiles with machine-checked facts.
 
 Each fixture couples a profile (shipped as a text data file) with named
-lotteries and a list of recorded facts. Nothing in this module computes
-social-choice quantities itself: every fact replays through the core
-modules when checked, so the suite doubles as an end-to-end regression
-net over the whole package.
+lotteries and a list of recorded facts. The whole catalog is one table,
+`_CATALOG`: per fixture, its lotteries as specs ("a:3/5,b:1/5,c:1/5"),
+its facts and a note. A fact is a description plus a check; the small
+constructors below (`margin`, `condorcet`, `dominates`, ...) build one per
+kind. Nothing in this module computes social-choice quantities itself:
+every fact replays through the core modules when checked, so the suite
+doubles as an end-to-end regression net over the whole package.
 
 `verify_paper_suite` runs every fact of every fixture. Two negative
 controls deliberately break one core computation each (the sign of the
@@ -15,7 +18,7 @@ with inverted internals would be worthless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -33,9 +36,7 @@ from .model import (
     top_count,
     weak_condorcet_winners,
 )
-from .profilefmt import parse_profile
-
-F = Fraction
+from .profilefmt import parse_lottery, parse_profile
 
 DATA_VERSION = "v1"
 
@@ -138,572 +139,312 @@ class Fixture:
             ) from None
 
 
+@dataclass(frozen=True)
 class Fact:
-    """One recomputable assertion about a fixture."""
+    """One recomputable assertion about a fixture: what it says, and a
+    check that recomputes it, returning (passed, detail)."""
+
+    text: str
+    holds: Callable[[Fixture, Bench], tuple[bool, str]]
 
     def describe(self) -> str:
-        raise NotImplementedError
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        raise NotImplementedError
+        return self.text
 
     def check(self, fixture: Fixture, bench: Bench) -> FactResult:
         passed, detail = self.holds(fixture, bench)
-        return FactResult(fixture.name, self.describe(), passed, detail)
+        return FactResult(fixture.name, self.text, passed, detail)
 
 
-@dataclass(frozen=True)
-class TopCountsFact(Fact):
-    expected: tuple[tuple[str, int], ...]
+# ---------------------------------------------------------------------------
+# fact kinds
+# ---------------------------------------------------------------------------
 
-    def describe(self) -> str:
-        return "top counts " + ", ".join(f"{x}:{k}" for x, k in self.expected)
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = {x: top_count(fixture.profile, x) for x, _ in self.expected}
-        return actual == dict(self.expected), f"got {actual}"
+def _names(xs) -> str:
+    return "{" + ", ".join(sorted(xs)) + "}"
 
 
-@dataclass(frozen=True)
-class MarginFact(Fact):
-    x: str
-    y: str
-    expected: int
-
-    def describe(self) -> str:
-        return f"majority margin ({self.x} over {self.y}) = {self.expected}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = majority_margin(fixture.profile, self.x, self.y)
-        return actual == self.expected, f"got {actual}"
+def _verdict(efficient: bool) -> str:
+    return "efficient" if efficient else "inefficient"
 
 
-@dataclass(frozen=True)
-class CondorcetWinnerFact(Fact):
-    expected: Optional[str]
+def _equals(text: str, compute: Callable[[Fixture], object], expected: object, show=str) -> Fact:
+    """A fact that a value computed from the fixture equals `expected`."""
 
-    def describe(self) -> str:
-        return f"condorcet winner = {self.expected or 'none'}"
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        actual = compute(fx)
+        return actual == expected, f"got {show(actual)}"
 
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = condorcet_winner(fixture.profile)
-        return actual == self.expected, f"got {actual or 'none'}"
+    return Fact(text, holds)
 
 
-@dataclass(frozen=True)
-class WeakCondorcetFact(Fact):
-    expected: frozenset[str]
-
-    def describe(self) -> str:
-        return f"weak condorcet winners = {{{', '.join(sorted(self.expected))}}}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = weak_condorcet_winners(fixture.profile)
-        return actual == self.expected, f"got {{{', '.join(sorted(actual))}}}"
+def top_counts(**expected: int) -> Fact:
+    text = "top counts " + ", ".join(f"{x}:{k}" for x, k in expected.items())
+    return _equals(text, lambda fx: {x: top_count(fx.profile, x) for x in expected}, expected)
 
 
-@dataclass(frozen=True)
-class NeverBottomFact(Fact):
-    expected: frozenset[str]
-
-    def describe(self) -> str:
-        return f"never-bottom set = {{{', '.join(sorted(self.expected))}}}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = never_bottom_set(fixture.profile)
-        return actual == self.expected, f"got {{{', '.join(sorted(actual))}}}"
+def margin(x: str, y: str, k: int) -> Fact:
+    text = f"majority margin ({x} over {y}) = {k}"
+    return _equals(text, lambda fx: majority_margin(fx.profile, x, y), k)
 
 
-@dataclass(frozen=True)
-class ParetoDominatedFact(Fact):
-    expected: frozenset[str]
-
-    def describe(self) -> str:
-        inner = ", ".join(sorted(self.expected)) if self.expected else ""
-        return f"pareto-dominated set = {{{inner}}}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = pareto_dominated_set(fixture.profile)
-        return actual == self.expected, f"got {{{', '.join(sorted(actual))}}}"
+def condorcet(winner: Optional[str]) -> Fact:
+    text = f"condorcet winner = {winner or 'none'}"
+    return _equals(text, lambda fx: condorcet_winner(fx.profile), winner, lambda w: w or "none")
 
 
-@dataclass(frozen=True)
-class SupportFact(Fact):
-    key: str
-    expected: frozenset[str]
-
-    def describe(self) -> str:
-        return f"support({self.key}) = {{{', '.join(sorted(self.expected))}}}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = fixture.lottery(self.key).support()
-        return actual == self.expected, f"got {{{', '.join(sorted(actual))}}}"
+def weak_condorcet(*xs: str) -> Fact:
+    text = f"weak condorcet winners = {_names(xs)}"
+    return _equals(text, lambda fx: weak_condorcet_winners(fx.profile), frozenset(xs), _names)
 
 
-@dataclass(frozen=True)
-class RuleOutputFact(Fact):
-    rule_name: str
-    key: str
-
-    def describe(self) -> str:
-        return f"{self.rule_name} returns lottery {self.key!r}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = bench.rule(self.rule_name)(fixture.profile)
-        expected = fixture.lottery(self.key)
-        return actual == expected, f"got {dict(actual.as_map())}"
+def never_bottom(*xs: str) -> Fact:
+    text = f"never-bottom set = {_names(xs)}"
+    return _equals(text, lambda fx: never_bottom_set(fx.profile), frozenset(xs), _names)
 
 
-@dataclass(frozen=True)
-class MaximalLotteryFact(Fact):
-    key: str
-    expected: bool = True
-
-    def describe(self) -> str:
-        return f"{self.key!r} is {'a' if self.expected else 'not a'} maximal lottery"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = rules.is_maximal_lottery(fixture.profile, fixture.lottery(self.key))
-        return actual == self.expected, f"got {actual}"
+def pareto_dominated(*xs: str) -> Fact:
+    text = f"pareto-dominated set = {_names(xs)}"
+    return _equals(text, lambda fx: pareto_dominated_set(fx.profile), frozenset(xs), _names)
 
 
-@dataclass(frozen=True)
-class DecisivenessViolationFact(Fact):
-    rule_name: str
-    level: axioms.Decisiveness
+def support(key: str, *xs: str) -> Fact:
+    text = f"support({key}) = {_names(xs)}"
+    return _equals(text, lambda fx: fx.lottery(key).support(), frozenset(xs), _names)
 
-    def describe(self) -> str:
-        return f"{self.rule_name} violates {self.level.value} here"
 
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        witness = axioms.check_decisiveness(
-            bench.rule(self.rule_name), fixture.profile, self.level
-        )
+def maximal(key: str, expected: bool = True) -> Fact:
+    text = f"{key!r} is {'a' if expected else 'not a'} maximal lottery"
+    return _equals(text, lambda fx: rules.is_maximal_lottery(fx.profile, fx.lottery(key)), expected)
+
+
+def efficient(notion: EfficiencyNotion, key: str, expected: bool) -> Fact:
+    text = f"{key!r} is {notion.value}-{_verdict(expected)}"
+    return _equals(
+        text, lambda fx: efficiency.is_efficient(fx.profile, fx.lottery(key), notion), expected, _verdict
+    )
+
+
+def rule_output(rule: str, key: str) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        actual = bench.rule(rule)(fx.profile)
+        return actual == fx.lottery(key), f"got {dict(actual.as_map())}"
+
+    return Fact(f"{rule} returns lottery {key!r}", holds)
+
+
+def violates(rule: str, level: axioms.Decisiveness) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        witness = axioms.check_decisiveness(bench.rule(rule), fx.profile, level)
         return witness is not None, "no violation found" if witness is None else ""
 
-
-@dataclass(frozen=True)
-class DominatesFact(Fact):
-    extension: Extension
-    dominator_key: str
-    dominated_key: str
-
-    def describe(self) -> str:
-        return f"{self.dominator_key!r} {self.extension.value}-dominates {self.dominated_key!r}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        ok = bench.dominates(
-            fixture.profile,
-            self.extension,
-            fixture.lottery(self.dominator_key),
-            fixture.lottery(self.dominated_key),
-        )
-        return ok, "dominance did not hold" if not ok else ""
+    return Fact(f"{rule} violates {level.value} here", holds)
 
 
-@dataclass(frozen=True)
-class EfficiencyFact(Fact):
-    notion: EfficiencyNotion
-    key: str
-    expected: bool
+def dominates(extension: Extension, q: str, p: str) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        ok = bench.dominates(fx.profile, extension, fx.lottery(q), fx.lottery(p))
+        return ok, "" if ok else "dominance did not hold"
 
-    def describe(self) -> str:
-        style = "efficient" if self.expected else "inefficient"
-        return f"{self.key!r} is {self.notion.value}-{style}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        actual = efficiency.is_efficient(fixture.profile, fixture.lottery(self.key), self.notion)
-        return actual == self.expected, f"got {'efficient' if actual else 'inefficient'}"
+    return Fact(f"{q!r} {extension.value}-dominates {p!r}", holds)
 
 
-@dataclass(frozen=True)
-class Pc1DominatorFact(Fact):
-    key: str
-    expected_key: str
-
-    def describe(self) -> str:
-        return f"pc1 dominator search on {self.key!r} returns {self.expected_key!r}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        cert = efficiency.pc1_find_dominator(fixture.profile, fixture.lottery(self.key))
+def pc1_dominator(key: str, expected: str) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        cert = efficiency.pc1_find_dominator(fx.profile, fx.lottery(key))
         if cert is None:
             return False, "no dominator found"
-        expected = fixture.lottery(self.expected_key)
-        return cert.dominator == expected, f"got {dict(cert.dominator.as_map())}"
+        return cert.dominator == fx.lottery(expected), f"got {dict(cert.dominator.as_map())}"
+
+    return Fact(f"pc1 dominator search on {key!r} returns {expected!r}", holds)
 
 
-@dataclass(frozen=True)
-class ManipulationFact(Fact):
-    rule_name: str
-    voter: int
-    misreport: tuple[str, ...]
-    extension: Extension
-    mode: axioms.Mode
+def manipulates(
+    rule: str, voter: int, misreport: str, extension: Extension, mode: axioms.Mode
+) -> Fact:
+    """`voter`'s first profitable misreport is `misreport` ("c > a > b")."""
 
-    def describe(self) -> str:
-        return (
-            f"voter {self.voter} manipulates {self.rule_name} by reporting "
-            f"{' > '.join(self.misreport)} ({self.mode.value} {self.extension.value})"
-        )
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
         witness = axioms.find_manipulation(
-            bench.rule(self.rule_name),
-            fixture.profile,
-            self.extension,
-            self.mode,
-            voters=(self.voter,),
+            bench.rule(rule), fx.profile, extension, mode, voters=(voter,)
         )
         if witness is None:
             return False, "no manipulation found"
-        if witness.misreport.order != self.misreport:
-            return False, f"found misreport {' > '.join(witness.misreport.order)}"
+        found = " > ".join(witness.misreport.order)
+        if found != misreport:
+            return False, f"found misreport {found}"
         # re-validate the gain through the bench comparator
-        gain = bench.comparator(self.extension)(
-            fixture.profile.ballot(self.voter),
-            witness.manipulated_outcome,
-            witness.truthful_outcome,
+        gain = bench.comparator(extension)(
+            fx.profile.ballot(voter), witness.manipulated_outcome, witness.truthful_outcome
         )
         if gain is not ComparisonOutcome.StrictlyPreferred:
             return False, f"witness does not re-validate (comparison: {gain.value})"
         return True, ""
 
+    text = f"voter {voter} manipulates {rule} by reporting {misreport} ({mode.value} {extension.value})"
+    return Fact(text, holds)
 
-@dataclass(frozen=True)
-class AltSymmetryFact(Fact):
-    alt_perm: tuple[tuple[str, str], ...]
 
-    def describe(self) -> str:
-        moved = ", ".join(f"{a}->{b}" for a, b in self.alt_perm if a != b)
-        return f"relabeling {{{moved}}} maps the profile onto itself"
+def symmetric(**moves: str) -> Fact:
+    """Relabeling alternatives by `moves` (the rest stay) maps the profile
+    onto itself as a multiset of ballots."""
 
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        mapping = dict(self.alt_perm)
-        relabeled = relabel(fixture.profile, alt_perm=mapping)
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        mapping = {x: moves.get(x, x) for x in fx.profile.alternatives}
+        relabeled = relabel(fx.profile, alt_perm=mapping)
         same = sorted(b.order for b in relabeled.ballots) == sorted(
-            b.order for b in fixture.profile.ballots
+            b.order for b in fx.profile.ballots
         )
-        return same, "relabeled profile is a different multiset of ballots" if not same else ""
+        return same, "" if same else "relabeled profile is a different multiset of ballots"
+
+    moved = ", ".join(f"{a}->{b}" for a, b in sorted(moves.items()) if a != b)
+    return Fact(f"relabeling {{{moved}}} maps the profile onto itself", holds)
 
 
-@dataclass(frozen=True)
-class RemoveVoterYieldsFact(Fact):
-    voter: int
-    other_fixture: str
+def removing_voter_yields(voter: int, other: str) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        same = remove_voter(fx.profile, voter) == fixture_profile(other)
+        return same, "" if same else "profiles differ"
 
-    def describe(self) -> str:
-        return f"removing voter {self.voter} yields fixture {self.other_fixture!r}"
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        reduced = remove_voter(fixture.profile, self.voter)
-        other = fixture_profile(self.other_fixture)
-        return reduced == other, "profiles differ"
+    return Fact(f"removing voter {voter} yields fixture {other!r}", holds)
 
 
-@dataclass(frozen=True)
-class ImprovementPathFact(Fact):
-    start_key: str
-    max_steps: int
-    forbidden: PathTermination
+def improvement_path_avoids(start: str, max_steps: int, forbidden: PathTermination) -> Fact:
+    def holds(fx: Fixture, bench: Bench) -> tuple[bool, str]:
+        path = efficiency.improvement_path(fx.profile, fx.lottery(start), max_steps)
+        return path.termination is not forbidden, f"terminated with {path.termination.value}"
 
-    def describe(self) -> str:
-        return (
-            f"improvement path from {self.start_key!r} never terminates with "
-            f"{self.forbidden.value} within {self.max_steps} steps"
-        )
-
-    def holds(self, fixture: Fixture, bench: Bench) -> tuple[bool, str]:
-        path = efficiency.improvement_path(
-            fixture.profile, fixture.lottery(self.start_key), self.max_steps
-        )
-        return path.termination is not self.forbidden, f"terminated with {path.termination.value}"
+    text = (
+        f"improvement path from {start!r} never terminates with "
+        f"{forbidden.value} within {max_steps} steps"
+    )
+    return Fact(text, holds)
 
 
 # ---------------------------------------------------------------------------
 # the catalog
 # ---------------------------------------------------------------------------
 
-def _load_profile_data(name: str) -> Profile:
-    path = resources.files("pcvote").joinpath(f"data/fixtures/{DATA_VERSION}/{name}.profile")
-    return parse_profile(path.read_text(encoding="utf-8"))
-
-
-def _alt_perm(profile_names: tuple[str, ...], **moves: str) -> tuple[tuple[str, str], ...]:
-    mapping = {x: moves.get(x, x) for x in profile_names}
-    return tuple(sorted(mapping.items()))
-
-
-def _fx_rd_example() -> Fixture:
-    profile = _load_profile_data("rd_example")
-    alts = profile.alternatives
-    lotteries = {
-        "rd": Lottery.from_map(alts, {"a": F(3, 5), "b": F(1, 5), "c": F(1, 5)}),
-        "deg_a": Lottery.degenerate(alts, "a"),
-    }
-    facts: tuple[Fact, ...] = (
-        TopCountsFact((("a", 3), ("b", 1), ("c", 1))),
-        MarginFact("a", "b", 3),
-        NeverBottomFact(frozenset({"a"})),
-        RuleOutputFact("rd", "rd"),
-        RuleOutputFact("f2", "deg_a"),
-        DecisivenessViolationFact("rd", axioms.Decisiveness.AbsoluteWinner),
-        Pc1DominatorFact("rd", "deg_a"),
-        EfficiencyFact(EfficiencyNotion.SD, "rd", True),
-        EfficiencyFact(EfficiencyNotion.PC, "rd", False),
-        EfficiencyFact(EfficiencyNotion.PC1, "rd", False),
-    )
-    return Fixture(
-        "rd_example",
-        profile,
-        lotteries,
-        facts,
-        notes="A strict majority tops a, yet random dictatorship still spreads "
-        "probability: SD-efficient but PC- and PC1-inefficient.",
-    )
-
-
-def _fx_ml_manipulation_R() -> Fixture:
-    profile = _load_profile_data("ml_manipulation_R")
-    alts = profile.alternatives
-    lotteries = {
-        "ml": Lottery.from_map(alts, {"a": F(3, 5), "b": F(1, 5), "c": F(1, 5)}),
-        "uniform": Lottery.uniform(alts),
-    }
-    facts: tuple[Fact, ...] = (
-        MarginFact("a", "b", 1),
-        MarginFact("b", "c", 3),
-        MarginFact("c", "a", 1),
-        CondorcetWinnerFact(None),
-        RuleOutputFact("ml", "ml"),
-        MaximalLotteryFact("ml", True),
-        MaximalLotteryFact("uniform", False),
-        ManipulationFact("ml", 4, ("c", "a", "b"), Extension.PC, axioms.Mode.Weak),
-    )
-    return Fixture(
-        "ml_manipulation_R",
-        profile,
-        lotteries,
-        facts,
-        notes="Cyclic margins with a unique optimal strategy; voter 4's swap to "
-        "c > a > b produces ml_manipulation_Rprime and a strict PC gain.",
-    )
-
-
-def _fx_ml_manipulation_Rprime() -> Fixture:
-    profile = _load_profile_data("ml_manipulation_Rprime")
-    alts = profile.alternatives
-    lotteries = {
-        "ml": Lottery.from_map(alts, {"a": F(1, 5), "b": F(1, 5), "c": F(3, 5)}),
-    }
-    facts: tuple[Fact, ...] = (
-        MarginFact("a", "b", 3),
-        MarginFact("b", "c", 1),
-        MarginFact("c", "a", 1),
-        RuleOutputFact("ml", "ml"),
-        MaximalLotteryFact("ml", True),
-    )
-    return Fixture(
-        "ml_manipulation_Rprime",
-        profile,
-        lotteries,
-        facts,
-        notes="The post-deviation electorate of ml_manipulation_R.",
-    )
-
-
-_CW_GALLERY: dict[str, Optional[str]] = {
-    "cw_gallery_R1": None,
-    "cw_gallery_R2": "b",
-    "cw_gallery_R3": "a",
-    "cw_gallery_R4": "d",
-    "cw_gallery_R5": None,
-    "cw_gallery_R6": "b",
-    "cw_gallery_R7": "a",
-    "cw_gallery_R8": "c",
+# cw_gallery fixture -> (its Condorcet winner, the facts after that one)
+_CW_GALLERY: dict[str, tuple[Optional[str], tuple[Fact, ...]]] = {
+    "cw_gallery_R1": (None, (rule_output("condorcet-uniform", "uniform"),)),
+    "cw_gallery_R2": ("b", (rule_output("condorcet-uniform", "deg_b"),)),
+    "cw_gallery_R3": ("a", ()),
+    "cw_gallery_R4": ("d", ()),
+    "cw_gallery_R5": (None, ()),
+    "cw_gallery_R6": ("b", ()),
+    "cw_gallery_R7": ("a", ()),
+    "cw_gallery_R8": ("c", ()),
 }
 
-
-def _fx_cw_gallery(name: str) -> Fixture:
-    profile = _load_profile_data(name)
-    alts = profile.alternatives
-    winner = _CW_GALLERY[name]
-    lotteries = {"uniform": Lottery.uniform(alts)}
-    facts: list[Fact] = [CondorcetWinnerFact(winner)]
-    if winner is not None:
-        lotteries[f"deg_{winner}"] = Lottery.degenerate(alts, winner)
-    if name == "cw_gallery_R1":
-        facts.append(RuleOutputFact("condorcet-uniform", "uniform"))
-    if name == "cw_gallery_R2":
-        facts.append(RuleOutputFact("condorcet-uniform", "deg_b"))
-    return Fixture(
-        name,
-        profile,
-        lotteries,
-        tuple(facts),
-        notes="Single-ballot edits of one five-voter electorate make Condorcet "
-        "winners appear and move around.",
-    )
-
-
-def _fx_pareto_join_R1() -> Fixture:
-    profile = _load_profile_data("pareto_join_R1")
-    alts = profile.alternatives
-    lotteries = {
-        "deg_a": Lottery.degenerate(alts, "a"),
-        "uniform_abcd": Lottery.uniform(alts),
-        "uniform_bcd": Lottery.uniform(alts, over=("b", "c", "d")),
-    }
-    facts: tuple[Fact, ...] = (
-        TopCountsFact((("a", 6), ("b", 2), ("c", 2), ("d", 0))),
-        ParetoDominatedFact(frozenset({"d"})),
-        DominatesFact(Extension.PC1, "deg_a", "uniform_abcd"),
-        Pc1DominatorFact("uniform_abcd", "deg_a"),
-        EfficiencyFact(EfficiencyNotion.ExPost, "uniform_abcd", False),
-        AltSymmetryFact(_alt_perm(alts.names, b="c", c="b")),
-    )
-    return Fixture(
-        "pareto_join_R1",
-        profile,
-        lotteries,
-        facts,
-        notes="d is Pareto-dominated by a; the b/c relabeling maps the electorate "
-        "onto itself.",
-    )
-
-
-def _fx_pareto_join_R2() -> Fixture:
-    profile = _load_profile_data("pareto_join_R2")
-    facts: tuple[Fact, ...] = (
-        TopCountsFact((("a", 6), ("b", 2), ("c", 2), ("d", 1))),
-        RemoveVoterYieldsFact(11, "pareto_join_R1"),
-        ParetoDominatedFact(frozenset()),
-    )
-    return Fixture(
-        "pareto_join_R2",
-        profile,
+# fixture -> (lottery specs, facts, notes); its profile is data/fixtures/<version>/<name>.profile
+_CATALOG: dict[str, tuple[dict[str, str], tuple[Fact, ...], str]] = {
+    "rd_example": (
+        {"rd": "a:3/5,b:1/5,c:1/5", "deg_a": "a:1"},
+        (
+            top_counts(a=3, b=1, c=1), margin("a", "b", 3), never_bottom("a"),
+            rule_output("rd", "rd"), rule_output("f2", "deg_a"),
+            violates("rd", axioms.Decisiveness.AbsoluteWinner),
+            pc1_dominator("rd", "deg_a"),
+            efficient(EfficiencyNotion.SD, "rd", True),
+            efficient(EfficiencyNotion.PC, "rd", False),
+            efficient(EfficiencyNotion.PC1, "rd", False),
+        ),
+        "A strict majority tops a, yet random dictatorship still spreads "
+        "probability: SD-efficient but PC- and PC1-inefficient.",
+    ),
+    "ml_manipulation_R": (
+        {"ml": "a:3/5,b:1/5,c:1/5", "uniform": "a:1/3,b:1/3,c:1/3"},
+        (
+            margin("a", "b", 1), margin("b", "c", 3), margin("c", "a", 1), condorcet(None),
+            rule_output("ml", "ml"), maximal("ml", True), maximal("uniform", False),
+            manipulates("ml", 4, "c > a > b", Extension.PC, axioms.Mode.Weak),
+        ),
+        "Cyclic margins with a unique optimal strategy; voter 4's swap to "
+        "c > a > b produces ml_manipulation_Rprime and a strict PC gain.",
+    ),
+    "ml_manipulation_Rprime": (
+        {"ml": "a:1/5,b:1/5,c:3/5"},
+        (
+            margin("a", "b", 3), margin("b", "c", 1), margin("c", "a", 1),
+            rule_output("ml", "ml"), maximal("ml", True),
+        ),
+        "The post-deviation electorate of ml_manipulation_R.",
+    ),
+    **{
+        name: (
+            {"uniform": "a:1/4,b:1/4,c:1/4,d:1/4", **({f"deg_{w}": f"{w}:1"} if w else {})},
+            (condorcet(w), *more),
+            "Single-ballot edits of one five-voter electorate make Condorcet "
+            "winners appear and move around.",
+        )
+        for name, (w, more) in _CW_GALLERY.items()
+    },
+    "pareto_join_R1": (
+        {"deg_a": "a:1", "uniform_abcd": "a:1/4,b:1/4,c:1/4,d:1/4", "uniform_bcd": "b:1/3,c:1/3,d:1/3"},
+        (
+            top_counts(a=6, b=2, c=2, d=0), pareto_dominated("d"),
+            dominates(Extension.PC1, "deg_a", "uniform_abcd"),
+            pc1_dominator("uniform_abcd", "deg_a"),
+            efficient(EfficiencyNotion.ExPost, "uniform_abcd", False),
+            symmetric(b="c", c="b"),
+        ),
+        "d is Pareto-dominated by a; the b/c relabeling maps the electorate onto itself.",
+    ),
+    "pareto_join_R2": (
         {},
-        facts,
-        notes="One more voter who tops d; with them, nothing is Pareto-dominated "
-        "any more.",
-    )
-
-
-def _fx_pareto_join_R3() -> Fixture:
-    profile = _load_profile_data("pareto_join_R3")
-    alts = profile.alternatives
-    lotteries = {
-        "deg_a": Lottery.degenerate(alts, "a"),
-        "uniform_bcd": Lottery.uniform(alts, over=("b", "c", "d")),
-    }
-    facts: tuple[Fact, ...] = (
-        RemoveVoterYieldsFact(12, "pareto_join_R2"),
-        DominatesFact(Extension.PC1, "deg_a", "uniform_bcd"),
-        Pc1DominatorFact("uniform_bcd", "deg_a"),
-        AltSymmetryFact(_alt_perm(alts.names, b="c", c="b")),
-        AltSymmetryFact(_alt_perm(alts.names, c="d", d="c")),
-        AltSymmetryFact(_alt_perm(alts.names, b="d", d="b")),
-        AltSymmetryFact(_alt_perm(alts.names, b="c", c="d", d="b")),
-        AltSymmetryFact(_alt_perm(alts.names, b="d", c="b", d="c")),
-    )
-    return Fixture(
-        "pareto_join_R3",
-        profile,
-        lotteries,
-        facts,
-        notes="Twelve voters; every permutation of {b, c, d} maps the electorate "
-        "onto itself.",
-    )
-
-
-def _fx_improvement_cycle() -> Fixture:
-    profile = _load_profile_data("improvement_cycle")
-    alts = profile.alternatives
-    lotteries = {
-        "p1": Lottery.from_map(alts, {"a": F(1, 2), "b": F(1, 2)}),
-        "p2": Lottery.degenerate(alts, "c"),
-        "p3": Lottery.from_map(alts, {"d": F(1, 2), "e": F(1, 2)}),
-    }
-    facts: tuple[Fact, ...] = (
-        ParetoDominatedFact(frozenset()),
-        SupportFact("p1", frozenset({"a", "b"})),
-        DominatesFact(Extension.PC, "p2", "p1"),
-        DominatesFact(Extension.PC, "p3", "p2"),
-        DominatesFact(Extension.PC, "p1", "p3"),
-        EfficiencyFact(EfficiencyNotion.PC, "p1", False),
-        EfficiencyFact(EfficiencyNotion.PC, "p2", False),
-        EfficiencyFact(EfficiencyNotion.PC, "p3", False),
-        ImprovementPathFact("p1", 50, PathTermination.ReachedEfficient),
-    )
-    return Fixture(
-        "improvement_cycle",
-        profile,
-        lotteries,
-        facts,
-        notes="PC-dominance cycles: p2 beats p1, p3 beats p2, p1 beats p3, and "
+        (top_counts(a=6, b=2, c=2, d=1), removing_voter_yields(11, "pareto_join_R1"), pareto_dominated()),
+        "One more voter who tops d; with them, nothing is Pareto-dominated any more.",
+    ),
+    "pareto_join_R3": (
+        {"deg_a": "a:1", "uniform_bcd": "b:1/3,c:1/3,d:1/3"},
+        (
+            removing_voter_yields(12, "pareto_join_R2"),
+            dominates(Extension.PC1, "deg_a", "uniform_bcd"),
+            pc1_dominator("uniform_bcd", "deg_a"),
+            symmetric(b="c", c="b"), symmetric(c="d", d="c"), symmetric(b="d", d="b"),
+            symmetric(b="c", c="d", d="b"), symmetric(b="d", c="b", d="c"),
+        ),
+        "Twelve voters; every permutation of {b, c, d} maps the electorate onto itself.",
+    ),
+    "improvement_cycle": (
+        {"p1": "a:1/2,b:1/2", "p2": "c:1", "p3": "d:1/2,e:1/2"},
+        (
+            pareto_dominated(), support("p1", "a", "b"),
+            dominates(Extension.PC, "p2", "p1"),
+            dominates(Extension.PC, "p3", "p2"),
+            dominates(Extension.PC, "p1", "p3"),
+            efficient(EfficiencyNotion.PC, "p1", False),
+            efficient(EfficiencyNotion.PC, "p2", False),
+            efficient(EfficiencyNotion.PC, "p3", False),
+            improvement_path_avoids("p1", 50, PathTermination.ReachedEfficient),
+        ),
+        "PC-dominance cycles: p2 beats p1, p3 beats p2, p1 beats p3, and "
         "none of the three is PC-efficient.",
-    )
-
-
-def _fx_swap_pair_R() -> Fixture:
-    profile = _load_profile_data("swap_pair_R")
-    facts: tuple[Fact, ...] = (
-        CondorcetWinnerFact(None),
-        MarginFact("a", "b", 3),
-        MarginFact("a", "d", 3),
-        MarginFact("b", "c", 1),
-        MarginFact("c", "a", 1),
-        MarginFact("c", "d", 1),
-        MarginFact("d", "b", 3),
-    )
-    return Fixture(
-        "swap_pair_R",
-        profile,
+    ),
+    "swap_pair_R": (
         {},
-        facts,
-        notes="Five voters, no Condorcet winner; swapping c and d inside voter "
+        (
+            condorcet(None), margin("a", "b", 3), margin("a", "d", 3), margin("b", "c", 1),
+            margin("c", "a", 1), margin("c", "d", 1), margin("d", "b", 3),
+        ),
+        "Five voters, no Condorcet winner; swapping c and d inside voter "
         "3's ballot flips exactly the c/d margin (see swap_pair_Rprime).",
-    )
-
-
-def _fx_swap_pair_Rprime() -> Fixture:
-    profile = _load_profile_data("swap_pair_Rprime")
-    facts: tuple[Fact, ...] = (
-        CondorcetWinnerFact(None),
-        MarginFact("a", "b", 3),
-        MarginFact("a", "d", 3),
-        MarginFact("b", "c", 1),
-        MarginFact("c", "a", 1),
-        MarginFact("d", "c", 1),
-        MarginFact("d", "b", 3),
-    )
-    return Fixture(
-        "swap_pair_Rprime",
-        profile,
+    ),
+    "swap_pair_Rprime": (
         {},
-        facts,
-        notes="Twin of swap_pair_R with voter 3's c/d swap applied.",
-    )
-
-
-def _fx_weak_cw_balanced() -> Fixture:
-    profile = _load_profile_data("weak_cw_balanced")
-    alts = profile.alternatives
-    lotteries = {
-        "f1": Lottery.from_map(alts, {"a": F(3, 5), "b": F(1, 5), "c": F(1, 5)}),
-    }
-    facts: tuple[Fact, ...] = (
-        CondorcetWinnerFact(None),
-        WeakCondorcetFact(frozenset({"a"})),
-        RuleOutputFact("f1", "f1"),
-    )
-    return Fixture(
-        "weak_cw_balanced",
-        profile,
-        lotteries,
-        facts,
-        notes="Smallest member of the balanced cyclic family weak_cw_family(1, 1): "
+        (
+            condorcet(None), margin("a", "b", 3), margin("a", "d", 3), margin("b", "c", 1),
+            margin("c", "a", 1), margin("d", "c", 1), margin("d", "b", 3),
+        ),
+        "Twin of swap_pair_R with voter 3's c/d swap applied.",
+    ),
+    "weak_cw_balanced": (
+        {"f1": "a:3/5,b:1/5,c:1/5"},
+        (condorcet(None), weak_condorcet("a"), rule_output("f1", "f1")),
+        "Smallest member of the balanced cyclic family weak_cw_family(1, 1): "
         "a is unbeaten but not a Condorcet winner.",
-    )
+    ),
+}
 
 
 def weak_cw_family(n3: int, n5: int) -> Profile:
@@ -722,34 +463,22 @@ def weak_cw_family(n3: int, n5: int) -> Profile:
     return make_profile(("a", "b", "c"), orders)
 
 
-_BUILDERS: dict[str, Callable[[], Fixture]] = {
-    "rd_example": _fx_rd_example,
-    "ml_manipulation_R": _fx_ml_manipulation_R,
-    "ml_manipulation_Rprime": _fx_ml_manipulation_Rprime,
-    **{name: (lambda n=name: _fx_cw_gallery(n)) for name in _CW_GALLERY},
-    "pareto_join_R1": _fx_pareto_join_R1,
-    "pareto_join_R2": _fx_pareto_join_R2,
-    "pareto_join_R3": _fx_pareto_join_R3,
-    "improvement_cycle": _fx_improvement_cycle,
-    "swap_pair_R": _fx_swap_pair_R,
-    "swap_pair_Rprime": _fx_swap_pair_Rprime,
-    "weak_cw_balanced": _fx_weak_cw_balanced,
-}
-
-
 def fixture_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def fixture(name: str) -> Fixture:
     try:
-        builder = _BUILDERS[name]
+        specs, facts, notes = _CATALOG[name]
     except KeyError:
         raise DomainError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
-    return builder()
+    path = resources.files("pcvote").joinpath(f"data/fixtures/{DATA_VERSION}/{name}.profile")
+    profile = parse_profile(path.read_text(encoding="utf-8"))
+    lotteries = {key: parse_lottery(spec, profile.alternatives) for key, spec in specs.items()}
+    return Fixture(name, profile, lotteries, facts, notes)
 
 
 def fixture_profile(name: str) -> Profile:

@@ -6,8 +6,8 @@ and rows), where exactness and determinism — not speed — are the contract:
 the same program always takes the same pivots and returns the same
 optimal vertex.
 
-Conventions: objectives are maximized; variables default to lower bound 0
-and no upper bound, with explicit finite bounds translated internally.
+Conventions: objectives are maximized; every variable is bounded below by
+0 and unbounded above.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import DomainError, InternalError, _require_exact
 
@@ -42,21 +42,12 @@ class Constraint:
             raise DomainError(f"constraint relation must be one of {_RELATIONS}, got {self.relation!r}")
 
 
-def constraint(coeffs: Iterable[object], relation: str, rhs: object) -> Constraint:
-    return Constraint(tuple(coeffs), relation, rhs)  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective · x  subject to constraints and variable bounds.
-
-    `bounds[j]` is a (lower, upper) pair; upper may be None for unbounded
-    above. Omitted bounds mean (0, None) for every variable.
-    """
+    """maximize objective · x  subject to constraints and x >= 0."""
 
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
-    bounds: Optional[tuple[tuple[Fraction, Optional[Fraction]], ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -71,16 +62,6 @@ class LinearProgram:
                 raise DomainError(
                     f"constraint has {len(c.coeffs)} coefficients for {n} variables"
                 )
-        if self.bounds is not None:
-            pairs = []
-            for j, pair in enumerate(self.bounds):
-                lo, hi = pair
-                lo = _require_exact(lo, f"lower bound of variable {j}")
-                hi = None if hi is None else _require_exact(hi, f"upper bound of variable {j}")
-                pairs.append((lo, hi))
-            if len(pairs) != n:
-                raise DomainError(f"{len(pairs)} bound pairs for {n} variables")
-            object.__setattr__(self, "bounds", tuple(pairs))
 
 
 class LpStatus(Enum):
@@ -213,12 +194,12 @@ def _standardize(
     return rows, rhs, basis, cost, frozenset(art_cols)
 
 
-def _solve_standardized(
-    objective: Sequence[Fraction], constraints: Sequence[Constraint]
-) -> LpOutcome:
-    """Two-phase simplex on the x >= 0 form; solution reported in x-space."""
+def lp_solve(lp: LinearProgram) -> LpOutcome:
+    """Solve exactly by two-phase simplex. Deterministic: identical input,
+    identical outcome."""
+    objective = lp.objective
     n = len(objective)
-    rows, rhs, basis, cost, art_cols = _standardize(objective, constraints)
+    rows, rhs, basis, cost, art_cols = _standardize(objective, lp.constraints)
 
     if art_cols:
         phase1_cost = [Fraction(0)] * len(cost)
@@ -258,48 +239,3 @@ def _solve_standardized(
             x[j] = rhs[r]
     value = sum(c * v for c, v in zip(objective, x))
     return LpOutcome(LpStatus.Optimal, tuple(x), value)
-
-
-def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly. Deterministic: identical input, identical outcome."""
-    n = len(lp.objective)
-    if lp.bounds is None:
-        return _solve_standardized(lp.objective, lp.constraints)
-
-    # Shift each variable down by its lower bound, add rows for finite uppers.
-    lowers = [lo for lo, _ in lp.bounds]
-    shifted_constraints: list[Constraint] = []
-    for c in lp.constraints:
-        offset = sum(a * lo for a, lo in zip(c.coeffs, lowers))
-        shifted_constraints.append(Constraint(c.coeffs, c.relation, c.rhs - offset))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if hi is None:
-            continue
-        if hi < lo:
-            return LpOutcome(LpStatus.Infeasible, None, None)
-        row = tuple(Fraction(1) if k == j else Fraction(0) for k in range(n))
-        shifted_constraints.append(Constraint(row, LE, hi - lo))
-
-    shifted = _solve_standardized(lp.objective, shifted_constraints)
-    if shifted.status is not LpStatus.Optimal:
-        return shifted
-    assert shifted.solution is not None and shifted.value is not None
-    solution = tuple(y + lo for y, lo in zip(shifted.solution, lowers))
-    offset = sum(c * lo for c, lo in zip(lp.objective, lowers))
-    return LpOutcome(LpStatus.Optimal, solution, shifted.value + offset)
-
-
-def lp_feasible(
-    constraints: Sequence[Constraint], num_vars: int
-) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Phase-one feasibility test for constraints over x >= 0.
-
-    Returns (feasible, witness); the witness is an exact feasible point
-    (a basic solution of the system) when one exists.
-    """
-    if num_vars <= 0:
-        raise DomainError("lp_feasible needs at least one variable")
-    outcome = _solve_standardized([Fraction(0)] * num_vars, tuple(constraints))
-    if outcome.status is LpStatus.Optimal:
-        return True, outcome.solution
-    return False, None

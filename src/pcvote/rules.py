@@ -164,8 +164,8 @@ def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:
     return _beats_or_ties_every_alternative(margin_matrix(profile), lottery.probs)
 
 
-def _unit(m: int, j: int, value: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
-    return tuple(value if k == j else Fraction(0) for k in range(m))
+def _unit(m: int, j: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1) if k == j else Fraction(0) for k in range(m))
 
 
 def _optimal_value(outcome: LpOutcome) -> Fraction:
@@ -276,40 +276,6 @@ def ml(profile: Profile) -> Lottery:
     The result is degenerate exactly when the optimal set is a single
     degenerate strategy, e.g. with a Condorcet winner."""
     return maximal_lottery(margin_matrix(profile))
-
-
-def maximal_lottery_is_unique(profile: Profile) -> bool:
-    """Is the optimal set of the margin game a single point?"""
-    margins = margin_matrix(profile)
-    m = profile.m
-    rows = tuple(_margin_rows(margins))
-    for j in range(m):
-        hi = lp_solve(LinearProgram(_unit(m, j), rows))
-        lo = lp_solve(LinearProgram(_unit(m, j, Fraction(-1)), rows))
-        assert hi.status is LpStatus.Optimal and lo.status is LpStatus.Optimal
-        assert hi.value is not None and lo.value is not None
-        if hi.value != -lo.value:
-            return False
-    return True
-
-
-def solve_margin_game(margins: MarginMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Value and one optimal mixed strategy of the margin game, solved as a
-    plain LP (maximize the worst-case row payoff). Skew-symmetry is *not*
-    assumed; for genuine margin matrices the value comes out exactly 0."""
-    m = len(margins.alternatives)
-    # variables: p_0..p_{m-1}, v+ and v- (value = v+ - v-)
-    rows: list[Constraint] = []
-    for j in range(m):
-        # payoff of playing p against pure column j, at least the value
-        coeffs = [Fraction(margins.rows[i][j]) for i in range(m)]
-        rows.append(Constraint(tuple(coeffs + [Fraction(-1), Fraction(1)]), GE, Fraction(0)))
-    rows.append(Constraint(tuple([Fraction(1)] * m + [Fraction(0), Fraction(0)]), EQ, Fraction(1)))
-    objective = tuple([Fraction(0)] * m + [Fraction(1), Fraction(-1)])
-    outcome = lp_solve(LinearProgram(objective, tuple(rows)))
-    assert outcome.status is LpStatus.Optimal
-    assert outcome.solution is not None and outcome.value is not None
-    return outcome.value, outcome.solution[:m]
 
 
 def memoized_by_margins(rule: SocialDecisionScheme) -> SocialDecisionScheme:

@@ -4,6 +4,11 @@ The centerpiece is `bfs_reference_solve`, a from-scratch LP solver that
 enumerates basic solutions instead of pivoting. It shares nothing with
 the simplex implementation under test beyond the `LinearProgram` data
 types, so agreement between the two is meaningful evidence.
+
+It also holds front-ends over the library that only tests use (LP
+feasibility, the margin game as a plain LP, uniqueness of the maximal
+lottery, the strategyproofness ladder) and per-voter reference
+definitions of profile statistics and lottery comparisons.
 """
 
 from __future__ import annotations
@@ -13,8 +18,11 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from pcvote.model import Profile, profile
-from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus
+from pcvote.axioms import Mode, find_manipulation
+from pcvote.extensions import ComparisonOutcome, Extension
+from pcvote.model import DomainError, MarginMatrix, Profile, margin_matrix, profile
+from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
+from pcvote.rules import SocialDecisionScheme, _margin_rows, _unit
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +102,8 @@ def bfs_reference_solve(lp: LinearProgram) -> tuple[LpStatus, Optional[Fraction]
     grows without bound iff some recession direction d (A d = 0, d >= 0,
     normalized to sum 1) has positive objective, and that maximum is
     attained at a vertex of the normalized direction polytope, which is
-    enumerated the same way. Only default variable bounds are supported.
+    enumerated the same way.
     """
-    assert lp.bounds is None, "reference solver covers default bounds only"
     n = len(lp.objective)
     slack_count = sum(1 for c in lp.constraints if c.relation != EQ)
     ncols = n + slack_count
@@ -135,6 +142,71 @@ def bfs_reference_solve(lp: LinearProgram) -> tuple[LpStatus, Optional[Fraction]
             if sum(c * v for c, v in zip(cost, d)) > 0:
                 return LpStatus.Unbounded, None
     return LpStatus.Optimal, best
+
+
+# ---------------------------------------------------------------------------
+# front-ends over the library that only tests call
+# ---------------------------------------------------------------------------
+
+def lp_feasible(constraints, num_vars: int) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
+    """Phase-one feasibility test for constraints over x >= 0.
+
+    Returns (feasible, witness); the witness is an exact feasible point
+    (a basic solution of the system) when one exists.
+    """
+    if num_vars <= 0:
+        raise DomainError("lp_feasible needs at least one variable")
+    outcome = lp_solve(LinearProgram((Fraction(0),) * num_vars, tuple(constraints)))
+    if outcome.status is LpStatus.Optimal:
+        return True, outcome.solution
+    return False, None
+
+
+def maximal_lottery_is_unique(prof: Profile) -> bool:
+    """Is the optimal set of the margin game a single point? Every
+    coordinate's maximum over the set must equal its minimum."""
+    m = prof.m
+    rows = tuple(_margin_rows(margin_matrix(prof)))
+    for j in range(m):
+        hi = lp_solve(LinearProgram(_unit(m, j), rows))
+        lo = lp_solve(LinearProgram(tuple(-v for v in _unit(m, j)), rows))
+        assert hi.status is LpStatus.Optimal and lo.status is LpStatus.Optimal
+        if hi.value != -lo.value:
+            return False
+    return True
+
+
+def solve_margin_game(margins: MarginMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Value and one optimal mixed strategy of the margin game, solved as a
+    plain LP (maximize the worst-case row payoff). Skew-symmetry is *not*
+    assumed; for genuine margin matrices the value comes out exactly 0."""
+    m = len(margins.alternatives)
+    # variables: p_0..p_{m-1}, v+ and v- (value = v+ - v-)
+    rows: list[Constraint] = []
+    for j in range(m):
+        # payoff of playing p against pure column j, at least the value
+        coeffs = [Fraction(margins.rows[i][j]) for i in range(m)]
+        rows.append(Constraint(tuple(coeffs + [Fraction(-1), Fraction(1)]), GE, Fraction(0)))
+    rows.append(Constraint(tuple([Fraction(1)] * m + [Fraction(0), Fraction(0)]), EQ, Fraction(1)))
+    objective = tuple([Fraction(0)] * m + [Fraction(1), Fraction(-1)])
+    outcome = lp_solve(LinearProgram(objective, tuple(rows)))
+    assert outcome.status is LpStatus.Optimal
+    return outcome.value, outcome.solution[:m]
+
+
+def strategyproofness_ladder_gaps(rule: SocialDecisionScheme, prof: Profile) -> list[str]:
+    """Consistency probe: a weak PC1 manipulation implies a strong PC one,
+    which implies a strong SD one. Returns descriptions of any broken
+    implication (empty list = consistent)."""
+    weak_pc1 = find_manipulation(rule, prof, Extension.PC1, Mode.Weak)
+    strong_pc = find_manipulation(rule, prof, Extension.PC, Mode.Strong)
+    strong_sd = find_manipulation(rule, prof, Extension.SD, Mode.Strong)
+    gaps = []
+    if weak_pc1 is not None and strong_pc is None:
+        gaps.append("weak PC1 manipulation found but no strong PC manipulation")
+    if strong_pc is not None and strong_sd is None:
+        gaps.append("strong PC manipulation found but no strong SD manipulation")
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +273,27 @@ def reference_pareto_dominated_set(ballots: list[tuple[str, ...]], names) -> fro
 
 def reference_never_bottom_set(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
     return frozenset(set(names) - {b[-1] for b in ballots})
+
+
+def reference_sd_compare(order: tuple[str, ...], p, q) -> ComparisonOutcome:
+    """SD comparison of p against q for one voter, walking `Fraction`
+    prefix sums along the ranking."""
+    p_ge_q = q_ge_p = True
+    acc_p = acc_q = Fraction(0)
+    for x in order[:-1]:
+        acc_p += p.prob(x)
+        acc_q += q.prob(x)
+        if acc_p < acc_q:
+            p_ge_q = False
+        elif acc_p > acc_q:
+            q_ge_p = False
+    if p_ge_q and q_ge_p:
+        return ComparisonOutcome.Indifferent
+    if p_ge_q:
+        return ComparisonOutcome.StrictlyPreferred
+    if q_ge_p:
+        return ComparisonOutcome.StrictlyDispreferred
+    return ComparisonOutcome.Incomparable
 
 
 def reference_pc_score(order: tuple[str, ...], p, q) -> Fraction:

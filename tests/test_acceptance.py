@@ -43,11 +43,10 @@ from pcvote import (
     ranking,
     rd,
     relabel,
-    solve_margin_game,
 )
 from pcvote.cli import main as cli_main
 
-from helpers import bfs_reference_solve, random_lp
+from helpers import bfs_reference_solve, random_lp, solve_margin_game
 
 F = Fraction
 

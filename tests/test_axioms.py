@@ -31,12 +31,11 @@ from pcvote import (
     ml,
     profile,
     ranking,
-    strategyproofness_ladder_gaps,
 )
 from pcvote.axioms import EnumerationBudgetError, exists_strict_improvement
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
 from pcvote.rules import SocialDecisionScheme
-from helpers import random_lottery, random_profile
+from helpers import random_lottery, random_profile, strategyproofness_ladder_gaps
 
 F = Fraction
 

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from pcvote import InternalError, rules
 from pcvote.cli import main
 
 RD_TEXT = """\
@@ -268,7 +271,52 @@ def test_paper_suite_json(capsys):
     assert sum(not f["passed"] for f in doc["result"]["facts"]) == 3
 
 
+# sha256 of the human and the --json report, and the exit status, per run
+SUITE_OUTPUTS = {
+    "default": (
+        "c8af19334b28f89f9561351ce6985318e61a8ad07c954cd03f65d81eee220b47",
+        "28bb2f86d0ad46ebb3fbcdd658b5c08cf6e232a2544f65a36da9dbe31d053072",
+        0,
+    ),
+    "pc-sign-flip": (
+        "54320202ab5c3cf1cdf01897fcf7d045fccfa5f366264187de2f9779931d66ce",
+        "b9e85d101a22a7436de2fb3aa524128b56d5aaa5d9f437ea6508da3063ea6726",
+        1,
+    ),
+    "ml-tie-break": (
+        "236c46d1955db6ad017574f316e420faee7978afe168d6eb2bdafb6df4f7d4c2",
+        "2288f895d210a63f3655eccdf8e142aba3c72241c8dab09f48bc9b42e9adf5b4",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("control", sorted(SUITE_OUTPUTS))
+def test_paper_suite_outputs_pinned(capsys, control):
+    argv = ["paper-suite"] + ([] if control == "default" else ["--negative-control", control])
+    human_sha, json_sha, status = SUITE_OUTPUTS[control]
+    for sha, extra in ((human_sha, ()), (json_sha, ("--json",))):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == status
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha, extra
+
+
 def test_paper_suite_rejects_unknown_control(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["paper-suite", "--negative-control", "nope"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# internal defects
+# ---------------------------------------------------------------------------
+
+def test_internal_error_has_its_own_exit_status(monkeypatch, capsys):
+    def broken(profile):
+        raise InternalError("ml lost its invariant")
+
+    monkeypatch.setitem(rules.RULES, "ml", replace(rules.RULES["ml"], evaluate=broken))
+    code, out, err = run(capsys, "compute", "--rule", "ml", "--profile", "rd_example")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ml lost its invariant\n"

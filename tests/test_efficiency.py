@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import os
@@ -242,6 +243,18 @@ def test_dominator_guards_survive_python_dash_o():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "guards held"
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, so a library invariant must raise explicitly
+    package = os.path.dirname(os.path.abspath(pcvote.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_expost_efficiency_is_about_pareto_mass():

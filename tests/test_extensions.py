@@ -26,7 +26,7 @@ from pcvote.extensions import (
     sd_compare,
     weakly_prefers,
 )
-from helpers import random_lottery, reference_pc_score
+from helpers import random_lottery, reference_pc_score, reference_sd_compare
 
 F = Fraction
 SP = ComparisonOutcome.StrictlyPreferred
@@ -148,6 +148,38 @@ def test_sd_compare_pinned():
     assert sd_compare(R_ABC, q, p) is SD_
     incomparable_pair = (lot((1, 2), 0, (1, 2)), lot(0, 1, 0))
     assert sd_compare(R_ABC, *incomparable_pair) is INC
+
+
+def test_sd_compare_matches_the_fraction_walk_sampled():
+    rng = random.Random(4099)
+    for m in (2, 3, 4, 5):
+        alts = alternative_set("abcde"[:m])
+        orders = list(itertools.permutations(alts.names))
+        for _ in range(500):
+            order = rng.choice(orders)
+            p = random_lottery(rng, alts, max_weight=rng.choice((1, 3, 12)))
+            q = p if rng.random() < 0.1 else random_lottery(rng, alts, max_weight=rng.choice((1, 3, 12)))
+            assert sd_compare(ranking(alts, order), p, q) is reference_sd_compare(order, p, q)
+
+
+def test_sd_compare_matches_the_fraction_walk_exhaustively_at_small_denominators():
+    # every lottery over three alternatives whose probabilities have denominator <= 3
+    lotteries = {
+        Lottery(ABC, tuple(F(k, d) for k in ks))
+        for d in (1, 2, 3)
+        for ks in itertools.product(range(d + 1), repeat=3)
+        if sum(ks) == d
+    }
+    assert len(lotteries) == 13
+    outcomes = set()
+    for order in itertools.permutations(ABC.names):
+        r = ranking(ABC, order)
+        for p in lotteries:
+            for q in lotteries:
+                got = sd_compare(r, p, q)
+                assert got is reference_sd_compare(order, p, q), (order, p, q)
+                outcomes.add(got)
+    assert outcomes == set(ComparisonOutcome)
 
 
 def test_sd_indifferent_only_for_equal_lotteries():

@@ -17,7 +17,8 @@ from pcvote import (
     weak_cw_family,
     weak_condorcet_winners,
 )
-from pcvote.paperlab import DEFAULT_BENCH, FactResult, SuiteReport
+from pcvote import EfficiencyNotion, paperlab
+from pcvote.paperlab import DEFAULT_BENCH, Fact, FactResult, SuiteReport
 
 F = Fraction
 
@@ -77,8 +78,38 @@ def test_every_fixture_contributes_facts():
         assert len(fx.facts) >= 1, name
         total += len(fx.facts)
         for fact in fx.facts:
+            assert type(fact) is Fact
             assert fact.describe()
     assert total == 76
+
+
+def test_failing_facts_report_what_was_computed():
+    fx = fixture("rd_example")
+    cases = [
+        (paperlab.margin("a", "b", 1), "majority margin (a over b) = 1", "got 3"),
+        (paperlab.top_counts(a=1, b=1), "top counts a:1, b:1", "got {'a': 3, 'b': 1}"),
+        (paperlab.condorcet(None), "condorcet winner = none", "got a"),
+        (paperlab.never_bottom("b", "c"), "never-bottom set = {b, c}", "got {a}"),
+        (paperlab.pareto_dominated("c"), "pareto-dominated set = {c}", "got {}"),
+        (paperlab.support("deg_a", "a", "b"), "support(deg_a) = {a, b}", "got {a}"),
+        (paperlab.maximal("rd"), "'rd' is a maximal lottery", "got False"),
+        (
+            paperlab.efficient(EfficiencyNotion.SD, "rd", False),
+            "'rd' is sd-inefficient",
+            "got efficient",
+        ),
+        (paperlab.dominates(Extension.SD, "deg_a", "rd"), "'deg_a' sd-dominates 'rd'", "dominance did not hold"),
+    ]
+    for fact, text, detail in cases:
+        assert fact.check(fx, DEFAULT_BENCH) == FactResult("rd_example", text, False, detail)
+
+
+def test_removing_voter_fact_details():
+    r3 = fixture("pareto_join_R3")
+    held = paperlab.removing_voter_yields(12, "pareto_join_R2").check(r3, DEFAULT_BENCH)
+    assert (held.passed, held.detail) == (True, "")
+    failed = paperlab.removing_voter_yields(1, "pareto_join_R2").check(r3, DEFAULT_BENCH)
+    assert (failed.passed, failed.detail) == (False, "profiles differ")
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from pcvote import Constraint, DomainError, LinearProgram, LpStatus, lp_feasible, lp_solve
+from pcvote import Constraint, DomainError, LinearProgram, LpStatus, lp_solve
 from pcvote.ratlp import EQ, GE, LE
-from helpers import bfs_reference_solve, random_lp
+from helpers import bfs_reference_solve, lp_feasible, random_lp
 
 F = Fraction
 
 
-def solve(objective, constraints, bounds=None):
-    return lp_solve(LinearProgram(tuple(map(F, objective)), tuple(constraints), bounds))
+def solve(objective, constraints):
+    return lp_solve(LinearProgram(tuple(map(F, objective)), tuple(constraints)))
 
 
 def c(coeffs, rel, rhs):
@@ -83,36 +83,6 @@ def test_negative_rhs_normalization():
 
 
 # ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
-
-def test_bounds_shift_and_cap():
-    out = solve(
-        [1, 1],
-        [c([1, 1], LE, 10)],
-        bounds=((F(-3), F(4)), (F(1), F(2))),
-    )
-    assert out.status is LpStatus.Optimal
-    assert out.solution == (F(4), F(2)) and out.value == 6
-
-
-def test_bounds_negative_region():
-    out = solve([-1], [], bounds=((F(-5), F(-2)),))
-    assert out.status is LpStatus.Optimal
-    assert out.solution == (F(-5),) and out.value == 5
-
-
-def test_bounds_empty_box():
-    out = solve([1], [], bounds=((F(3), F(2)),))
-    assert out.status is LpStatus.Infeasible
-
-
-def test_unbounded_above_with_lower_bound():
-    out = solve([1], [], bounds=((F(7), None),))
-    assert out.status is LpStatus.Unbounded
-
-
-# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -132,8 +102,6 @@ def test_rejects_shape_mismatch():
         LinearProgram((), ())
     with pytest.raises(DomainError):
         Constraint((F(1),), "<", F(1))
-    with pytest.raises(DomainError):
-        LinearProgram((F(1),), (), bounds=((F(0), None), (F(0), None)))
 
 
 def test_integers_are_coerced_to_fractions():

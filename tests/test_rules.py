@@ -24,16 +24,14 @@ from pcvote import (
     get_rule,
     is_maximal_lottery,
     margin_matrix,
-    maximal_lottery_is_unique,
     ml,
     profile,
     rd,
     relabel,
-    solve_margin_game,
 )
 from pcvote import rules
 from pcvote.ratlp import lp_solve
-from helpers import random_profile
+from helpers import maximal_lottery_is_unique, random_profile, solve_margin_game
 
 F = Fraction
 
