@@ -172,15 +172,13 @@ def find_manipulation(
     return None
 
 
-def exists_strict_improvement(ranking: Ranking, q: Lottery, extension: Extension) -> bool:
+def exists_strict_improvement(ranking: Ranking, q: Lottery) -> bool:
     """Is there any lottery this voter strictly prefers to q?
 
     Under PC, PC1 and SD alike this happens exactly when q puts less than
     full probability on the voter's top alternative (the degenerate top
     lottery is then a strict improvement, and nothing beats the top).
     """
-    if extension not in (Extension.PC, Extension.PC1, Extension.SD):
-        raise DomainError(f"unknown extension {extension!r}")
     return q.prob(ranking.top) < 1
 
 
@@ -203,7 +201,7 @@ def check_participation(
             return ParticipationWitness(
                 profile, i, with_voter, without, extension, strict, "participation-harms"
             )
-        if strict and exists_strict_improvement(ballot, without, extension):
+        if strict and exists_strict_improvement(ballot, without):
             if outcome is not ComparisonOutcome.StrictlyPreferred:
                 return ParticipationWitness(
                     profile, i, with_voter, without, extension, strict, "no-strict-gain"
@@ -303,8 +301,7 @@ def check_efficiency(
     if notion is EfficiencyNotion.PC1:
         cert = pc1_find_dominator(profile, outcome)
     else:
-        extension = Extension.PC if notion is EfficiencyNotion.PC else Extension.SD
-        cert = find_dominator(profile, outcome, extension)
+        cert = find_dominator(profile, outcome, Extension(notion.value))
     if cert is None:
         return None
     return EfficiencyWitness(profile, outcome, notion, cert)
@@ -341,10 +338,12 @@ def enumerate_profiles(
         raise DomainError(f"enumeration supports 1..4 alternatives, got m={m}")
     if n < 1:
         raise DomainError(f"need at least one voter, got n={n}")
-    total = count_profiles(m, n, up_to_anonymity)
-    if total > budget:
+    # with m >= 2 there are over 2**n profiles and over n multisets, so a
+    # huge n is turned away before its profile count is built
+    past_bound = n > (budget if up_to_anonymity else budget.bit_length())
+    if (m >= 2 and past_bound) or count_profiles(m, n, up_to_anonymity) > budget:
         raise EnumerationBudgetError(
-            f"{total} profiles exceed the enumeration budget of {budget}"
+            f"the {n}-voter profiles over {m} alternatives exceed the enumeration budget of {budget}"
         )
     alts = AlternativeSet(tuple(names) if names is not None else ("a", "b", "c", "d")[:m])
     if len(alts) != m:

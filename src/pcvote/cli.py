@@ -77,103 +77,71 @@ def _emit(args: argparse.Namespace, report: dict, exit_status: int, human: str) 
 
 
 def _describe_witness(w: object) -> tuple[str, dict]:
-    """(human text, json fragment) for any axiom witness."""
+    """(human text, json fragment) for any axiom witness: a headline, the
+    witness's lotteries as `label -> (json key, lottery)`, its other json
+    fields, and the profile."""
+    lotteries: dict[str, tuple[str, Lottery]] = {}
     if isinstance(w, ManipulationWitness):
-        text = (
-            f"voter {w.voter} gains by reporting {' > '.join(w.misreport.order)}\n"
-            f"  truthful outcome:    {format_lottery(w.truthful_outcome)}\n"
-            f"  manipulated outcome: {format_lottery(w.manipulated_outcome)}\n"
-            f"profile:\n{format_profile(w.profile)}"
-        )
-        payload = {
-            "type": "manipulation",
-            "voter": w.voter,
-            "misreport": list(w.misreport.order),
-            "truthful_outcome": _lottery_json(w.truthful_outcome),
-            "manipulated_outcome": _lottery_json(w.manipulated_outcome),
-            "profile": format_profile(w.profile),
+        headline = f"voter {w.voter} gains by reporting {' > '.join(w.misreport.order)}"
+        lotteries = {
+            "truthful outcome": ("truthful_outcome", w.truthful_outcome),
+            "manipulated outcome": ("manipulated_outcome", w.manipulated_outcome),
         }
+        fields = {"type": "manipulation", "voter": w.voter, "misreport": list(w.misreport.order)}
     elif isinstance(w, ParticipationWitness):
-        text = (
-            f"voter {w.voter}: {w.kind}\n"
-            f"  with the voter:    {format_lottery(w.with_voter)}\n"
-            f"  without the voter: {format_lottery(w.without_voter)}\n"
-            f"profile:\n{format_profile(w.profile)}"
-        )
-        payload = {
-            "type": "participation",
-            "voter": w.voter,
-            "kind": w.kind,
-            "with_voter": _lottery_json(w.with_voter),
-            "without_voter": _lottery_json(w.without_voter),
-            "profile": format_profile(w.profile),
+        headline = f"voter {w.voter}: {w.kind}"
+        lotteries = {
+            "with the voter": ("with_voter", w.with_voter),
+            "without the voter": ("without_voter", w.without_voter),
         }
+        fields = {"type": "participation", "voter": w.voter, "kind": w.kind}
     elif isinstance(w, SymmetryWitness):
         perm = (
             f"voter permutation {w.voter_perm}"
             if w.voter_perm is not None
             else f"alternative permutation {dict(w.alt_perm or ())}"
         )
-        text = (
-            f"{w.kind} breaks under {perm}\n"
-            f"  expected: {format_lottery(w.expected)}\n"
-            f"  actual:   {format_lottery(w.actual)}\n"
-            f"profile:\n{format_profile(w.profile)}"
-        )
-        payload = {
+        headline = f"{w.kind} breaks under {perm}"
+        lotteries = {"expected": ("expected", w.expected), "actual": ("actual", w.actual)}
+        fields = {
             "type": w.kind,
             "voter_perm": list(w.voter_perm) if w.voter_perm else None,
             "alt_perm": dict(w.alt_perm) if w.alt_perm else None,
-            "expected": _lottery_json(w.expected),
-            "actual": _lottery_json(w.actual),
-            "profile": format_profile(w.profile),
         }
     elif isinstance(w, CancellationWitness):
-        text = (
-            f"adding {' > '.join(w.added.order)} plus its reverse moved the outcome\n"
-            f"  before: {format_lottery(w.before)}\n"
-            f"  after:  {format_lottery(w.after)}\n"
-            f"profile:\n{format_profile(w.profile)}"
-        )
-        payload = {
-            "type": "cancellation",
-            "added": list(w.added.order),
-            "before": _lottery_json(w.before),
-            "after": _lottery_json(w.after),
-            "profile": format_profile(w.profile),
-        }
+        headline = f"adding {' > '.join(w.added.order)} plus its reverse moved the outcome"
+        lotteries = {"before": ("before", w.before), "after": ("after", w.after)}
+        fields = {"type": "cancellation", "added": list(w.added.order)}
     elif isinstance(w, DecisivenessWitness):
-        text = (
+        headline = (
             f"{w.level.value}: {w.required!r} must get probability 1, "
-            f"outcome was {format_lottery(w.outcome)}\n"
-            f"profile:\n{format_profile(w.profile)}"
+            f"outcome was {format_lottery(w.outcome)}"
         )
-        payload = {
+        fields = {
             "type": "decisiveness",
             "level": w.level.value,
             "required": w.required,
             "outcome": _lottery_json(w.outcome),
-            "profile": format_profile(w.profile),
         }
     elif isinstance(w, EfficiencyWitness):
-        dominator = (
-            format_lottery(w.certificate.dominator) if w.certificate is not None else "-"
+        dominator = w.certificate.dominator if w.certificate is not None else None
+        headline = f"outcome {format_lottery(w.outcome)} is {w.notion.value}-inefficient" + (
+            f"; dominated by {format_lottery(dominator)}" if dominator is not None else ""
         )
-        text = (
-            f"outcome {format_lottery(w.outcome)} is {w.notion.value}-inefficient"
-            + (f"; dominated by {dominator}" if w.certificate else "")
-            + f"\nprofile:\n{format_profile(w.profile)}"
-        )
-        payload = {
+        fields = {
             "type": "inefficiency",
             "notion": w.notion.value,
             "outcome": _lottery_json(w.outcome),
-            "dominator": _lottery_json(w.certificate.dominator) if w.certificate else None,
-            "profile": format_profile(w.profile),
+            "dominator": _lottery_json(dominator) if dominator is not None else None,
         }
     else:  # pragma: no cover - future witness kinds
-        text = repr(w)
-        payload = {"type": "unknown", "repr": repr(w)}
+        return repr(w), {"type": "unknown", "repr": repr(w)}
+    width = max((len(label) for label in lotteries), default=0) + 1
+    lines = [headline]
+    lines += [f"  {label + ':':<{width}} {format_lottery(q)}" for label, (_, q) in lotteries.items()]
+    profile = format_profile(w.profile)
+    text = "\n".join(lines) + f"\nprofile:\n{profile}"
+    payload = {**fields, **{key: _lottery_json(q) for key, q in lotteries.values()}, "profile": profile}
     return text, payload
 
 

@@ -36,9 +36,10 @@ from .extensions import (
     Extension,
     dominance_outcomes,
     dominates,
+    is_dominance,
     pc_weights,
 )
-from .ratlp import EQ, GE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
+from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, lp_solve
 
 
 class EfficiencyNotion(Enum):
@@ -46,13 +47,6 @@ class EfficiencyNotion(Enum):
     PC1 = "pc1"
     SD = "sd"
     ExPost = "expost"
-
-
-_EXTENSION_TO_NOTION = {
-    Extension.PC: EfficiencyNotion.PC,
-    Extension.PC1: EfficiencyNotion.PC1,
-    Extension.SD: EfficiencyNotion.SD,
-}
 
 
 @dataclass(frozen=True)
@@ -83,69 +77,62 @@ def _certificate(
     profile: Profile, extension: Extension, p: Lottery, q: Lottery
 ) -> DominanceCertificate:
     outcomes = dominance_outcomes(profile, extension, q, p)
-    cert = DominanceCertificate(extension, p, q, outcomes)
-    if not dominates(profile, extension, q, p):
+    if not is_dominance(outcomes):
         raise InternalError("dominance witness failed re-validation")
-    return cert
+    return DominanceCertificate(extension, p, q, outcomes)
 
 
-def _dominator_optimum(outcome: LpOutcome) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Value and solution of a dominator LP, whose feasible set contains p."""
+def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
+    """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0."""
+    return (Constraint(pc_weights(ballot, p), GE, Fraction(0)),)
+
+
+def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
+    """Every proper prefix of the ballot gets at least p's mass under q."""
+    alts = p.alternatives
+    rows: list[Constraint] = []
+    prefix = Fraction(0)
+    indicator = [Fraction(0)] * len(alts)
+    for x in ballot.order[:-1]:
+        indicator[alts.index(x)] = Fraction(1)
+        prefix += p.prob(x)
+        rows.append(Constraint(tuple(indicator), GE, prefix))
+    return tuple(rows)
+
+
+_DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
+
+
+def _dominator_lp(
+    profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Fraction]]
+) -> tuple[Fraction, Lottery]:
+    """Maximize the weighted total of every voter's rows over lotteries q
+    that satisfy all of them, minus the same total at p. p is feasible, so
+    the value is at least 0; 0 means p is efficient, and a positive value
+    comes with a dominating q.
+
+    The rows of each voter follow in voter order and are computed once
+    per distinct ballot."""
+    m = profile.m
+    lam = _positive_weights(profile.n, weights)
+    ballot_rows = _DOMINATOR_ROWS[extension]
+    seen: dict[Ranking, tuple[Constraint, ...]] = {}
+    rows: list[Constraint] = []
+    objective = [Fraction(0)] * m
+    baseline = Fraction(0)
+    for ballot, factor in zip(profile.ballots, lam):
+        if ballot not in seen:
+            seen[ballot] = ballot_rows(ballot, p)
+        for row in seen[ballot]:
+            rows.append(row)
+            for j in range(m):
+                objective[j] += factor * row.coeffs[j]
+            baseline += factor * row.rhs
+    rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
+    outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
-    return outcome.value, outcome.solution
-
-
-def _pc_dominator_lp(
-    profile: Profile, p: Lottery, weights: Optional[Sequence[Fraction]] = None
-) -> tuple[Fraction, Lottery]:
-    """Maximize a positive combination of per-voter PC scores against p,
-    over lotteries q that no voter PC-objects to. Value 0 means p is
-    PC-efficient; a positive value comes with a dominating q.
-
-    One row per voter, in voter order; the PC form is computed once per
-    distinct ballot."""
-    m = profile.m
-    lam = _positive_weights(profile.n, weights)
-    forms: dict[Ranking, tuple[Fraction, ...]] = {}
-    rows: list[Constraint] = []
-    objective = [Fraction(0)] * m
-    for ballot, factor in zip(profile.ballots, lam):
-        if ballot not in forms:
-            forms[ballot] = pc_weights(ballot, p)
-        w = forms[ballot]
-        rows.append(Constraint(w, GE, Fraction(0)))
-        for j in range(m):
-            objective[j] += factor * w[j]
-    rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
-    value, solution = _dominator_optimum(lp_solve(LinearProgram(tuple(objective), tuple(rows))))
-    return value, Lottery(profile.alternatives, solution)
-
-
-def _sd_dominator_lp(
-    profile: Profile, p: Lottery, weights: Optional[Sequence[Fraction]] = None
-) -> tuple[Fraction, Lottery]:
-    """Same idea for SD: every prefix of every voter must gain weakly; the
-    objective totals the (weighted) prefix gains. Value 0 means efficient."""
-    m = profile.m
-    alts = profile.alternatives
-    lam = _positive_weights(profile.n, weights)
-    rows: list[Constraint] = []
-    objective = [Fraction(0)] * m
-    gains_baseline = Fraction(0)
-    for ballot, factor in zip(profile.ballots, lam):
-        prefix = Fraction(0)
-        indicator = [Fraction(0)] * m
-        for x in ballot.order[:-1]:
-            indicator[alts.index(x)] = Fraction(1)
-            prefix += p.prob(x)
-            rows.append(Constraint(tuple(indicator), GE, prefix))
-            for j in range(m):
-                objective[j] += factor * indicator[j]
-            gains_baseline += factor * prefix
-    rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
-    value, solution = _dominator_optimum(lp_solve(LinearProgram(tuple(objective), tuple(rows))))
-    return value - gains_baseline, Lottery(profile.alternatives, solution)
+    return outcome.value - baseline, Lottery(profile.alternatives, outcome.solution)
 
 
 def _positive_weights(
@@ -175,14 +162,9 @@ def find_dominator(
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    if extension is Extension.PC:
-        value, q = _pc_dominator_lp(profile, p, weights)
-    elif extension is Extension.SD:
-        value, q = _sd_dominator_lp(profile, p, weights)
-    else:
-        raise DomainError(
-            "find_dominator solves PC and SD; use pc1_find_dominator for PC1"
-        )
+    if extension not in _DOMINATOR_ROWS:
+        raise DomainError("find_dominator solves PC and SD; use pc1_find_dominator for PC1")
+    value, q = _dominator_lp(profile, p, extension, weights)
     if value == 0:
         return None
     return _certificate(profile, extension, p, q)
@@ -214,7 +196,7 @@ def is_efficient(
 ) -> bool:
     """No lottery dominates p under the given notion."""
     if isinstance(notion, Extension):
-        notion = _EXTENSION_TO_NOTION[notion]
+        notion = EfficiencyNotion(notion.value)
     if notion is EfficiencyNotion.ExPost:
         if p.alternatives != profile.alternatives:
             raise DomainError("lottery must range over the profile's alternatives")
@@ -222,8 +204,7 @@ def is_efficient(
         return all(p.prob(x) == 0 for x in dominated)
     if notion is EfficiencyNotion.PC1:
         return pc1_find_dominator(profile, p) is None
-    extension = Extension.PC if notion is EfficiencyNotion.PC else Extension.SD
-    return find_dominator(profile, p, extension) is None
+    return find_dominator(profile, p, Extension(notion.value)) is None
 
 
 # ---------------------------------------------------------------------------

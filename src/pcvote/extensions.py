@@ -13,9 +13,11 @@ Three comparators are provided:
   Transitive, but incomplete.
 
 Profile-level dominance (`dominates`) means: every voter weakly prefers
-the challenger and at least one strictly prefers it. The `*_under`
-variants take an explicit comparator, which lets callers swap in a
-deliberately broken one to prove their checks can fail.
+the challenger and at least one strictly prefers it (`is_dominance`). The
+`*_under` variants take an explicit comparator, which lets callers swap in
+a deliberately broken one to prove their checks can fail: the fact suite's
+PC sign flip compares the two lotteries the wrong way round, which is
+exactly a negated PC score, since pc_score(r, p, q) == -pc_score(r, q, p).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .model import DomainError, Lottery, Profile, Ranking
 
@@ -42,7 +44,6 @@ class ComparisonOutcome(Enum):
 
 
 Comparator = Callable[[Ranking, Lottery, Lottery], ComparisonOutcome]
-ScoreFunction = Callable[[Ranking, Lottery, Lottery], Fraction]
 
 
 def _check_arena(ranking: Ranking, p: Lottery, q: Lottery) -> None:
@@ -101,25 +102,16 @@ def outcome_from_score(score: Fraction) -> ComparisonOutcome:
     return ComparisonOutcome.Indifferent
 
 
-def make_pc_comparator(score_fn: ScoreFunction) -> Comparator:
-    """PC comparison driven by an arbitrary score function."""
-    def compare_fn(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
-        return outcome_from_score(score_fn(ranking, p, q))
-    return compare_fn
+def pc_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
+    return outcome_from_score(pc_score(ranking, p, q))
 
 
-def make_pc1_comparator(score_fn: ScoreFunction) -> Comparator:
-    """PC1 comparison (degenerate-restricted) driven by a score function."""
-    def compare_fn(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
-        _check_arena(ranking, p, q)
-        if not p.is_degenerate() and not q.is_degenerate():
-            return ComparisonOutcome.Incomparable
-        return outcome_from_score(score_fn(ranking, p, q))
-    return compare_fn
-
-
-pc_compare: Comparator = make_pc_comparator(pc_score)
-pc1_compare: Comparator = make_pc1_comparator(pc_score)
+def pc1_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
+    """PC, but only when at least one of the two lotteries is degenerate."""
+    _check_arena(ranking, p, q)
+    if not p.is_degenerate() and not q.is_degenerate():
+        return ComparisonOutcome.Incomparable
+    return pc_compare(ranking, p, q)
 
 
 def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
@@ -181,12 +173,16 @@ def dominance_outcomes_under(
     return tuple(outcomes)
 
 
-def dominates_under(profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery) -> bool:
-    """q dominates p: all voters weakly prefer q, at least one strictly."""
-    outcomes = dominance_outcomes_under(profile, compare_fn, q, p)
+def is_dominance(outcomes: Sequence[ComparisonOutcome]) -> bool:
+    """All voters weakly prefer the challenger, at least one strictly."""
     return all(weakly_prefers(o) for o in outcomes) and any(
         o is ComparisonOutcome.StrictlyPreferred for o in outcomes
     )
+
+
+def dominates_under(profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery) -> bool:
+    """q dominates p: all voters weakly prefer q, at least one strictly."""
+    return is_dominance(dominance_outcomes_under(profile, compare_fn, q, p))
 
 
 def dominance_outcomes(

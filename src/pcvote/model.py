@@ -311,20 +311,14 @@ class Lottery:
         """Build from a {label: probability} map; omitted labels get 0."""
         alts = alternative_set(alternatives)
         for key in mapping:
-            if key not in alts:
-                raise UnknownAlternativeError(
-                    f"unknown alternative {key!r}; expected one of: {', '.join(alts.names)}"
-                )
+            alts.index(key)  # raises UnknownAlternativeError for a foreign label
         probs = tuple(_require_exact(mapping.get(x, 0), f"probability of {x!r}") for x in alts)
         return cls(alts, probs)
 
     @classmethod
     def degenerate(cls, alternatives: Iterable[str] | AlternativeSet, x: str) -> "Lottery":
         alts = alternative_set(alternatives)
-        if x not in alts:
-            raise UnknownAlternativeError(
-                f"unknown alternative {x!r}; expected one of: {', '.join(alts.names)}"
-            )
+        alts.index(x)  # raises UnknownAlternativeError for a foreign label
         return cls(alts, tuple(Fraction(1) if y == x else Fraction(0) for y in alts))
 
     @classmethod
@@ -340,10 +334,7 @@ class Lottery:
             if not chosen:
                 raise DomainError("uniform lottery needs a non-empty carrier")
             for x in chosen:
-                if x not in alts:
-                    raise UnknownAlternativeError(
-                        f"unknown alternative {x!r}; expected one of: {', '.join(alts.names)}"
-                    )
+                alts.index(x)  # raises UnknownAlternativeError for a foreign label
         share = Fraction(1, len(chosen))
         return cls(alts, tuple(share if x in chosen else Fraction(0) for x in alts))
 

@@ -19,7 +19,6 @@ with inverted internals would be worthless.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Mapping, Optional
@@ -46,17 +45,18 @@ class Bench:
     """The swappable function surface fixture facts run through.
 
     The default bench delegates to the core modules unchanged; negative
-    controls replace exactly one entry."""
+    controls replace exactly one entry. `swap_pc_lotteries` makes PC and
+    PC1 compare the two lotteries the wrong way round, which flips the
+    sign of every PC score."""
 
-    pc_score_fn: extensions.ScoreFunction = extensions.pc_score
+    swap_pc_lotteries: bool = False
     ml_fn: Callable[[Profile], Lottery] = rules.ml
 
     def comparator(self, extension: Extension) -> extensions.Comparator:
-        if extension is Extension.PC:
-            return extensions.make_pc_comparator(self.pc_score_fn)
-        if extension is Extension.PC1:
-            return extensions.make_pc1_comparator(self.pc_score_fn)
-        return extensions.sd_compare
+        compare_fn = extensions.comparator(extension)
+        if self.swap_pc_lotteries and extension is not Extension.SD:
+            return lambda ranking, p, q: compare_fn(ranking, q, p)
+        return compare_fn
 
     def rule(self, name: str) -> rules.SocialDecisionScheme:
         sds = rules.get_rule(name)
@@ -71,10 +71,6 @@ class Bench:
 DEFAULT_BENCH = Bench()
 
 
-def _flipped_pc_score(ranking, p, q) -> Fraction:
-    return -extensions.pc_score(ranking, p, q)
-
-
 def _ml_with_broken_tiebreak(profile: Profile) -> Lottery:
     """Deliberately wrong canonicalization: uniform over the support of the
     true canonical output instead of the leximin point."""
@@ -83,7 +79,7 @@ def _ml_with_broken_tiebreak(profile: Profile) -> Lottery:
 
 
 NEGATIVE_CONTROLS: dict[str, Bench] = {
-    "pc-sign-flip": Bench(pc_score_fn=_flipped_pc_score),
+    "pc-sign-flip": Bench(swap_pc_lotteries=True),
     "ml-tie-break": Bench(ml_fn=_ml_with_broken_tiebreak),
 }
 

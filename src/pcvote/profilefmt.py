@@ -134,7 +134,10 @@ def parse_lottery(text: str, alternatives: AlternativeSet | Iterable[str]) -> Lo
                 f"invalid probability {value!r} for {name!r}: use an exact "
                 "non-negative rational like 2/3 or 1 (decimals are not accepted)"
             )
-        entries[name] = Fraction(value)
+        try:
+            entries[name] = Fraction(value)
+        except ZeroDivisionError:
+            raise ParseError(f"invalid probability {value!r} for {name!r}: zero denominator") from None
     total = sum(entries.values(), Fraction(0))
     if total != 1:
         raise ParseError(f"lottery probabilities sum to {total}, expected 1")

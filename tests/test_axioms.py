@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -140,10 +141,9 @@ def test_strict_improvement_closed_form_matches_lp():
         for _ in range(40):
             r = ranking(alts, rng.choice(orders))
             q = random_lottery(rng, alts)
-            closed = exists_strict_improvement(r, q, Extension.PC)
+            closed = exists_strict_improvement(r, q)
             assert closed == (q.prob(r.top) < 1)
             assert closed == pc_improvement_lp_says_yes(r, q)
-            assert exists_strict_improvement(r, q, Extension.SD) == closed
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,27 @@ def test_enumeration_budget_guard():
         list(enumerate_profiles(5, 1))
     with pytest.raises(DomainError):
         list(enumerate_profiles(0, 1))
+
+
+def test_budget_guard_agrees_with_the_exact_count():
+    for m, n, anonymous in itertools.product((1, 2, 3, 4), range(1, 26), (False, True)):
+        total = count_profiles(m, n, anonymous)
+        for budget in (1, 5, 36, 1000, total - 1, total):
+            profiles = enumerate_profiles(m, n, anonymous, budget=budget)
+            if total <= budget:
+                assert next(profiles).n == n
+            else:
+                with pytest.raises(EnumerationBudgetError, match="exceed the enumeration budget"):
+                    next(profiles)
+
+
+def test_budget_guard_is_fast_on_huge_spaces():
+    start = time.perf_counter()
+    for n in (10_000, 10**7):
+        for anonymous in (False, True):
+            with pytest.raises(EnumerationBudgetError, match=f"the {n}-voter profiles over 3"):
+                next(enumerate_profiles(3, n, anonymous))
+    assert time.perf_counter() - start < 1
 
 
 def test_custom_alternative_names():

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
-from pcvote import InternalError, rules
-from pcvote.cli import main
+from pcvote import InternalError, fixture_profile, parse_lottery, rules
+from pcvote.axioms import SymmetryWitness
+from pcvote.cli import _describe_witness, main
 
 RD_TEXT = """\
 alternatives: a b c
@@ -148,6 +150,15 @@ def test_bad_lottery_spec(capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("command", ["dominate", "efficient"])
+@pytest.mark.parametrize("spec", ["a:1/0,b:1", "a:0/0"])
+def test_zero_denominator_is_a_usage_error(capsys, command, spec):
+    code, out, err = run(capsys, command, "--ext", "pc", "--profile", "rd_example", "--lottery", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid probability") and "zero denominator" in err
+
+
 # ---------------------------------------------------------------------------
 # path
 # ---------------------------------------------------------------------------
@@ -232,6 +243,18 @@ def test_check_scan_witness_payload(capsys):
     assert w["outcome"] == {"a": "2/3", "b": "1/3"}
 
 
+@pytest.mark.parametrize("n", [10_000, 10_000_000])
+def test_check_rejects_a_huge_scan_at_once(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "--axiom", "pc-strategyproofness", "--rule", "rd", "--scan", f"m=3,n={n}"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    budget = "exceed the enumeration budget of 2000000"
+    assert err == f"error: the {n}-voter profiles over 3 alternatives {budget}\n"
+
+
 def test_check_requires_exactly_one_target(capsys):
     code, _, err = run(capsys, "check", "--axiom", "anonymity", "--rule", "rd")
     assert code == 2 and "exactly one of" in err
@@ -305,6 +328,124 @@ def test_paper_suite_rejects_unknown_control(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["paper-suite", "--negative-control", "nope"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# witnesses and verdicts, byte for byte
+# ---------------------------------------------------------------------------
+
+# sha256 of the human and the --json report, and the exit status, per run;
+# between them these reach every witness kind the CLI prints except symmetry
+WITNESS_OUTPUTS = {
+    "check --axiom weak-pc-strategyproofness --rule ml --profile ml_manipulation_R": (
+        "09eda0e2ba4357f59e329cc700318bbdc5e47f981d9b16cacb0765220f5beace",
+        "a5ba29a1628fe1e1ea04c99305a7091ab2fd6b04190546fbe5a2c1cde5c8069d",
+        1,
+    ),
+    "check --axiom pc-strategyproofness --rule ml --scan m=3,n<=3": (
+        "f42d1d1b1a6258488b01d664c30958fe2cbd6807a9a29daae27e3781f1feb229",
+        "b5ee9e744176f9f09ba4607353840a7bba866ec7c868787947597e40a5c0c95f",
+        0,
+    ),
+    "check --axiom strict-sd-participation --rule condorcet-uniform --scan m=3,n<=3": (
+        "83c07bcf78834818005be64b7da46441c28f941afb6aa8ed25ff33590cdec759",
+        "eba516410080f15935db38ea538f27a863bb36cb6e06374869270d23e372fa74",
+        1,
+    ),
+    "check --axiom cancellation --rule rd --profile rd_example": (
+        "17762db57df8bc2073dbb42da47a495560a91fc26e8e6d7a176b2e06389232a0",
+        "8f3f066c38067e6f338405948aa1d112edce1bbad72d2fd96f75a224635961fb",
+        1,
+    ),
+    "check --axiom absolute-winner --rule rd --profile rd_example": (
+        "e26c1ba388606674457b265ea74db3741c3645c42677ef3acac8c26810602f50",
+        "a24a51ebc5cc65f870ef175ae0fe3dc8280bf45b2bcd1318131f1cdd56fb7daa",
+        1,
+    ),
+    "check --axiom pc-efficiency --rule rd --profile rd_example": (
+        "ee55706e2976f256f0ba813e2153d1e30b48f293ac392923d1da17b22e514035",
+        "860b90e2381c7fb43261a9b03050badbb6a03e8f424e25dd201456d25c5ac68a",
+        1,
+    ),
+    "check --axiom sd-efficiency --rule condorcet-uniform --scan m=3,n<=3": (
+        "434726a0374a089fa03d65756dd2b75559779ffbfadb669657d0f0ca4a48642b",
+        "4a4e3ccd9325c60c1241acc0cfbad57caf087bd00b7634405e6d7d529835a8a0",
+        1,
+    ),
+    "dominate --ext pc1 --profile rd_example --lottery a:3/5,b:1/5,c:1/5": (
+        "a2e3692be6e5fee61fcdadd0741b01ef73227b08ca43b5c92aaca8d0feea101a",
+        "f44180106a3f84819bca220416ee971bc5737d9b666cbac2f9f3c667dfa81fbf",
+        1,
+    ),
+    "dominate --ext pc --profile improvement_cycle --lottery a:1/2,b:1/2": (
+        "af7e19fce5f95d67af7cec4ecf70469ce5c1c8d4f5b5ce731a0263ff90c27a5d",
+        "12de438ce346f55559a4d9a12ac7faf33a16590db2786174d39878fda7265762",
+        1,
+    ),
+    "dominate --ext sd --profile pareto_join_R1 --lottery c:1/4,d:3/4": (
+        "3bb2c38b55333af41299d300d1787df9753afdb86566c0fb24cf91e8e12f7b5c",
+        "08b84bfab09859473567ba9575c99df6339f18142e02c295eadc545a5ea80b5b",
+        1,
+    ),
+    "efficient --ext pc1 --profile rd_example --lottery a:3/5,b:1/5,c:1/5": (
+        "c8b40f9c4451647633a32145588106ee5f412af2c4de5d8c6bb790d0ce6c0836",
+        "4a4657cad4649439432bdff9a9d7741abcbccc2753e89bdbc2f3916b8affee23",
+        1,
+    ),
+    "path --profile improvement_cycle --start a:1/2,b:1/2 --max-steps 6 --mode random --seed 7": (
+        "4c8f2fb104372e59f362fdffbb6b06f51028caad341f621cec3da0366df131da",
+        "0b89acda1b5677872dca6a6ae0c6dfbd2b9595d0f9e40527d6c15aab1f3ae78e",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WITNESS_OUTPUTS))
+def test_witness_outputs_pinned(capsys, argv):
+    human_sha, json_sha, status = WITNESS_OUTPUTS[argv]
+    for sha, extra in ((human_sha, ()), (json_sha, ("--json",))):
+        code, out, _ = run(capsys, *argv.split(), *extra)
+        assert code == status
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha, extra
+
+
+def test_symmetry_witnesses_are_described():
+    # every bundled rule is anonymous and neutral, so no CLI run gets here
+    prof = fixture_profile("rd_example")
+    rd_out = parse_lottery("a:3/5,b:1/5,c:1/5", prof.alternatives)
+    swapped = parse_lottery("a:1/5,b:3/5,c:1/5", prof.alternatives)
+    doc = "alternatives: a b c\n3: a > b > c\n1: b > a > c\n1: c > a > b\n"
+    by_voters = SymmetryWitness(prof, "anonymity", (2, 1, 3, 4, 5), None, rd_out, swapped)
+    assert _describe_witness(by_voters) == (
+        "anonymity breaks under voter permutation (2, 1, 3, 4, 5)\n"
+        "  expected: a:3/5,b:1/5,c:1/5\n"
+        "  actual:   a:1/5,b:3/5,c:1/5\n"
+        f"profile:\n{doc}",
+        {
+            "type": "anonymity",
+            "voter_perm": [2, 1, 3, 4, 5],
+            "alt_perm": None,
+            "expected": {"a": "3/5", "b": "1/5", "c": "1/5"},
+            "actual": {"a": "1/5", "b": "3/5", "c": "1/5"},
+            "profile": doc,
+        },
+    )
+    alt_perm = (("a", "b"), ("b", "a"), ("c", "c"))
+    by_labels = SymmetryWitness(prof, "neutrality", None, alt_perm, swapped, rd_out)
+    assert _describe_witness(by_labels) == (
+        "neutrality breaks under alternative permutation {'a': 'b', 'b': 'a', 'c': 'c'}\n"
+        "  expected: a:1/5,b:3/5,c:1/5\n"
+        "  actual:   a:3/5,b:1/5,c:1/5\n"
+        f"profile:\n{doc}",
+        {
+            "type": "neutrality",
+            "voter_perm": None,
+            "alt_perm": {"a": "b", "b": "a", "c": "c"},
+            "expected": {"a": "1/5", "b": "3/5", "c": "1/5"},
+            "actual": {"a": "3/5", "b": "1/5", "c": "1/5"},
+            "profile": doc,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_dominator_lp_failure_raises_internal_error(monkeypatch):
 
 def test_failed_witness_revalidation_raises_internal_error(monkeypatch):
     prof = fixture_profile("rd_example")
-    monkeypatch.setattr(efficiency, "dominates", lambda *args: False)
+    monkeypatch.setattr(efficiency, "is_dominance", lambda outcomes: False)
     with pytest.raises(InternalError):
         find_dominator(prof, rd(prof), Extension.PC)
 
@@ -223,7 +223,7 @@ for extension in (Extension.PC, Extension.SD):
     else:
         sys.exit(f"the {extension.value} dominator LP guard did not fire")
 efficiency.lp_solve = solve
-efficiency.dominates = lambda *args: False
+efficiency.is_dominance = lambda outcomes: False
 try:
     efficiency.find_dominator(prof, rd(prof), Extension.PC)
 except InternalError:

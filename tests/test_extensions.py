@@ -19,7 +19,6 @@ from pcvote import (
 )
 from pcvote.model import DomainError
 from pcvote.extensions import (
-    make_pc_comparator,
     outcome_from_score,
     pc1_compare,
     pc_compare,
@@ -257,7 +256,9 @@ def test_dominates_fails_on_any_dispreferring_voter():
 
 
 def test_flipped_score_swaps_strict_outcomes():
-    flipped = make_pc_comparator(lambda r, p, q: -pc_score(r, p, q))
+    def flipped(r, p, q):
+        return pc_compare(r, q, p)
+
     p = lot((1, 2), (1, 2), 0)
     q = lot(0, 0, 1)
     assert pc_compare(R_ABC, p, q) is SP

@@ -4,7 +4,7 @@ import pytest
 
 from pcvote import Lottery, margin_matrix, ml, rd
 from pcvote.cli import main
-from pcvote.profilefmt import ParseError, format_profile, parse_profile
+from pcvote.profilefmt import ParseError, format_profile, parse_lottery, parse_profile
 
 HUGE = "alternatives: a b c\n1000000000: a > b > c\n"
 
@@ -44,3 +44,9 @@ def test_cli_computes_ml_on_a_huge_count(tmp_path, capsys):
     path.write_text(HUGE)
     assert main(["compute", "--rule", "ml", "--profile", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "a:1"
+
+
+@pytest.mark.parametrize("spec", ["a:1/0,b:1", "a:0/0", "a:1,b:0/0"])
+def test_a_zero_denominator_is_a_parse_error(spec):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_lottery(spec, "abc")
