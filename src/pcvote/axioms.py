@@ -325,15 +325,10 @@ def count_profiles(m: int, n: int, up_to_anonymity: bool = False) -> int:
     return r ** n
 
 
-def enumerate_profiles(
-    m: int,
-    n: int,
-    up_to_anonymity: bool = False,
-    names: Optional[Sequence[str]] = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Iterator[Profile]:
-    """All n-voter profiles over m alternatives, lexicographically; with
-    `up_to_anonymity` one representative per ballot multiset."""
+def _check_enumerable(m: int, n: int, up_to_anonymity: bool, budget: int) -> None:
+    """Raise unless `enumerate_profiles(m, n, ...)` may run: 1 <= m <= 4,
+    n >= 1 and at most `budget` profiles. Their number grows with n for
+    m >= 2, and is 1 for m = 1."""
     if not 1 <= m <= 4:
         raise DomainError(f"enumeration supports 1..4 alternatives, got m={m}")
     if n < 1:
@@ -345,6 +340,18 @@ def enumerate_profiles(
         raise EnumerationBudgetError(
             f"the {n}-voter profiles over {m} alternatives exceed the enumeration budget of {budget}"
         )
+
+
+def enumerate_profiles(
+    m: int,
+    n: int,
+    up_to_anonymity: bool = False,
+    names: Optional[Sequence[str]] = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> Iterator[Profile]:
+    """All n-voter profiles over m alternatives, lexicographically; with
+    `up_to_anonymity` one representative per ballot multiset."""
+    _check_enumerable(m, n, up_to_anonymity, budget)
     alts = AlternativeSet(tuple(names) if names is not None else ("a", "b", "c", "d")[:m])
     if len(alts) != m:
         raise DomainError(f"{len(alts)} names supplied for m={m}")
@@ -440,7 +447,9 @@ def exhaustive_scan(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> AxiomReport:
     """Run one axiom checker over every profile with n_min..n_max voters,
-    stopping at the first witness. Deterministic enumeration order.
+    stopping at the first witness. Deterministic enumeration order. Each
+    voter count's space must fit the budget; this is checked for n_max
+    before the first profile.
 
     A margin-based rule is evaluated once per distinct margin matrix of
     the scan; the memo is dropped when the scan returns."""
@@ -449,6 +458,8 @@ def exhaustive_scan(
     lo = max(spec.min_voters, n_min if n_min is not None else 1)
     if n_max < lo:
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")
+    # the budget holds per voter count, and the largest count has the most profiles
+    _check_enumerable(m, n_max, up_to_anonymity, budget)
     checked = 0
     for n in range(lo, n_max + 1):
         for profile in enumerate_profiles(m, n, up_to_anonymity, budget=budget):

@@ -1,10 +1,12 @@
-"""A small, exact linear-programming kernel over `fractions.Fraction`.
+"""A small, exact linear-programming kernel.
 
-Dense two-phase simplex with Bland's anti-cycling pivot rule. Built for
-the tiny programs this package generates (at most a dozen or so variables
-and rows), where exactness and determinism — not speed — are the contract:
-the same program always takes the same pivots and returns the same
-optimal vertex.
+Dense two-phase simplex with Bland's anti-cycling pivot rule. Programs,
+solutions and values are `fractions.Fraction`s; inside, each tableau row
+is a list of ints that stands for itself divided by its basis entry, so a
+pivot is fraction-free integer elimination and a ratio test is a
+cross-multiplication. These are the pivots of the same simplex over
+`Fraction` rows: the same program always takes the same pivots and
+returns the same optimal vertex.
 
 Conventions: objectives are maximized; every variable is bounded below by
 0 and unbounded above.
@@ -12,6 +14,7 @@ Conventions: objectives are maximized; every variable is bounded below by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -81,85 +84,99 @@ class LpOutcome:
 # simplex machinery
 # ---------------------------------------------------------------------------
 
-def _pivot(rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int], r: int, j: int) -> None:
-    piv = rows[r][j]
-    rows[r] = [v / piv for v in rows[r]]
-    rhs[r] = rhs[r] / piv
-    for k in range(len(rows)):
-        if k == r:
-            continue
-        f = rows[k][j]
-        if f:
-            pivot_row = rows[r]
-            rows[k] = [v - f * w for v, w in zip(rows[k], pivot_row)]
-            rhs[k] = rhs[k] - f * rhs[r]
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """`values` times the lcm of their denominators, as ints, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _eliminate(row: list[int], scale: int, f: int, pivot_row: list[int], support: list[int]) -> list[int]:
+    """row·scale − f·pivot_row, divided by its content gcd (scale > 0).
+    `support` lists the columns where pivot_row is nonzero."""
+    out = [v * scale for v in row] if scale != 1 else row[:]
+    for c in support:
+        out[c] -= f * pivot_row[c]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def _support(row: list[int]) -> list[int]:
+    return [c for c, v in enumerate(row) if v]
+
+
+def _pivot(rows: list[list[int]], z: list[int], basis: list[int], r: int, j: int) -> None:
+    """Make column j basic in row r. Each other row k, and z, becomes
+    R_k·piv − R_k[j]·R_r: the same row over a positive scale, with a 0 in
+    column j. A negative pivot (artificial drive-out only) negates row r first."""
+    if rows[r][j] < 0:
+        rows[r] = [-v for v in rows[r]]
+    pivot_row = rows[r]
+    piv = pivot_row[j]
+    support = _support(pivot_row)
+    for k, row in enumerate(rows):
+        if k != r and row[j]:
+            rows[k] = _eliminate(row, piv, row[j], pivot_row, support)
+    if z[j]:
+        z[:] = _eliminate(z, piv, z[j], pivot_row, support)
     basis[r] = j
 
 
-def _run_simplex(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    cost: list[Fraction],
-    banned: frozenset[int],
-) -> str:
+def _objective_row(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
+    """`cost` priced out against the basis: entry j has the sign of column
+    j's reduced cost, and every basic entry is 0."""
+    z = cost + [0]
+    for row, b in zip(rows, basis):
+        if z[b]:
+            z = _eliminate(z, row[b], z[b], row, _support(row))
+    return z
+
+
+def _run_simplex(rows: list[list[int]], z: list[int], basis: list[int], banned: frozenset[int]) -> str:
     """Pivot until optimal ('optimal') or a ray is found ('unbounded').
 
     Bland's rule throughout: entering = lowest-index column with positive
     reduced cost; leaving = minimum ratio, ties broken by lowest basic
     variable index. `banned` columns never enter.
     """
-    num_rows = len(rows)
-    num_cols = len(cost)
+    num_cols = len(z) - 1
     while True:
-        in_basis = set(basis)
-        cb = [cost[basis[r]] for r in range(num_rows)]
-        entering = -1
-        for j in range(num_cols):
-            if j in banned or j in in_basis:
-                continue
-            reduced = cost[j] - sum(cb[r] * rows[r][j] for r in range(num_rows))
-            if reduced > 0:
-                entering = j
-                break
+        entering = next((j for j in range(num_cols) if z[j] > 0 and j not in banned), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
-        best_ratio: Optional[Fraction] = None
-        for r in range(num_rows):
-            coeff = rows[r][entering]
-            if coeff > 0:
-                ratio = rhs[r] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+        for r, row in enumerate(rows):
+            a = row[entering]
+            if a > 0:
+                if leaving >= 0:
+                    best = rows[leaving]
+                    # this row's ratio rhs/a against the best row's, cross-multiplied (a > 0 in both)
+                    lhs, rhs = row[-1] * best[entering], best[-1] * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving = r
         if leaving < 0:
             return "unbounded"
-        _pivot(rows, rhs, basis, leaving, entering)
+        _pivot(rows, z, basis, leaving, entering)
 
 
 def _standardize(
     objective: Sequence[Fraction], constraints: Sequence[Constraint]
-) -> tuple[list[list[Fraction]], list[Fraction], list[int], list[Fraction], frozenset[int]]:
+) -> tuple[list[list[int]], list[int], frozenset[int]]:
     """Equality standard form with rhs >= 0, slack/surplus and artificial columns.
 
-    Returns (rows, rhs, basis, full cost vector, artificial column set).
+    Returns (rows, basis, artificial column set). Each row is the constraint
+    row times ± the lcm of its denominators, in ints with the rhs last; it
+    stands for itself divided by its basis entry, which is > 0.
     """
     n = len(objective)
-    normalized: list[tuple[list[Fraction], str, Fraction]] = []
+    normalized: list[tuple[list[int], str, int]] = []
     for c in constraints:
-        row = list(c.coeffs)
+        values, scale = _scaled(c.coeffs + (c.rhs,))
         rel = c.relation
-        b = c.rhs
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
+        if c.rhs < 0:
+            values = [-v for v in values]
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        normalized.append((row, rel, b))
+        normalized.append((values, rel, scale))
 
     num_rows = len(normalized)
     num_slack = sum(1 for _, rel, _ in normalized if rel != EQ)
@@ -167,31 +184,28 @@ def _standardize(
     num_art = sum(1 for _, rel, _ in normalized if rel != LE)
     num_cols = n + num_slack + num_art
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     basis: list[int] = [-1] * num_rows
     slack_at = n
     art_at = n + num_slack
     art_cols: list[int] = []
-    for r, (row, rel, b) in enumerate(normalized):
-        full = row + [Fraction(0)] * (num_cols - n)
+    for r, (values, rel, scale) in enumerate(normalized):
+        full = values[:n] + [0] * (num_cols - n) + values[n:]
         if rel == LE:
-            full[slack_at] = Fraction(1)
+            full[slack_at] = scale
             basis[r] = slack_at
             slack_at += 1
         elif rel == GE:
-            full[slack_at] = Fraction(-1)
+            full[slack_at] = -scale
             slack_at += 1
         if rel != LE:
-            full[art_at] = Fraction(1)
+            full[art_at] = scale
             basis[r] = art_at
             art_cols.append(art_at)
             art_at += 1
         rows.append(full)
-        rhs.append(b)
 
-    cost = list(objective) + [Fraction(0)] * (num_cols - n)
-    return rows, rhs, basis, cost, frozenset(art_cols)
+    return rows, basis, frozenset(art_cols)
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
@@ -199,43 +213,40 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     identical outcome."""
     objective = lp.objective
     n = len(objective)
-    rows, rhs, basis, cost, art_cols = _standardize(objective, lp.constraints)
+    rows, basis, art_cols = _standardize(objective, lp.constraints)
+    num_cols = len(rows[0]) - 1 if rows else n
 
     if art_cols:
-        phase1_cost = [Fraction(0)] * len(cost)
-        for j in art_cols:
-            phase1_cost[j] = Fraction(-1)
-        status = _run_simplex(rows, rhs, basis, phase1_cost, banned=art_cols)
+        phase1_cost = [-1 if j in art_cols else 0 for j in range(num_cols)]
+        z = _objective_row(phase1_cost, rows, basis)
+        status = _run_simplex(rows, z, basis, banned=art_cols)
         if status != "optimal":
             raise InternalError(f"phase one came out {status}, though it is bounded by construction")
-        infeasibility = -sum(
-            rhs[r] for r in range(len(rows)) if basis[r] in art_cols
-        )
-        if infeasibility != 0:
+        if any(row[-1] for row, b in zip(rows, basis) if b in art_cols):
             return LpOutcome(LpStatus.Infeasible, None, None)
         # Drive leftover artificial variables (all at value 0) out of the basis.
         for r in range(len(rows) - 1, -1, -1):
             if basis[r] not in art_cols:
                 continue
             pivot_col = next(
-                (j for j in range(len(cost)) if j not in art_cols and rows[r][j] != 0),
+                (j for j in range(num_cols) if j not in art_cols and rows[r][j] != 0),
                 None,
             )
             if pivot_col is None:
                 # Redundant row: zero over every real column.
                 del rows[r]
-                del rhs[r]
                 del basis[r]
             else:
-                _pivot(rows, rhs, basis, r, pivot_col)
+                _pivot(rows, z, basis, r, pivot_col)
 
-    status = _run_simplex(rows, rhs, basis, cost, banned=art_cols)
+    z = _objective_row(_scaled(objective)[0] + [0] * (num_cols - n), rows, basis)
+    status = _run_simplex(rows, z, basis, banned=art_cols)
     if status == "unbounded":
         return LpOutcome(LpStatus.Unbounded, None, None)
 
     x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
+    for row, j in zip(rows, basis):
         if j < n:
-            x[j] = rhs[r]
+            x[j] = Fraction(row[-1], row[j])
     value = sum(c * v for c, v in zip(objective, x))
     return LpOutcome(LpStatus.Optimal, tuple(x), value)

@@ -33,7 +33,7 @@ from pcvote import (
     profile,
     ranking,
 )
-from pcvote.axioms import EnumerationBudgetError, exists_strict_improvement
+from pcvote.axioms import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, exists_strict_improvement
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
 from pcvote.rules import SocialDecisionScheme
 from helpers import random_lottery, random_profile, strategyproofness_ladder_gaps
@@ -302,6 +302,19 @@ def test_budget_guard_is_fast_on_huge_spaces():
         for anonymous in (False, True):
             with pytest.raises(EnumerationBudgetError, match=f"the {n}-voter profiles over 3"):
                 next(enumerate_profiles(3, n, anonymous))
+    assert time.perf_counter() - start < 1
+
+
+def test_scan_checks_the_largest_voter_count_before_the_first_profile():
+    # the budget holds per voter count: n <= 8 over 3 alternatives passes although
+    # the spaces together exceed it, n <= 9 fails before any profile is built
+    assert sum(count_profiles(3, n) for n in range(1, 9)) > DEFAULT_ENUMERATION_BUDGET
+    rep = exhaustive_scan(RD, 3, 8, "absolute-winner")
+    assert rep.verdict is Verdict.Violated and rep.witness.profile.n == 3
+    start = time.perf_counter()
+    for n_max in (9, 10_000):
+        with pytest.raises(EnumerationBudgetError, match=f"the {n_max}-voter profiles over 3"):
+            exhaustive_scan(RD, 3, n_max, "absolute-winner")
     assert time.perf_counter() - start < 1
 
 

@@ -255,6 +255,17 @@ def test_check_rejects_a_huge_scan_at_once(capsys, n):
     assert err == f"error: the {n}-voter profiles over 3 alternatives {budget}\n"
 
 
+def test_check_rejects_a_huge_bounded_scan_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "--axiom", "pc-strategyproofness", "--rule", "rd", "--scan", "m=3,n<=10000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    budget = "exceed the enumeration budget of 2000000"
+    assert err == f"error: the 10000-voter profiles over 3 alternatives {budget}\n"
+
+
 def test_check_requires_exactly_one_target(capsys):
     code, _, err = run(capsys, "check", "--axiom", "anonymity", "--rule", "rd")
     assert code == 2 and "exactly one of" in err
