@@ -29,6 +29,7 @@ from .model import (
     relabel,
     remove_voter,
     top_count,
+    top_counts,
     weak_condorcet_winners,
 )
 from .extensions import (

@@ -39,7 +39,7 @@ from .efficiency import (
     is_efficient,
     pc1_find_dominator,
 )
-from .rules import SocialDecisionScheme, memoized_by_margins
+from .rules import SocialDecisionScheme, memoized
 
 
 class Mode(Enum):
@@ -145,12 +145,20 @@ def find_manipulation(
     Strong mode flags a misreport the truthful outcome is *not* weakly
     preferred to (incomparability included); weak mode flags one whose
     outcome the voter strictly prefers.
+
+    A rule that declares a statistic is anonymous, so a listed voter whose
+    ballot an earlier listed voter has is skipped: the outcomes would repeat.
     """
     truthful = rule(profile)
     candidates = all_rankings(profile.alternatives)
     voter_list = list(voters) if voters is not None else list(range(1, profile.n + 1))
+    anonymous = getattr(rule, "statistic", None) is not None
+    tried: set[Ranking] = set()
     for i in voter_list:
         true_ballot = profile.ballot(i)
+        if anonymous and true_ballot in tried:
+            continue
+        tried.add(true_ballot)
         for misreport in candidates:
             if misreport == true_ballot:
                 continue
@@ -451,10 +459,12 @@ def exhaustive_scan(
     voter count's space must fit the budget; this is checked for n_max
     before the first profile.
 
-    A margin-based rule is evaluated once per distinct margin matrix of
-    the scan; the memo is dropped when the scan returns."""
+    A rule that declares a statistic is evaluated once per distinct value
+    of it (`rules.memoized`), except under `anonymity`, which the memo
+    assumes; the memo is dropped when the scan returns."""
     spec = axiom(axiom_name)
-    rule = memoized_by_margins(rule)
+    if axiom_name != "anonymity":
+        rule = memoized(rule)
     lo = max(spec.min_voters, n_min if n_min is not None else 1)
     if n_max < lo:
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")

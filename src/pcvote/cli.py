@@ -18,6 +18,7 @@ any subcommand to a versioned machine-readable report on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -321,7 +322,9 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
     return _emit(args, report, 0 if suite.passed else 1, suite.render())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built on the first call, then shared."""
     parser = argparse.ArgumentParser(
         prog="pcvote",
         description="Exact workbench for randomized social choice over ranked ballots.",

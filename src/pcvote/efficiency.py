@@ -111,23 +111,27 @@ def _dominator_lp(
     the value is at least 0; 0 means p is efficient, and a positive value
     comes with a dominating q.
 
-    The rows of each voter follow in voter order and are computed once
-    per distinct ballot."""
+    The rows of each voter follow in voter order. They are computed once
+    per distinct ballot, which enters the objective once, weighted by the
+    sum of its voters' weights."""
     m = profile.m
     lam = _positive_weights(profile.n, weights)
     ballot_rows = _DOMINATOR_ROWS[extension]
     seen: dict[Ranking, tuple[Constraint, ...]] = {}
+    mass: dict[Ranking, Fraction] = {}
     rows: list[Constraint] = []
-    objective = [Fraction(0)] * m
-    baseline = Fraction(0)
     for ballot, factor in zip(profile.ballots, lam):
         if ballot not in seen:
             seen[ballot] = ballot_rows(ballot, p)
+        mass[ballot] = mass.get(ballot, 0) + factor
+        rows.extend(seen[ballot])
+    objective = [Fraction(0)] * m
+    baseline = Fraction(0)
+    for ballot, weight in mass.items():
         for row in seen[ballot]:
-            rows.append(row)
             for j in range(m):
-                objective[j] += factor * row.coeffs[j]
-            baseline += factor * row.rhs
+                objective[j] += weight * row.coeffs[j]
+            baseline += weight * row.rhs
     rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:

@@ -387,6 +387,11 @@ def top_count(p: Profile, x: str) -> int:
     return p._top_counts[p.alternatives.index(x)]
 
 
+def top_counts(p: Profile) -> tuple[int, ...]:
+    """First places per alternative, in alternative order; computed once per profile."""
+    return p._top_counts
+
+
 def condorcet_winner(p: Profile) -> Optional[str]:
     """The alternative beating every other by a strictly positive margin, if any."""
     g = margin_matrix(p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from .model import (
     ApplicabilityError,
@@ -32,6 +32,7 @@ from .model import (
     margin_matrix,
     never_bottom_set,
     top_count,
+    top_counts,
     weak_condorcet_winners,
 )
 from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
@@ -41,15 +42,17 @@ from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, l
 class SocialDecisionScheme:
     """A named rule mapping profiles to lotteries.
 
-    `margin_based` declares that the output depends on the margin matrix
-    alone (Fishburn's C2 class), so callers may reuse an output across
-    profiles with equal margins (see `memoized_by_margins`).
+    `statistic` declares that, over one alternative set, the output is a
+    function of this statistic of the ballot multiset (the margin matrix
+    for Fishburn's C2 class, the top counts for rd). Such a rule is
+    anonymous, so callers may reuse an output across profiles with equal
+    statistics (see `memoized`).
     """
 
     name: str
     evaluate: Callable[[Profile], Lottery]
     applicability: Optional[Callable[[Profile], bool]] = None
-    margin_based: bool = False
+    statistic: Optional[Callable[[Profile], Hashable]] = None
 
     def applicable(self, profile: Profile) -> bool:
         return self.applicability is None or self.applicability(profile)
@@ -278,22 +281,22 @@ def ml(profile: Profile) -> Lottery:
     return maximal_lottery(margin_matrix(profile))
 
 
-def memoized_by_margins(rule: SocialDecisionScheme) -> SocialDecisionScheme:
-    """The rule with its evaluations cached by margin matrix, when it is
-    margin-based; otherwise the rule itself.
+def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
+    """The rule with its evaluations cached by alternative set and declared
+    statistic; a rule that declares none is returned as it is.
 
     A miss calls the rule's own `evaluate`, so a replaced evaluate is
     still the function that runs. The cache lives as long as the returned
-    rule and holds one entry per distinct margin matrix seen.
+    rule and holds one entry per distinct statistic seen.
     """
-    if not rule.margin_based:
+    statistic = rule.statistic
+    if statistic is None:
         return rule
     evaluate = rule.evaluate
-    cache: dict[MarginMatrix, Lottery] = {}
+    cache: dict[Hashable, Lottery] = {}
 
     def lookup(profile: Profile) -> Lottery:
-        # MarginMatrix hashes and compares by (alternatives, rows)
-        key = margin_matrix(profile)
+        key = (profile.alternatives, statistic(profile))
         if key not in cache:
             cache[key] = evaluate(profile)
         return cache[key]
@@ -308,11 +311,13 @@ def _three_alternatives_only(profile: Profile) -> bool:
 RULES: dict[str, SocialDecisionScheme] = {
     sds.name: sds
     for sds in (
-        SocialDecisionScheme("rd", rd),
-        SocialDecisionScheme("ml", ml, margin_based=True),
-        SocialDecisionScheme("condorcet-uniform", condorcet_uniform),
-        SocialDecisionScheme("f1", f1, _three_alternatives_only),
-        SocialDecisionScheme("f2", f2, _three_alternatives_only),
+        SocialDecisionScheme("rd", rd, statistic=top_counts),
+        SocialDecisionScheme("ml", ml, statistic=margin_matrix),
+        SocialDecisionScheme("condorcet-uniform", condorcet_uniform, statistic=margin_matrix),
+        SocialDecisionScheme("f1", f1, _three_alternatives_only, margin_matrix),
+        SocialDecisionScheme(
+            "f2", f2, _three_alternatives_only, lambda p: (top_counts(p), never_bottom_set(p))
+        ),
     )
 }
 

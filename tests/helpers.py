@@ -8,7 +8,8 @@ types, so agreement between the two is meaningful evidence.
 It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
-definitions of profile statistics and lottery comparisons.
+definitions of profile statistics, lottery comparisons and manipulation
+search.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from pcvote.axioms import Mode, find_manipulation
-from pcvote.extensions import ComparisonOutcome, Extension
+from pcvote.axioms import ManipulationWitness, Mode, all_rankings, find_manipulation
+from pcvote.extensions import ComparisonOutcome, Extension, compare, weakly_prefers
 from pcvote.model import DomainError, MarginMatrix, Profile, margin_matrix, profile
 from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
 from pcvote.rules import SocialDecisionScheme, _margin_rows, _unit
@@ -303,3 +304,28 @@ def reference_pc_score(order: tuple[str, ...], p, q) -> Fraction:
         for y in order[i + 1:]:
             score += p.prob(x) * q.prob(y) - q.prob(x) * p.prob(y)
     return score
+
+
+def reference_find_manipulation(rule, prof: Profile, extension: Extension, mode: Mode):
+    """`find_manipulation` as a plain loop over every voter and every
+    misreport, with no reduction for repeated ballots."""
+    truthful = rule(prof)
+    for i in range(1, prof.n + 1):
+        true_ballot = prof.ballot(i)
+        for misreport in all_rankings(prof.alternatives):
+            if misreport == true_ballot:
+                continue
+            deviated = prof.replace_ballot(i, misreport)
+            outcome = rule(deviated)
+            if mode is Mode.Strong:
+                violated = not weakly_prefers(compare(extension, true_ballot, truthful, outcome))
+            else:
+                violated = (
+                    compare(extension, true_ballot, outcome, truthful)
+                    is ComparisonOutcome.StrictlyPreferred
+                )
+            if violated:
+                return ManipulationWitness(
+                    prof, i, misreport, deviated, truthful, outcome, extension, mode
+                )
+    return None

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -29,14 +30,20 @@ from pcvote import (
     find_manipulation,
     fixture_profile,
     get_rule,
+    margin_matrix,
     ml,
     profile,
     ranking,
 )
 from pcvote.axioms import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, exists_strict_improvement
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
-from pcvote.rules import SocialDecisionScheme
-from helpers import random_lottery, random_profile, strategyproofness_ladder_gaps
+from pcvote.rules import RULES, SocialDecisionScheme, memoized
+from helpers import (
+    random_lottery,
+    random_profile,
+    reference_find_manipulation,
+    strategyproofness_ladder_gaps,
+)
 
 F = Fraction
 
@@ -390,13 +397,13 @@ def test_scan_respects_min_voters():
 
 
 def _plain_manipulation_scan(rule, m, n_min, n_max, extension, mode, anonymous):
-    """`exhaustive_scan` spelled out as a loop of `find_manipulation` on the
-    rule as given, with no memo."""
+    """`exhaustive_scan` spelled out as a loop of the per-voter reference
+    search on the rule as given, with no memo."""
     checked = 0
     for n in range(n_min, n_max + 1):
         for prof in enumerate_profiles(m, n, anonymous):
             checked += 1
-            witness = find_manipulation(rule, prof, extension, mode)
+            witness = reference_find_manipulation(rule, prof, extension, mode)
             if witness is not None:
                 return Verdict.Violated, witness, checked
     return Verdict.Holds, None, checked
@@ -426,9 +433,48 @@ def test_margin_memo_evaluates_once_per_matrix_and_per_scan():
         evaluations.append(prof)
         return ml(prof)
 
-    rule = SocialDecisionScheme("ml", counting_ml, margin_based=True)
+    rule = SocialDecisionScheme("ml", counting_ml, statistic=margin_matrix)
     for _ in range(2):
         evaluations.clear()
         rep = exhaustive_scan(rule, 3, 2, "pc-strategyproofness", n_min=2)
         assert rep.verdict is Verdict.Holds and rep.profiles_checked == 36
         assert len(evaluations) == 19
+
+
+def test_manipulation_scans_pinned():
+    # The digest was computed with the per-voter search and the margin-only
+    # memo, before rules declared statistics: every scan's verdict, count
+    # and first witness must stay exactly as they were.
+    axioms = [name for name in AXIOMS if name.endswith("strategyproofness")]
+    spaces = [(name, 3, 1, 3, True) for name in RULES]
+    spaces += [(name, 3, 2, 2, False) for name in RULES]
+    spaces += [(name, 4, 1, 2, True) for name in ("rd", "condorcet-uniform")]
+    digest = hashlib.sha256()
+    for name, m, n_min, n_max, anonymous in spaces:
+        for axiom_name in axioms:
+            rep = exhaustive_scan(RULES[name], m, n_max, axiom_name, up_to_anonymity=anonymous, n_min=n_min)
+            fields = (rep.axiom, rep.rule, rep.verdict, rep.profiles_checked, rep.witness)
+            digest.update(repr(fields).encode() + b"\n")
+    assert digest.hexdigest() == "7e7742558a4e187c4041d4b1052626779dc2257fc8037ca9d1315f39aeb77ddd"
+
+
+def test_manipulation_search_equals_the_per_voter_reference():
+    for name, rule in RULES.items():
+        memo = memoized(rule)
+        for n in range(1, 5):
+            for prof in enumerate_profiles(3, n, up_to_anonymity=True):
+                for extension in Extension:
+                    for mode in Mode:
+                        found = find_manipulation(memo, prof, extension, mode)
+                        assert found == reference_find_manipulation(memo, prof, extension, mode), (name, prof)
+
+
+def test_a_false_statistic_still_fails_an_anonymity_scan():
+    def first_voter_dictates(prof):
+        return Lottery.degenerate(prof.alternatives, prof.ballot(1).top)
+
+    rule = SocialDecisionScheme("dictator", first_voter_dictates, statistic=margin_matrix)
+    rep = exhaustive_scan(rule, 3, 2, "anonymity")
+    assert rep.verdict is Verdict.Violated
+    # the memo would have hidden it: it answers every voter order alike
+    assert check_symmetry(memoized(rule), rep.witness.profile, "anonymity") is None

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -7,7 +8,7 @@ import pytest
 
 from pcvote import InternalError, fixture_profile, parse_lottery, rules
 from pcvote.axioms import SymmetryWitness
-from pcvote.cli import _describe_witness, main
+from pcvote.cli import _describe_witness, build_parser, main
 
 RD_TEXT = """\
 alternatives: a b c
@@ -472,3 +473,17 @@ def test_internal_error_has_its_own_exit_status(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal error: ml lost its invariant\n"
+
+
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        assert run(capsys, "compute", "--rule", "rd", "--profile", "rd_example")[0] == 0
+    assert len(used) == 2 and used[0] is used[1] is build_parser()

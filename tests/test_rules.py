@@ -278,13 +278,25 @@ def test_ml_builds_the_margins_once(monkeypatch):
 
 
 def test_ml_is_margin_based_on_the_three_by_two_space():
-    assert get_rule("ml").margin_based
-    assert not any(get_rule(name).margin_based for name in ("rd", "f1", "f2", "condorcet-uniform"))
+    assert get_rule("ml").statistic is margin_matrix
     outputs = {}
     for prof in enumerate_profiles(3, 2):
         outputs.setdefault(margin_matrix(prof), set()).add(ml(prof))
     assert len(outputs) == 19
     assert all(len(lotteries) == 1 for lotteries in outputs.values())
+
+
+def test_every_rule_is_a_function_of_its_declared_statistic():
+    spaces = [(m, n, False) for m in (1, 2, 3) for n in (1, 2, 3, 4)]
+    spaces += [(4, 1, False), (4, 2, False), (3, 5, True), (3, 6, True)]
+    for name, rule in RULES.items():
+        assert rule.statistic is not None, name
+        outputs = {}
+        for m, n, anonymous in spaces:
+            for prof in enumerate_profiles(m, n, anonymous):
+                if rule.applicable(prof):
+                    outputs.setdefault((m, rule.statistic(prof)), set()).add(rule(prof))
+        assert outputs and all(len(lotteries) == 1 for lotteries in outputs.values()), name
 
 
 def test_ml_case_selection_counts_lps(monkeypatch):
