@@ -125,7 +125,14 @@ class AxiomReport:
 
 
 def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
-    """Every strict ranking, in lexicographic order of label tuples."""
+    """Every strict ranking, in lexicographic order of label tuples. More
+    than `DEFAULT_ENUMERATION_BUDGET` of them are refused before any is built."""
+    m = len(alternatives)
+    if math.factorial(m) > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"the {m}! rankings of {m} alternatives exceed the enumeration budget of "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
+        )
     return tuple(
         Ranking(alternatives, perm)
         for perm in sorted(itertools.permutations(alternatives.names))
@@ -149,8 +156,8 @@ def find_manipulation(
     A rule that declares a statistic is anonymous, so a listed voter whose
     ballot an earlier listed voter has is skipped: the outcomes would repeat.
     """
-    truthful = rule(profile)
     candidates = all_rankings(profile.alternatives)
+    truthful = rule(profile)
     voter_list = list(voters) if voters is not None else list(range(1, profile.n + 1))
     anonymous = getattr(rule, "statistic", None) is not None
     tried: set[Ranking] = set()
@@ -247,8 +254,8 @@ def check_symmetry(
                 return SymmetryWitness(profile, "anonymity", perm, None, base, actual)
     if kind in (None, "neutrality"):
         names = profile.alternatives.names
-        for target in sorted(itertools.permutations(names)):
-            mapping = dict(zip(names, target))
+        for ranking in all_rankings(profile.alternatives):
+            mapping = dict(zip(names, ranking.order))
             if all(k == v for k, v in mapping.items()):
                 continue
             actual = rule(relabel(profile, alt_perm=mapping))
@@ -264,8 +271,9 @@ def check_cancellation(
     rule: SocialDecisionScheme, profile: Profile
 ) -> Optional[CancellationWitness]:
     """Adding a ballot and its exact reverse must not move the outcome."""
+    rankings = all_rankings(profile.alternatives)
     base = rule(profile)
-    for ballot in all_rankings(profile.alternatives):
+    for ballot in rankings:
         extended = profile.append(ballot, ballot.reversed())
         after = rule(extended)
         if after != base:

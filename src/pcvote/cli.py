@@ -260,8 +260,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise ParseError(
                 f"invalid scan spec {args.scan!r}; expected something like 'm=3,n<=4'"
             )
-        m = int(match.group(1))
-        n_max = int(match.group(3))
+        try:
+            m, n_max = int(match.group(1)), int(match.group(3))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("invalid scan spec: a number in it has too many digits") from None
         n_min = n_max if match.group(2) == "=" else None
         report_obj = axioms.exhaustive_scan(
             rule,

@@ -106,50 +106,49 @@ _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 def _dominator_lp(
     profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Fraction]]
 ) -> tuple[Fraction, Lottery]:
-    """Maximize the weighted total of every voter's rows over lotteries q
-    that satisfy all of them, minus the same total at p. p is feasible, so
-    the value is at least 0; 0 means p is efficient, and a positive value
-    comes with a dominating q.
+    """Maximize the weighted total of every ballot type's rows over
+    lotteries q that satisfy all of them, minus the same total at p. p is
+    feasible, so the value is at least 0; 0 means p is efficient, and a
+    positive value comes with a dominating q.
 
-    The rows of each voter follow in voter order. They are computed once
-    per distinct ballot, which enters the objective once, weighted by the
-    sum of its voters' weights."""
-    m = profile.m
-    lam = _positive_weights(profile.n, weights)
+    Each ranking in the profile contributes one block of rows, in
+    `all_rankings` order (sorted label tuples), weighted in the objective
+    by the total weight of its voters. The program, and so the witness, is
+    a function of the ballot multiset and those totals alone."""
     ballot_rows = _DOMINATOR_ROWS[extension]
-    seen: dict[Ranking, tuple[Constraint, ...]] = {}
-    mass: dict[Ranking, Fraction] = {}
     rows: list[Constraint] = []
-    for ballot, factor in zip(profile.ballots, lam):
-        if ballot not in seen:
-            seen[ballot] = ballot_rows(ballot, p)
-        mass[ballot] = mass.get(ballot, 0) + factor
-        rows.extend(seen[ballot])
-    objective = [Fraction(0)] * m
+    objective = [Fraction(0)] * profile.m
     baseline = Fraction(0)
-    for ballot, weight in mass.items():
-        for row in seen[ballot]:
-            for j in range(m):
-                objective[j] += weight * row.coeffs[j]
+    for ballot, weight in _ballot_weights(profile, weights):
+        for row in ballot_rows(ballot, p):
+            rows.append(row)
+            objective = [o + weight * c for o, c in zip(objective, row.coeffs)]
             baseline += weight * row.rhs
-    rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
+    rows.append(Constraint(tuple([Fraction(1)] * profile.m), EQ, Fraction(1)))
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
     return outcome.value - baseline, Lottery(profile.alternatives, outcome.solution)
 
 
-def _positive_weights(
-    n: int, weights: Optional[Sequence[Fraction]]
-) -> tuple[Fraction, ...]:
-    if weights is None:
-        return tuple(Fraction(1) for _ in range(n))
-    lam = tuple(_require_exact(w, "voter weight") for w in weights)
-    if len(lam) != n:
-        raise DomainError(f"{len(lam)} voter weights for {n} voters")
-    if any(w <= 0 for w in lam):
-        raise DomainError("voter weights must be strictly positive")
-    return lam
+def _ballot_weights(
+    profile: Profile, weights: Optional[Sequence[Fraction]]
+) -> list[tuple[Ranking, int | Fraction]]:
+    """Each ranking in `all_rankings` order, with its voters' total weight:
+    their count when no weights are given."""
+    if weights is not None:
+        weights = tuple(_require_exact(w, "voter weight") for w in weights)
+        if len(weights) != profile.n:
+            raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
+        if any(w <= 0 for w in weights):
+            raise DomainError("voter weights must be strictly positive")
+    totals: dict[Ranking, int | Fraction] = {}
+    start = 0
+    for ballot, count in profile.runs:
+        share = count if weights is None else sum(weights[start:start + count], Fraction(0))
+        totals[ballot] = totals.get(ballot, 0) + share
+        start += count
+    return sorted(totals.items(), key=lambda item: item[0].order)
 
 
 def find_dominator(
@@ -160,9 +159,10 @@ def find_dominator(
 ) -> Optional[DominanceCertificate]:
     """A dominating lottery under PC or SD, as an LP witness, or None.
 
-    Optional strictly positive per-voter weights tilt the objective (any
-    choice keeps the oracle sound); the default is all-ones, which makes
-    the returned witness canonical.
+    The LP has one block of rows per ballot type, in sorted order. Optional
+    strictly positive per-voter weights tilt the objective (any choice
+    keeps the oracle sound); the default is all-ones. The witness is a
+    function of the ballot multiset and each ranking's weight total.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")

@@ -13,8 +13,8 @@ Three comparators are provided:
   Transitive, but incomplete.
 
 Profile-level dominance (`dominates`) means: every voter weakly prefers
-the challenger and at least one strictly prefers it (`is_dominance`). The
-`*_under` variants take an explicit comparator, which lets callers swap in
+the challenger and at least one strictly prefers it (`is_dominance`).
+`dominates_under` takes an explicit comparator, which lets callers swap in
 a deliberately broken one to prove their checks can fail: the fact suite's
 PC sign flip compares the two lotteries the wrong way round, which is
 exactly a negated PC score, since pc_score(r, p, q) == -pc_score(r, q, p).
@@ -22,12 +22,11 @@ exactly a negated PC score, since pc_score(r, p, q) == -pc_score(r, q, p).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import DomainError, Lottery, Profile, Ranking
+from .model import DomainError, Lottery, Profile, Ranking, _scaled
 
 
 class Extension(Enum):
@@ -51,17 +50,11 @@ def _check_arena(ranking: Ranking, p: Lottery, q: Lottery) -> None:
         raise DomainError("ranking and both lotteries must share one alternative set")
 
 
-def _scaled(p: Lottery) -> tuple[list[int], int]:
-    """p's probabilities as integers over their least common denominator."""
-    den = math.lcm(*(x.denominator for x in p.probs))
-    return [x.numerator * (den // x.denominator) for x in p.probs], den
-
-
 def _pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
     """The voter's PC weights against p as integers over a common
     denominator: p's mass below x minus p's mass above x, for every x,
     from one prefix sum along the ranking."""
-    mass, den = _scaled(p)
+    mass, den = _scaled(p.probs)
     weights = [0] * len(mass)
     above = 0
     for x in ranking.order:
@@ -90,7 +83,7 @@ def pc_score(ranking: Ranking, p: Lottery, q: Lottery) -> Fraction:
     """
     _check_arena(ranking, p, q)
     weights, den = _pc_form(ranking, q)
-    mass, p_den = _scaled(p)
+    mass, p_den = _scaled(p.probs)
     return Fraction(sum(w * x for w, x in zip(weights, mass)), den * p_den)
 
 
@@ -118,8 +111,8 @@ def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
     """Stochastic dominance: compare prefix sums along the voter's ranking,
     in integers over the two lotteries' common denominators."""
     _check_arena(ranking, p, q)
-    p_mass, p_den = _scaled(p)
-    q_mass, q_den = _scaled(q)
+    p_mass, p_den = _scaled(p.probs)
+    q_mass, q_den = _scaled(q.probs)
     p_ge_q = True   # p weakly dominates q
     q_ge_p = True
     acc = 0  # (p's prefix sum - q's prefix sum) * p_den * q_den
@@ -162,17 +155,6 @@ def weakly_prefers(outcome: ComparisonOutcome) -> bool:
     return outcome in (ComparisonOutcome.StrictlyPreferred, ComparisonOutcome.Indifferent)
 
 
-def dominance_outcomes_under(
-    profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery
-) -> tuple[ComparisonOutcome, ...]:
-    """Per-voter outcome of the challenger q measured against p, compared
-    once per run of identical ballots."""
-    outcomes: list[ComparisonOutcome] = []
-    for ballot, count in profile.runs:
-        outcomes += [compare_fn(ballot, q, p)] * count
-    return tuple(outcomes)
-
-
 def is_dominance(outcomes: Sequence[ComparisonOutcome]) -> bool:
     """All voters weakly prefer the challenger, at least one strictly."""
     return all(weakly_prefers(o) for o in outcomes) and any(
@@ -181,14 +163,18 @@ def is_dominance(outcomes: Sequence[ComparisonOutcome]) -> bool:
 
 
 def dominates_under(profile: Profile, compare_fn: Comparator, q: Lottery, p: Lottery) -> bool:
-    """q dominates p: all voters weakly prefer q, at least one strictly."""
-    return is_dominance(dominance_outcomes_under(profile, compare_fn, q, p))
+    """q dominates p: all voters weakly prefer q, at least one strictly.
+    Judged on one outcome per run, since every voter of a run agrees."""
+    return is_dominance([compare_fn(ballot, q, p) for ballot, _ in profile.runs])
 
 
 def dominance_outcomes(
     profile: Profile, extension: Extension, q: Lottery, p: Lottery
 ) -> tuple[ComparisonOutcome, ...]:
-    return dominance_outcomes_under(profile, comparator(extension), q, p)
+    """Per-voter outcome of the challenger q measured against p, compared
+    once per run of identical ballots."""
+    compare_fn = comparator(extension)
+    return tuple(o for ballot, count in profile.runs for o in [compare_fn(ballot, q, p)] * count)
 
 
 def dominates(profile: Profile, extension: Extension, q: Lottery, p: Lottery) -> bool:

@@ -14,6 +14,7 @@ order in which lotteries print.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +50,12 @@ def _require_exact(value: object, what: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise DomainError(f"{what} must be an int or Fraction, got {type(value).__name__}")
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """`values` times the lcm of their denominators, as ints, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 @dataclass(frozen=True)

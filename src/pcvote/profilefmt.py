@@ -138,6 +138,8 @@ def parse_lottery(text: str, alternatives: AlternativeSet | Iterable[str]) -> Lo
             entries[name] = Fraction(value)
         except ZeroDivisionError:
             raise ParseError(f"invalid probability {value!r} for {name!r}: zero denominator") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"invalid probability for {name!r}: too many digits") from None
     total = sum(entries.values(), Fraction(0))
     if total != 1:
         raise ParseError(f"lottery probabilities sum to {total}, expected 1")

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import DomainError, InternalError, _require_exact
+from .model import DomainError, InternalError, _require_exact, _scaled
 
 LE = "<="
 EQ = "="
@@ -83,12 +83,6 @@ class LpOutcome:
 # ---------------------------------------------------------------------------
 # simplex machinery
 # ---------------------------------------------------------------------------
-
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """`values` times the lcm of their denominators, as ints, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
 
 def _eliminate(row: list[int], scale: int, f: int, pivot_row: list[int], support: list[int]) -> list[int]:
     """row·scale − f·pivot_row, divided by its content gcd (scale > 0).

@@ -8,8 +8,8 @@ types, so agreement between the two is meaningful evidence.
 It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
-definitions of profile statistics, lottery comparisons and manipulation
-search.
+definitions of profile statistics, lottery comparisons, manipulation
+search and the dominator LP.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import Optional
 
 from pcvote.axioms import ManipulationWitness, Mode, all_rankings, find_manipulation
+from pcvote.efficiency import _DOMINATOR_ROWS
 from pcvote.extensions import ComparisonOutcome, Extension, compare, weakly_prefers
-from pcvote.model import DomainError, MarginMatrix, Profile, margin_matrix, profile
+from pcvote.model import DomainError, InternalError, Lottery, MarginMatrix, Profile, margin_matrix, profile
 from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
 from pcvote.rules import SocialDecisionScheme, _margin_rows, _unit
 
@@ -329,3 +330,33 @@ def reference_find_manipulation(rule, prof: Profile, extension: Extension, mode:
                     prof, i, misreport, deviated, truthful, outcome, extension, mode
                 )
     return None
+
+
+def reference_dominator_lp(prof: Profile, p, extension: Extension, weights=None):
+    """The dominator LP with every voter's rows, in voter order, weighted
+    by that voter's weight (1 when `weights` is None): the per-voter form
+    that `efficiency._dominator_lp` reduces to one block per ranking.
+    Returns (value, dominator) like it; the value is 0 iff p is efficient."""
+    m = prof.m
+    lam = weights if weights is not None else (Fraction(1),) * prof.n
+    ballot_rows = _DOMINATOR_ROWS[extension]
+    seen: dict = {}
+    mass: dict = {}
+    rows: list[Constraint] = []
+    for ballot, factor in zip(prof.ballots, lam):
+        if ballot not in seen:
+            seen[ballot] = ballot_rows(ballot, p)
+        mass[ballot] = mass.get(ballot, 0) + factor
+        rows.extend(seen[ballot])
+    objective = [Fraction(0)] * m
+    baseline = Fraction(0)
+    for ballot, weight in mass.items():
+        for row in seen[ballot]:
+            for j in range(m):
+                objective[j] += weight * row.coeffs[j]
+            baseline += weight * row.rhs
+    rows.append(Constraint(tuple([Fraction(1)] * m), EQ, Fraction(1)))
+    outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
+    if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
+        raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
+    return outcome.value - baseline, Lottery(prof.alternatives, outcome.solution)

@@ -160,6 +160,15 @@ def test_zero_denominator_is_a_usage_error(capsys, command, spec):
     assert err.startswith("error: invalid probability") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("command", ["dominate", "efficient"])
+def test_a_probability_with_too_many_digits_is_a_usage_error(capsys, command):
+    digits = "1" * 5000
+    spec = f"a:{digits}/{digits}"
+    code, out, err = run(capsys, command, "--ext", "pc", "--profile", "rd_example", "--lottery", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid probability for 'a': too many digits\n"
+
+
 # ---------------------------------------------------------------------------
 # path
 # ---------------------------------------------------------------------------
@@ -280,6 +289,27 @@ def test_check_requires_exactly_one_target(capsys):
 def test_check_rejects_malformed_scan(capsys):
     code, _, err = run(capsys, "check", "--axiom", "anonymity", "--rule", "rd", "--scan", "n<=2")
     assert code == 2 and "invalid scan spec" in err
+
+
+@pytest.mark.parametrize("scan", ["m=3,n<=" + "9" * 5000, "m=" + "9" * 5000 + ",n=2"], ids=["n", "m"])
+def test_check_rejects_a_scan_number_with_too_many_digits(capsys, scan):
+    code, out, err = run(capsys, "check", "--axiom", "pc-strategyproofness", "--rule", "rd", "--scan", scan)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid scan spec: a number in it has too many digits\n"
+
+
+@pytest.mark.parametrize("axiom", ["pc-strategyproofness", "cancellation", "neutrality"])
+def test_per_profile_checks_refuse_ten_alternatives_at_once(tmp_path, capsys, axiom):
+    names = "abcdefghij"
+    doc = tmp_path / "ten.profile"
+    doc.write_text(
+        f"alternatives: {' '.join(names)}\n1: {' > '.join(names)}\n1: {' > '.join(reversed(names))}\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--axiom", axiom, "--rule", "rd", "--profile", str(doc))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: the 10! rankings of 10 alternatives exceed the enumeration budget of 2000000\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcvote
 from pcvote import (
@@ -21,6 +23,7 @@ from pcvote import (
     alternative_set,
     dominance_outcomes,
     dominates,
+    enumerate_profiles,
     find_dominator,
     fixture,
     fixture_profile,
@@ -34,9 +37,9 @@ from pcvote import (
     f1,
 )
 from pcvote import efficiency, ratlp, rules
-from pcvote.profilefmt import format_lottery
-from pcvote.ratlp import LpOutcome, LpStatus
-from helpers import random_lottery
+from pcvote.profilefmt import format_lottery, parse_profile
+from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
+from helpers import random_lottery, random_profile, reference_dominator_lp
 
 F = Fraction
 
@@ -164,15 +167,115 @@ def _witness_digest(seed, count):
 
 
 def test_dominance_witnesses_pinned():
-    """Any change to the rows or the objective of the dominator LPs, even
-    one that keeps every verdict (merging the rows of equal ballots, say),
-    may move some witness. The digest was computed with the per-voter
-    implementation of these LPs, before profiles were stored as runs. On
-    this corpus, merging equal ballots' rows moves a witness of the fourth
-    profile, and reversing the voter weights moves witnesses of the eighth
-    and the ninth."""
+    """Any change to the rows, their order or the objective of the
+    dominator LPs, even one that keeps every verdict, may move some
+    witness. The digest was computed with one row block per ranking, in
+    sorted order, each weighted by its voters' total weight. The per-voter
+    LP (`helpers.reference_dominator_lp`) gave 65e6826d...; 4 of the 180
+    witnesses differ between the two, and no verdict. On this corpus,
+    putting the blocks in order of first appearance or in reverse order,
+    or reversing the voter weights, moves some witness."""
     digest = _witness_digest(11, 12)
-    assert digest == "65e6826dc3ff1e052f09d4e649039e3d409e9dfa33350e1ea7136749fe174bb3"
+    assert digest == "56558119df907a1cea1def8e8d1bbe6c3be7206f7886e9ae6d04348576fedb7e"
+
+
+def _gate_profiles(region):
+    if region == "small":
+        return [p for m in (1, 2, 3) for n in (1, 2, 3) for p in enumerate_profiles(m, n)]
+    if region == "anonymous":
+        return [
+            p
+            for m, n_max in ((3, 5), (4, 2))
+            for n in range(1, n_max + 1)
+            for p in enumerate_profiles(m, n, up_to_anonymity=True)
+        ]
+    if region == "corpus":
+        rng = random.Random(90210)  # criterion 08's seed and generator
+        return [random_profile(rng, m_max=4, n_max=7) for _ in range(500)]
+    return list(_repeat_heavy_profiles(5, 300))
+
+
+@pytest.mark.parametrize("region", ["small", "anonymous", "corpus", "repeat-heavy"])
+def test_verdicts_equal_the_per_voter_lp(region):
+    """One row block per ranking keeps the per-voter LP's feasible set and
+    objective, so no verdict moves: PC and SD, all-ones and seeded weights,
+    for rd, ml and the uniform lottery."""
+    rng = random.Random(3)
+    ml = rules.get_rule("ml")
+    verdicts = set()
+    for prof in _gate_profiles(region):
+        weights = tuple(F(rng.randint(1, 9)) for _ in range(prof.n))
+        for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives))):
+            for extension in (Extension.PC, Extension.SD):
+                for w in (None, weights):
+                    value, _ = reference_dominator_lp(prof, p, extension, w)
+                    efficient = find_dominator(prof, p, extension, w) is None
+                    assert efficient == (value == 0), (prof, p, extension, w)
+                    verdicts.add(efficient)
+    assert verdicts == {True, False}
+
+
+def _dominator(prof, p, extension, weights=None):
+    cert = find_dominator(prof, p, extension, weights)
+    return None if cert is None else cert.dominator
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_witness_depends_on_the_ballot_multiset_and_weight_totals_alone(data):
+    m = data.draw(st.integers(2, 4))
+    alts = "abcd"[:m]
+    pool = data.draw(st.lists(st.permutations(alts), min_size=1, max_size=4))
+    orders = [tuple(o) for o in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))]
+    n = len(orders)
+    weights = [F(w) for w in data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))]
+    perm = data.draw(st.permutations(range(n)))
+    prof = profile(alts, orders)
+    # the voters permuted with their weights, which splits and merges runs
+    shuffled = profile(alts, [orders[i] for i in perm])
+    shuffled_weights = [weights[i] for i in perm]
+    # each ranking's total weight, shared equally among its voters
+    totals = {o: sum((w for b, w in zip(orders, weights) if b == o), F(0)) for o in orders}
+    even = [totals[o] / orders.count(o) for o in orders]
+    seeded = random_lottery(data.draw(st.randoms(use_true_random=False)), prof.alternatives)
+    for p in (rd(prof), Lottery.uniform(prof.alternatives), seeded):
+        for extension in (Extension.PC, Extension.SD):
+            plain = _dominator(prof, p, extension)
+            assert _dominator(shuffled, p, extension) == plain
+            assert _dominator(prof, p, extension, [F(1)] * n) == plain
+            weighted = _dominator(prof, p, extension, weights)
+            assert _dominator(shuffled, p, extension, shuffled_weights) == weighted
+            assert _dominator(prof, p, extension, even) == weighted
+
+
+ELECTORATE = parse_profile(
+    "alternatives: a b c d\n"
+    "100001: a > b > c > d\n99999: b > c > a > d\n100000: c > a > b > d\n"
+    "100000: a > b > c > d\n100000: b > c > a > d\n100000: c > a > b > d\n"
+)
+
+
+def test_each_ranking_gives_one_block_of_rows(monkeypatch):
+    """(distinct rankings)·r + 1 rows per dominator LP, with r = 1 for PC
+    and m−1 for SD: the simplex row closes the program."""
+    sizes = []
+
+    def recording(lp):
+        sizes.append(len(lp.constraints))
+        return lp_solve(lp)
+
+    monkeypatch.setattr(efficiency, "lp_solve", recording)
+    assert ELECTORATE.n == 600_000
+    cases = [ELECTORATE] + list(_repeat_heavy_profiles(5, 40))
+    for prof in cases:
+        kinds = len({ballot for ballot, _ in prof.runs})
+        for p in (rd(prof), Lottery.uniform(prof.alternatives)):
+            for extension, r in ((Extension.PC, 1), (Extension.SD, prof.m - 1)):
+                sizes.clear()
+                find_dominator(prof, p, extension)
+                assert sizes == [kinds * r + 1], (prof, extension)
+    for extension in (Extension.PC, Extension.SD):
+        assert find_dominator(ELECTORATE, rd(ELECTORATE), extension) is None
 
 
 def _infeasible(lp):

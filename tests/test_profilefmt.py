@@ -50,3 +50,11 @@ def test_cli_computes_ml_on_a_huge_count(tmp_path, capsys):
 def test_a_zero_denominator_is_a_parse_error(spec):
     with pytest.raises(ParseError, match="zero denominator"):
         parse_lottery(spec, "abc")
+
+
+@pytest.mark.parametrize(
+    "spec", ["a:" + "1" * 5000, "a:1/" + "3" * 5000 + ",b:0"], ids=["numerator", "denominator"]
+)
+def test_a_probability_with_too_many_digits_is_a_parse_error(spec):
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_lottery(spec, "abc")
