@@ -124,19 +124,31 @@ class AxiomReport:
     profiles_checked: int
 
 
-def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
-    """Every strict ranking, in lexicographic order of label tuples. More
-    than `DEFAULT_ENUMERATION_BUDGET` of them are refused before any is built."""
-    m = len(alternatives)
+def _check_ranking_count(m: int) -> None:
     if math.factorial(m) > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"the {m}! rankings of {m} alternatives exceed the enumeration budget of "
             f"{DEFAULT_ENUMERATION_BUDGET}"
         )
-    return tuple(
-        Ranking(alternatives, perm)
-        for perm in sorted(itertools.permutations(alternatives.names))
-    )
+
+
+def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
+    """Every strict ranking, in lexicographic order of label tuples, built
+    once per alternative set. More than `DEFAULT_ENUMERATION_BUDGET` of
+    them are refused before any is built."""
+    _check_ranking_count(len(alternatives))
+    return alternatives._rankings
+
+
+def _check_rule_evaluations(m: int, count: int, what: str) -> None:
+    """Refuse a per-profile check over the rankings of m alternatives that
+    would evaluate the rule `count` times, if that is more than
+    `RULE_EVALUATION_BUDGET`, before the first evaluation."""
+    _check_ranking_count(m)
+    if count > RULE_EVALUATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{what} needs {count} rule evaluations, over the budget of {RULE_EVALUATION_BUDGET}"
+        )
 
 
 def find_manipulation(
@@ -155,17 +167,23 @@ def find_manipulation(
 
     A rule that declares a statistic is anonymous, so a listed voter whose
     ballot an earlier listed voter has is skipped: the outcomes would repeat.
+    The (m! - 1) misreports of each remaining voter are budgeted up front.
     """
-    candidates = all_rankings(profile.alternatives)
-    truthful = rule(profile)
-    voter_list = list(voters) if voters is not None else list(range(1, profile.n + 1))
+    voter_list = voters if voters is not None else range(1, profile.n + 1)
     anonymous = getattr(rule, "statistic", None) is not None
+    deviators: list[tuple[int, Ranking]] = []
     tried: set[Ranking] = set()
     for i in voter_list:
         true_ballot = profile.ballot(i)
         if anonymous and true_ballot in tried:
             continue
         tried.add(true_ballot)
+        deviators.append((i, true_ballot))
+    m = profile.m
+    _check_rule_evaluations(m, (math.factorial(m) - 1) * len(deviators), "the misreport search")
+    candidates = all_rankings(profile.alternatives)
+    truthful = rule(profile)
+    for i, true_ballot in deviators:
         for misreport in candidates:
             if misreport == true_ballot:
                 continue
@@ -253,6 +271,8 @@ def check_symmetry(
             if actual != base:
                 return SymmetryWitness(profile, "anonymity", perm, None, base, actual)
     if kind in (None, "neutrality"):
+        m = profile.m
+        _check_rule_evaluations(m, math.factorial(m) - 1, "the neutrality check")
         names = profile.alternatives.names
         for ranking in all_rankings(profile.alternatives):
             mapping = dict(zip(names, ranking.order))
@@ -271,6 +291,8 @@ def check_cancellation(
     rule: SocialDecisionScheme, profile: Profile
 ) -> Optional[CancellationWitness]:
     """Adding a ballot and its exact reverse must not move the outcome."""
+    m = profile.m
+    _check_rule_evaluations(m, math.factorial(m), "the cancellation check")
     rankings = all_rankings(profile.alternatives)
     base = rule(profile)
     for ballot in rankings:
@@ -328,6 +350,9 @@ def check_efficiency(
 # ---------------------------------------------------------------------------
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
+# rule evaluations one per-profile check may make: a misreport search, a
+# cancellation or a neutrality check over m! rankings
+RULE_EVALUATION_BUDGET = 100_000
 
 
 class EnumerationBudgetError(DomainError):
@@ -358,6 +383,23 @@ def _check_enumerable(m: int, n: int, up_to_anonymity: bool, budget: int) -> Non
         )
 
 
+def _ballot_indices(m: int, n: int, up_to_anonymity: bool) -> Iterator[tuple[int, ...]]:
+    """The n-voter profiles over m alternatives as tuples of indices into
+    `all_rankings`, lexicographically; with `up_to_anonymity` only the
+    non-decreasing ones, one per ballot multiset."""
+    indices = range(math.factorial(m))
+    if up_to_anonymity:
+        return itertools.combinations_with_replacement(indices, n)
+    return itertools.product(indices, repeat=n)
+
+
+def _alternatives(m: int, names: Optional[Sequence[str]] = None) -> AlternativeSet:
+    alts = AlternativeSet(tuple(names) if names is not None else ("a", "b", "c", "d")[:m])
+    if len(alts) != m:
+        raise DomainError(f"{len(alts)} names supplied for m={m}")
+    return alts
+
+
 def enumerate_profiles(
     m: int,
     n: int,
@@ -368,17 +410,39 @@ def enumerate_profiles(
     """All n-voter profiles over m alternatives, lexicographically; with
     `up_to_anonymity` one representative per ballot multiset."""
     _check_enumerable(m, n, up_to_anonymity, budget)
-    alts = AlternativeSet(tuple(names) if names is not None else ("a", "b", "c", "d")[:m])
-    if len(alts) != m:
-        raise DomainError(f"{len(alts)} names supplied for m={m}")
+    alts = _alternatives(m, names)
     rankings = all_rankings(alts)
-    combos = (
-        itertools.combinations_with_replacement(rankings, n)
-        if up_to_anonymity
-        else itertools.product(rankings, repeat=n)
-    )
-    for ballots in combos:
-        yield Profile.from_ballots(alts, ballots)
+    for indices in _ballot_indices(m, n, up_to_anonymity):
+        yield Profile.from_ballots(alts, [rankings[i] for i in indices])
+
+
+def _relabelling_tables(rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
+    """For each alternative permutation but the identity, the index in
+    `rankings` of every ranking's relabelled image."""
+    index = {r.order: k for k, r in enumerate(rankings)}
+    names = rankings[0].alternatives.names
+    tables = []
+    for image in rankings:
+        if image.order == names:
+            continue
+        mapping = dict(zip(names, image.order))
+        tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in rankings))
+    return tables
+
+
+def _least_in_orbit(
+    indices: tuple[int, ...], tables: list[tuple[int, ...]], up_to_anonymity: bool
+) -> bool:
+    """Does no relabelling of this profile come earlier in the enumeration?
+    Under `up_to_anonymity` a relabelled profile is enumerated sorted."""
+    key = list(indices)
+    for table in tables:
+        image = list(map(table.__getitem__, indices))
+        if up_to_anonymity:
+            image.sort()
+        if image < key:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -469,7 +533,21 @@ def exhaustive_scan(
 
     A rule that declares a statistic is evaluated once per distinct value
     of it (`rules.memoized`), except under `anonymity`, which the memo
-    assumes; the memo is dropped when the scan returns."""
+    assumes; the memo is dropped when the scan returns.
+
+    A rule that declares a statistic and `neutral` is checked on one
+    profile per orbit under the m! relabellings of the alternatives: the
+    one that comes first in the enumeration. Except under `anonymity` and
+    `neutrality`, which test those declarations, this is sound. Every
+    other axiom is invariant under relabelling the alternatives and, for
+    an anonymous rule, under reordering the voters (which is how a
+    relabelled multiset returns to sorted order). So for a neutral and
+    anonymous rule the violating profiles are a union of orbits, and the
+    first of them in enumeration order is the first of its orbit. That
+    profile is checked exactly as without the reduction. The skipped
+    profiles count as checked, so the verdict, the witness and
+    `profiles_checked` are those of the unreduced scan.
+    """
     spec = axiom(axiom_name)
     if axiom_name != "anonymity":
         rule = memoized(rule)
@@ -478,10 +556,21 @@ def exhaustive_scan(
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")
     # the budget holds per voter count, and the largest count has the most profiles
     _check_enumerable(m, n_max, up_to_anonymity, budget)
+    alts = _alternatives(m)
+    rankings = all_rankings(alts)
+    reduced = (
+        rule.statistic is not None
+        and rule.neutral
+        and axiom_name not in ("anonymity", "neutrality")
+    )
+    tables = _relabelling_tables(rankings) if reduced else []
     checked = 0
     for n in range(lo, n_max + 1):
-        for profile in enumerate_profiles(m, n, up_to_anonymity, budget=budget):
+        for indices in _ballot_indices(m, n, up_to_anonymity):
             checked += 1
+            if tables and not _least_in_orbit(indices, tables, up_to_anonymity):
+                continue
+            profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
             witness = spec.check(rule, profile)
             if witness is not None:
                 return AxiomReport(axiom_name, rule.name, Verdict.Violated, witness, checked)

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import DomainError, Lottery, Profile, Ranking, _scaled
+from .model import DomainError, Lottery, Profile, Ranking
 
 
 class Extension(Enum):
@@ -54,7 +54,7 @@ def _pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
     """The voter's PC weights against p as integers over a common
     denominator: p's mass below x minus p's mass above x, for every x,
     from one prefix sum along the ranking."""
-    mass, den = _scaled(p.probs)
+    mass, den = p._mass
     weights = [0] * len(mass)
     above = 0
     for x in ranking.order:
@@ -83,7 +83,7 @@ def pc_score(ranking: Ranking, p: Lottery, q: Lottery) -> Fraction:
     """
     _check_arena(ranking, p, q)
     weights, den = _pc_form(ranking, q)
-    mass, p_den = _scaled(p.probs)
+    mass, p_den = p._mass
     return Fraction(sum(w * x for w, x in zip(weights, mass)), den * p_den)
 
 
@@ -111,8 +111,8 @@ def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
     """Stochastic dominance: compare prefix sums along the voter's ranking,
     in integers over the two lotteries' common denominators."""
     _check_arena(ranking, p, q)
-    p_mass, p_den = _scaled(p.probs)
-    q_mass, q_den = _scaled(q.probs)
+    p_mass, p_den = p._mass
+    q_mass, q_den = q._mass
     p_ge_q = True   # p weakly dominates q
     q_ge_p = True
     acc = 0  # (p's prefix sum - q's prefix sum) * p_den * q_den

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -78,6 +78,12 @@ class AlternativeSet:
     @cached_property
     def _indices(self) -> dict[str, int]:
         return dict(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def _rankings(self) -> tuple["Ranking", ...]:
+        """Every strict ranking, in lexicographic order of label tuples;
+        built once per set (see `axioms.all_rankings`, which budgets it)."""
+        return tuple(Ranking(self, perm) for perm in sorted(permutations(self.names)))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -344,6 +350,13 @@ class Lottery:
                 alts.index(x)  # raises UnknownAlternativeError for a foreign label
         share = Fraction(1, len(chosen))
         return cls(alts, tuple(share if x in chosen else Fraction(0) for x in alts))
+
+    @cached_property
+    def _mass(self) -> tuple[tuple[int, ...], int]:
+        """The probabilities as ints over the lcm of their denominators, and
+        that lcm; computed once per lottery."""
+        mass, den = _scaled(self.probs)
+        return tuple(mass), den
 
     def prob(self, x: str) -> Fraction:
         return self.probs[self.alternatives.index(x)]

@@ -47,12 +47,17 @@ class SocialDecisionScheme:
     for Fishburn's C2 class, the top counts for rd). Such a rule is
     anonymous, so callers may reuse an output across profiles with equal
     statistics (see `memoized`).
+
+    `neutral` declares that relabelling the alternatives of a profile
+    relabels the output the same way. With a statistic it lets a scan
+    check one profile per relabelling orbit (`axioms.exhaustive_scan`).
     """
 
     name: str
     evaluate: Callable[[Profile], Lottery]
     applicability: Optional[Callable[[Profile], bool]] = None
     statistic: Optional[Callable[[Profile], Hashable]] = None
+    neutral: bool = False
 
     def applicable(self, profile: Profile) -> bool:
         return self.applicability is None or self.applicability(profile)
@@ -311,12 +316,18 @@ def _three_alternatives_only(profile: Profile) -> bool:
 RULES: dict[str, SocialDecisionScheme] = {
     sds.name: sds
     for sds in (
-        SocialDecisionScheme("rd", rd, statistic=top_counts),
-        SocialDecisionScheme("ml", ml, statistic=margin_matrix),
-        SocialDecisionScheme("condorcet-uniform", condorcet_uniform, statistic=margin_matrix),
-        SocialDecisionScheme("f1", f1, _three_alternatives_only, margin_matrix),
+        SocialDecisionScheme("rd", rd, statistic=top_counts, neutral=True),
+        SocialDecisionScheme("ml", ml, statistic=margin_matrix, neutral=True),
         SocialDecisionScheme(
-            "f2", f2, _three_alternatives_only, lambda p: (top_counts(p), never_bottom_set(p))
+            "condorcet-uniform", condorcet_uniform, statistic=margin_matrix, neutral=True
+        ),
+        SocialDecisionScheme("f1", f1, _three_alternatives_only, margin_matrix, neutral=True),
+        SocialDecisionScheme(
+            "f2",
+            f2,
+            _three_alternatives_only,
+            lambda p: (top_counts(p), never_bottom_set(p)),
+            neutral=True,
         ),
     )
 }

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pcvote import (
     AXIOMS,
+    ApplicabilityError,
     Decisiveness,
     DomainError,
     EfficiencyNotion,
@@ -16,6 +18,7 @@ from pcvote import (
     Mode,
     Verdict,
     all_rankings,
+    alternative_set,
     axiom,
     check_axiom_on_profile,
     check_cancellation,
@@ -32,10 +35,19 @@ from pcvote import (
     get_rule,
     margin_matrix,
     ml,
+    never_bottom_set,
     profile,
     ranking,
+    relabel,
+    top_counts,
 )
-from pcvote.axioms import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, exists_strict_improvement
+from pcvote.axioms import (
+    DEFAULT_ENUMERATION_BUDGET,
+    RULE_EVALUATION_BUDGET,
+    AxiomSpec,
+    EnumerationBudgetError,
+    exists_strict_improvement,
+)
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
 from pcvote.rules import RULES, SocialDecisionScheme, memoized
 from helpers import (
@@ -478,3 +490,145 @@ def test_a_false_statistic_still_fails_an_anonymity_scan():
     assert rep.verdict is Verdict.Violated
     # the memo would have hidden it: it answers every voter order alike
     assert check_symmetry(memoized(rule), rep.witness.profile, "anonymity") is None
+
+
+# ---------------------------------------------------------------------------
+# one profile per relabelling orbit
+# ---------------------------------------------------------------------------
+
+def _scan_or_refusal(rule, m, n_max, axiom_name, anonymous):
+    try:
+        return exhaustive_scan(rule, m, n_max, axiom_name, up_to_anonymity=anonymous)
+    except ApplicabilityError as exc:
+        return str(exc)
+
+
+REDUCED_AXIOMS = [name for name in AXIOMS if name not in ("anonymity", "neutrality")]
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+@pytest.mark.parametrize("m, n_max", [(3, 4), (4, 2)])
+@pytest.mark.parametrize("anonymous", [False, True], ids=["ordered", "anonymous"])
+def test_orbit_reduced_scans_equal_the_unreduced_scans(rule_name, m, n_max, anonymous):
+    assert RULES[rule_name].neutral and RULES[rule_name].statistic is not None
+    # one memo across all the scans, so each outcome is computed once
+    rule = memoized(RULES[rule_name])
+    unreduced = replace(rule, neutral=False)
+    for axiom_name in REDUCED_AXIOMS:
+        want = _scan_or_refusal(unreduced, m, n_max, axiom_name, anonymous)
+        got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
+        assert got == want, (axiom_name, m, n_max, anonymous)
+
+
+@pytest.mark.parametrize("m, n, anonymous", [(3, 3, False), (3, 4, True), (4, 2, False), (4, 2, True)])
+def test_a_reduced_scan_checks_the_first_profile_of_each_orbit(monkeypatch, m, n, anonymous):
+    checked = []
+    monkeypatch.setitem(AXIOMS, "unanimity", AxiomSpec("unanimity", lambda rule, p: checked.append(p)))
+    rep = exhaustive_scan(RD, m, n, "unanimity", up_to_anonymity=anonymous, n_min=n)
+    assert rep.verdict is Verdict.Holds and rep.profiles_checked == count_profiles(m, n, anonymous)
+
+    def orbit_key(prof):
+        images = []
+        for image in all_rankings(prof.alternatives):
+            relabelled = relabel(prof, alt_perm=dict(zip(prof.alternatives.names, image.order)))
+            orders = [b.order for b in relabelled.ballots]
+            images.append(tuple(sorted(orders) if anonymous else orders))
+        return min(images)
+
+    first_of_orbit: dict = {}
+    for prof in enumerate_profiles(m, n, anonymous):
+        first_of_orbit.setdefault(orbit_key(prof), prof)
+    assert checked == list(first_of_orbit.values())
+
+
+def test_only_the_symmetry_scans_check_every_profile():
+    # they test the declarations the reduction rests on; every other axiom
+    # makes the rule do less work once it is declared neutral
+    calls = []
+
+    def counted(fn):
+        def wrapper(prof):
+            calls.append(prof)
+            return fn(prof)
+
+        return wrapper
+
+    rule = replace(RD, evaluate=counted(RD.evaluate), statistic=counted(RD.statistic))
+    for axiom_name in ("anonymity", "neutrality", "sd-strategyproofness"):
+        reports, work = [], []
+        for neutral in (True, False):
+            calls.clear()
+            reports.append(exhaustive_scan(replace(rule, neutral=neutral), 3, 2, axiom_name))
+            work.append(len(calls))
+        assert reports[0] == reports[1] and reports[0].verdict is Verdict.Holds, axiom_name
+        assert (work[0] < work[1]) == (axiom_name == "sd-strategyproofness"), (axiom_name, work)
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_every_rule_declared_neutral_is_neutral_on_small_spaces(rule_name):
+    rule = RULES[rule_name]
+    assert rule.neutral
+    memo = memoized(rule)
+    spaces = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(4, 1), (4, 2)]
+    for m, n in spaces:
+        for prof in enumerate_profiles(m, n):
+            if rule.applicable(prof):
+                assert check_symmetry(memo, prof, "neutrality") is None, (rule_name, prof)
+
+
+def test_a_false_neutral_declaration_fails_the_neutrality_scan_and_moves_a_reduced_one():
+    def a_unless_ranked_last(prof):
+        if "a" in never_bottom_set(prof):
+            return Lottery.degenerate(prof.alternatives, "a")
+        return RD(prof)
+
+    false = SocialDecisionScheme(
+        "a-unless-last",
+        a_unless_ranked_last,
+        statistic=lambda p: (top_counts(p), never_bottom_set(p)),
+        neutral=True,
+    )
+    honest = replace(false, neutral=False)
+    rep = exhaustive_scan(false, 3, 2, "neutrality")
+    assert rep.verdict is Verdict.Violated
+    assert rep == exhaustive_scan(honest, 3, 2, "neutrality")
+    # the unanimous profile b > a > c gets `a`; its orbit starts at a > b > c,
+    # which the rule gets right, so the reduced scan never meets it
+    unreduced = exhaustive_scan(honest, 3, 2, "unanimity")
+    assert unreduced.verdict is Verdict.Violated and unreduced.profiles_checked == 3
+    reduced = exhaustive_scan(false, 3, 2, "unanimity")
+    assert reduced != unreduced
+
+
+# ---------------------------------------------------------------------------
+# per-profile checks budget their rule evaluations
+# ---------------------------------------------------------------------------
+
+NINE = profile("abcdefghi", ["abcdefghi", "ihgfedcba"])
+RANKINGS_OF_NINE = 362_880  # 9!
+
+
+@pytest.mark.parametrize(
+    "check, needed",
+    [
+        (lambda p: find_manipulation(RD, p, Extension.PC, Mode.Strong), 2 * (RANKINGS_OF_NINE - 1)),
+        (lambda p: find_manipulation(DICTATOR, p.append(p.ballot(1)), Extension.SD, Mode.Weak),
+         3 * (RANKINGS_OF_NINE - 1)),
+        (lambda p: check_cancellation(RD, p), RANKINGS_OF_NINE),
+        (lambda p: check_symmetry(RD, p, "neutrality"), RANKINGS_OF_NINE - 1),
+    ],
+    ids=["misreports", "misreports-per-voter", "cancellation", "neutrality"],
+)
+def test_per_profile_checks_refuse_too_many_rule_evaluations_at_once(check, needed):
+    assert needed > RULE_EVALUATION_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match=f"needs {needed} rule evaluations"):
+        check(NINE)
+    assert time.perf_counter() - start < 1
+    assert "_rankings" not in NINE.alternatives.__dict__, "rankings were built before the refusal"
+
+
+def test_all_rankings_are_built_once_per_alternative_set():
+    alts = alternative_set("abcd")
+    assert all_rankings(alts) is all_rankings(alts)
+    assert len(all_rankings(alts)) == 24

@@ -312,6 +312,27 @@ def test_per_profile_checks_refuse_ten_alternatives_at_once(tmp_path, capsys, ax
     assert err == "error: the 10! rankings of 10 alternatives exceed the enumeration budget of 2000000\n"
 
 
+@pytest.mark.parametrize(
+    "axiom, needed",
+    [
+        ("pc-strategyproofness", "the misreport search needs 725758"),
+        ("cancellation", "the cancellation check needs 362880"),
+        ("neutrality", "the neutrality check needs 362879"),
+    ],
+)
+def test_per_profile_checks_refuse_too_many_rule_evaluations_at_once(tmp_path, capsys, axiom, needed):
+    names = "abcdefghi"
+    doc = tmp_path / "nine.profile"
+    doc.write_text(
+        f"alternatives: {' '.join(names)}\n1: {' > '.join(names)}\n1: {' > '.join(reversed(names))}\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--axiom", axiom, "--rule", "rd", "--profile", str(doc))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {needed} rule evaluations, over the budget of 100000\n"
+
+
 # ---------------------------------------------------------------------------
 # paper-suite
 # ---------------------------------------------------------------------------
