@@ -34,12 +34,12 @@ from .model import (
 from .extensions import (
     ComparisonOutcome,
     Extension,
+    _pc_form,
     dominance_outcomes,
     dominates,
     is_dominance,
-    pc_weights,
 )
-from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, lp_solve
+from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, Rational, _require_rational, lp_solve
 
 
 class EfficiencyNotion(Enum):
@@ -83,19 +83,24 @@ def _certificate(
 
 
 def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
-    """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0."""
-    return (Constraint(pc_weights(ballot, p), GE, Fraction(0)),)
+    """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0, times
+    p's denominator."""
+    weights, _ = _pc_form(ballot, p)
+    return (Constraint(tuple(weights), GE, 0),)
 
 
 def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
-    """Every proper prefix of the ballot gets at least p's mass under q."""
+    """Every proper prefix of the ballot gets at least p's mass under q,
+    times p's denominator."""
     alts = p.alternatives
+    mass, den = p._mass
     rows: list[Constraint] = []
-    prefix = Fraction(0)
-    indicator = [Fraction(0)] * len(alts)
+    prefix = 0
+    indicator = [0] * len(alts)
     for x in ballot.order[:-1]:
-        indicator[alts.index(x)] = Fraction(1)
-        prefix += p.prob(x)
+        i = alts.index(x)
+        indicator[i] = den
+        prefix += mass[i]
         rows.append(Constraint(tuple(indicator), GE, prefix))
     return tuple(rows)
 
@@ -104,7 +109,7 @@ _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 
 
 def _dominator_lp(
-    profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Fraction]]
+    profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Rational]]
 ) -> tuple[Fraction, Lottery]:
     """Maximize the weighted total of every ballot type's rows over
     lotteries q that satisfy all of them, minus the same total at p. p is
@@ -114,38 +119,42 @@ def _dominator_lp(
     Each ranking in the profile contributes one block of rows, in
     `all_rankings` order (sorted label tuples), weighted in the objective
     by the total weight of its voters. The program, and so the witness, is
-    a function of the ballot multiset and those totals alone."""
+    a function of the ballot multiset and those totals alone. The rows are
+    in ints over p's denominator, which the value is divided by once."""
     ballot_rows = _DOMINATOR_ROWS[extension]
     rows: list[Constraint] = []
-    objective = [Fraction(0)] * profile.m
-    baseline = Fraction(0)
+    objective: list[Rational] = [0] * profile.m
+    baseline: Rational = 0
     for ballot, weight in _ballot_weights(profile, weights):
         for row in ballot_rows(ballot, p):
             rows.append(row)
-            objective = [o + weight * c for o, c in zip(objective, row.coeffs)]
+            for j, c in enumerate(row.coeffs):
+                objective[j] += weight * c
             baseline += weight * row.rhs
-    rows.append(Constraint(tuple([Fraction(1)] * profile.m), EQ, Fraction(1)))
+    rows.append(Constraint((1,) * profile.m, EQ, 1))
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
-    return outcome.value - baseline, Lottery(profile.alternatives, outcome.solution)
+    den = p._mass[1]
+    return (outcome.value - baseline) / den, Lottery(profile.alternatives, outcome.solution)
 
 
 def _ballot_weights(
-    profile: Profile, weights: Optional[Sequence[Fraction]]
-) -> list[tuple[Ranking, int | Fraction]]:
+    profile: Profile, weights: Optional[Sequence[Rational]]
+) -> list[tuple[Ranking, Rational]]:
     """Each ranking in `all_rankings` order, with its voters' total weight:
-    their count when no weights are given."""
+    their count when no weights are given. Int and Fraction weights are
+    summed as given."""
     if weights is not None:
-        weights = tuple(_require_exact(w, "voter weight") for w in weights)
+        weights = tuple(_require_rational(w, "voter weight") for w in weights)
         if len(weights) != profile.n:
             raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
         if any(w <= 0 for w in weights):
             raise DomainError("voter weights must be strictly positive")
-    totals: dict[Ranking, int | Fraction] = {}
+    totals: dict[Ranking, Rational] = {}
     start = 0
     for ballot, count in profile.runs:
-        share = count if weights is None else sum(weights[start:start + count], Fraction(0))
+        share = count if weights is None else sum(weights[start:start + count])
         totals[ballot] = totals.get(ballot, 0) + share
         start += count
     return sorted(totals.items(), key=lambda item: item[0].order)
@@ -155,7 +164,7 @@ def find_dominator(
     profile: Profile,
     p: Lottery,
     extension: Extension,
-    weights: Optional[Sequence[Fraction]] = None,
+    weights: Optional[Sequence[Rational]] = None,
 ) -> Optional[DominanceCertificate]:
     """A dominating lottery under PC or SD, as an LP witness, or None.
 
@@ -327,7 +336,7 @@ def improvement_path(
     for step_index in range(max_steps):
         weights = None
         if mode == "random":
-            weights = tuple(Fraction(rng.randint(1, 1000)) for _ in range(profile.n))
+            weights = tuple(rng.randint(1, 1000) for _ in range(profile.n))
         cert = find_dominator(profile, current, Extension.PC, weights=weights)
         if cert is None:
             termination = PathTermination.ReachedEfficient

@@ -1,12 +1,19 @@
 """A small, exact linear-programming kernel.
 
-Dense two-phase simplex with Bland's anti-cycling pivot rule. Programs,
-solutions and values are `fractions.Fraction`s; inside, each tableau row
-is a list of ints that stands for itself divided by its basis entry, so a
-pivot is fraction-free integer elimination and a ratio test is a
+Dense two-phase simplex with Bland's anti-cycling pivot rule. Program
+entries may be ints or `fractions.Fraction`s and are stored as given;
+solutions and values are `Fraction`s. Inside, each tableau row is a list
+of ints that stands for itself divided by its basis entry, so a pivot is
+fraction-free integer elimination and a ratio test is a
 cross-multiplication. These are the pivots of the same simplex over
 `Fraction` rows: the same program always takes the same pivots and
 returns the same optimal vertex.
+
+An all-int constraint enters the tableau unchanged; one with fractions is
+multiplied by the lcm of its denominators. Multiplying a constraint, a
+column or the objective by a positive factor changes no sign of a reduced
+cost and no order of the ratios, so Bland's rule takes the same pivots
+and returns the same vertex: callers may clear denominators themselves.
 
 Conventions: objectives are maximized; every variable is bounded below by
 0 and unbounded above.
@@ -27,20 +34,28 @@ EQ = "="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
 
+Rational = int | Fraction
+
+
+def _require_rational(value: object, what: str) -> Rational:
+    """An int as given, anything else through `_require_exact`: Fractions as
+    given, floats and other types refused."""
+    return value if type(value) is int else _require_exact(value, what)
+
 
 @dataclass(frozen=True)
 class Constraint:
     """coeffs · x  <relation>  rhs"""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     relation: str
-    rhs: Fraction
+    rhs: Rational
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coeffs", tuple(_require_exact(c, "constraint coefficient") for c in self.coeffs)
+            self, "coeffs", tuple(_require_rational(c, "constraint coefficient") for c in self.coeffs)
         )
-        object.__setattr__(self, "rhs", _require_exact(self.rhs, "constraint rhs"))
+        object.__setattr__(self, "rhs", _require_rational(self.rhs, "constraint rhs"))
         if self.relation not in _RELATIONS:
             raise DomainError(f"constraint relation must be one of {_RELATIONS}, got {self.relation!r}")
 
@@ -49,12 +64,12 @@ class Constraint:
 class LinearProgram:
     """maximize objective · x  subject to constraints and x >= 0."""
 
-    objective: tuple[Fraction, ...]
+    objective: tuple[Rational, ...]
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "objective", tuple(_require_exact(c, "objective coefficient") for c in self.objective)
+            self, "objective", tuple(_require_rational(c, "objective coefficient") for c in self.objective)
         )
         object.__setattr__(self, "constraints", tuple(self.constraints))
         n = len(self.objective)
@@ -153,19 +168,27 @@ def _run_simplex(rows: list[list[int]], z: list[int], basis: list[int], banned: 
         _pivot(rows, z, basis, leaving, entering)
 
 
+def _integer_row(values: tuple[Rational, ...]) -> tuple[list[int], int]:
+    """`values` as ints and the factor they were multiplied by: an all-int
+    row as it is, any other times the lcm of its denominators."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    return _scaled(values)
+
+
 def _standardize(
-    objective: Sequence[Fraction], constraints: Sequence[Constraint]
+    objective: Sequence[Rational], constraints: Sequence[Constraint]
 ) -> tuple[list[list[int]], list[int], frozenset[int]]:
     """Equality standard form with rhs >= 0, slack/surplus and artificial columns.
 
     Returns (rows, basis, artificial column set). Each row is the constraint
-    row times ± the lcm of its denominators, in ints with the rhs last; it
-    stands for itself divided by its basis entry, which is > 0.
+    row in ints (`_integer_row`) times ±1, with the rhs last; it stands for
+    itself divided by its basis entry, which is > 0.
     """
     n = len(objective)
     normalized: list[tuple[list[int], str, int]] = []
     for c in constraints:
-        values, scale = _scaled(c.coeffs + (c.rhs,))
+        values, scale = _integer_row(c.coeffs + (c.rhs,))
         rel = c.relation
         if c.rhs < 0:
             values = [-v for v in values]
@@ -233,7 +256,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             else:
                 _pivot(rows, z, basis, r, pivot_col)
 
-    z = _objective_row(_scaled(objective)[0] + [0] * (num_cols - n), rows, basis)
+    z = _objective_row(_integer_row(objective)[0] + [0] * (num_cols - n), rows, basis)
     status = _run_simplex(rows, z, basis, banned=art_cols)
     if status == "unbounded":
         return LpOutcome(LpStatus.Unbounded, None, None)

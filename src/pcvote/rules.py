@@ -150,13 +150,11 @@ def f2(profile: Profile) -> Lottery:
 
 def _margin_rows(margins: MarginMatrix) -> list[Constraint]:
     """The optimal-strategy polytope: for every alternative x, the margin-
-    weighted mass (G p)_x must be <= 0, and p must live on the simplex."""
+    weighted mass (G p)_x must be <= 0, and p must live on the simplex.
+    The rows are the margins' own ints."""
     m = len(margins.alternatives)
-    rows = [
-        Constraint(tuple(Fraction(margins.rows[i][j]) for j in range(m)), LE, Fraction(0))
-        for i in range(m)
-    ]
-    rows.append(Constraint(tuple(Fraction(1) for _ in range(m)), EQ, Fraction(1)))
+    rows = [Constraint(row, LE, 0) for row in margins.rows]
+    rows.append(Constraint((1,) * m, EQ, 1))
     return rows
 
 
@@ -172,8 +170,8 @@ def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:
     return _beats_or_ties_every_alternative(margin_matrix(profile), lottery.probs)
 
 
-def _unit(m: int, j: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if k == j else Fraction(0) for k in range(m))
+def _unit(m: int, j: int) -> tuple[int, ...]:
+    return tuple(1 if k == j else 0 for k in range(m))
 
 
 def _optimal_value(outcome: LpOutcome) -> Fraction:
@@ -185,21 +183,23 @@ def _optimal_value(outcome: LpOutcome) -> Fraction:
 
 def _ml_max_min(
     margins: MarginMatrix, fixed: dict[int, Fraction], free: list[int]
-) -> Fraction:
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Maximize the smallest free coordinate over the optimal set, with the
-    already-settled coordinates pinned."""
+    already-settled coordinates pinned: that floor and the optimal point."""
     m = len(margins.alternatives)
     # variables: p_0..p_{m-1}, then t
-    rows: list[Constraint] = []
-    for c in _margin_rows(margins):
-        rows.append(Constraint(c.coeffs + (Fraction(0),), c.relation, c.rhs))
+    rows: list[Constraint] = [
+        Constraint(c.coeffs + (0,), c.relation, c.rhs) for c in _margin_rows(margins)
+    ]
     for j, value in fixed.items():
-        rows.append(Constraint(_unit(m, j) + (Fraction(0),), EQ, value))
+        rows.append(Constraint(_unit(m, j) + (0,), EQ, value))
     for j in free:
-        coeffs = list(_unit(m, j)) + [Fraction(-1)]
-        rows.append(Constraint(tuple(coeffs), GE, Fraction(0)))
-    objective = tuple([Fraction(0)] * m + [Fraction(1)])
-    return _optimal_value(lp_solve(LinearProgram(objective, tuple(rows))))
+        rows.append(Constraint(_unit(m, j) + (-1,), GE, 0))
+    outcome = lp_solve(LinearProgram(_unit(m + 1, m), tuple(rows)))
+    floor = _optimal_value(outcome)
+    if outcome.solution is None:
+        raise InternalError("the max-min LP of ml came out optimal with no solution")
+    return floor, outcome.solution[:m]
 
 
 def _ml_coordinate_max(
@@ -222,15 +222,18 @@ def _ml_coordinate_max(
 def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     """The leximin point of the optimal set, by iterated max-min: raise the
     smallest coordinate as far as the optimal set allows, pin every
-    coordinate that cannot go higher, repeat on the rest."""
+    coordinate that cannot go higher, repeat on the rest.
+
+    Only the coordinates at the floor in the max-min LP's own point are
+    tried: a point of the face already lifts every other one above it."""
     m = len(margins.alternatives)
     fixed: dict[int, Fraction] = {}
     free = list(range(m))
     while free:
-        floor = _ml_max_min(margins, fixed, free)
+        floor, point = _ml_max_min(margins, fixed, free)
         stuck = [
             j for j in free
-            if _ml_coordinate_max(margins, fixed, free, floor, j) == floor
+            if point[j] == floor and _ml_coordinate_max(margins, fixed, free, floor, j) == floor
         ]
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")
@@ -244,7 +247,7 @@ def _ml_unique_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
     """Any point of the optimal set, found by one LP with a zero objective;
     only canonical when the optimal set is a single point."""
     m = len(margins.alternatives)
-    outcome = lp_solve(LinearProgram(tuple([Fraction(0)] * m), tuple(_margin_rows(margins))))
+    outcome = lp_solve(LinearProgram((0,) * m, tuple(_margin_rows(margins))))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None:
         raise InternalError(f"the margin game's optimal set came out {outcome.status.name}")
     return outcome.solution

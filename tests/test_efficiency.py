@@ -126,6 +126,25 @@ def test_positive_weights_keep_the_oracle_sound():
         assert dominates(prof, Extension.PC, cert.dominator, p1)
 
 
+def test_int_and_fraction_weights_give_the_same_certificate():
+    rng = random.Random(67)
+    fx = fixture("improvement_cycle")
+    cases = [(fx.profile, fx.lottery("p1"))]
+    for prof in _repeat_heavy_profiles(13, 20):
+        cases.append((prof, random_lottery(rng, prof.alternatives)))
+    for prof, p in cases:
+        ints = [rng.randint(1, 1000) for _ in range(prof.n)]
+        for extension in (Extension.PC, Extension.SD):
+            want = find_dominator(prof, p, extension, [F(w) for w in ints])
+            assert find_dominator(prof, p, extension, ints) == want
+            assert find_dominator(prof, p, extension, tuple(ints)) == want
+    prof, p = cases[0]
+    for bad in ([1.0] * prof.n, [1] * (prof.n - 1) + [0.5], ["1"] * prof.n, [1] * (prof.n - 1) + [0],
+                [1] * (prof.n + 1)):
+        with pytest.raises(DomainError):
+            find_dominator(prof, p, Extension.PC, bad)
+
+
 def _repeat_heavy_profiles(seed, count):
     """m in [3, 4], n in [2, 9], every ballot drawn from a pool of two to
     five rankings."""

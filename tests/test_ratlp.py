@@ -95,6 +95,14 @@ def test_rejects_floats_everywhere():
         Constraint((F(1),), LE, 0.5)
     with pytest.raises(DomainError):
         LinearProgram((0.5,), (c([1], LE, 1),))
+    with pytest.raises(DomainError):
+        Constraint((1, 0.5), LE, 1)
+    with pytest.raises(DomainError):
+        Constraint(("1",), LE, 1)
+    with pytest.raises(DomainError):
+        Constraint((1,), LE, "1")
+    with pytest.raises(DomainError):
+        LinearProgram((1, "1"), (Constraint((1, 1), LE, 1),))
 
 
 def test_rejects_shape_mismatch():
@@ -109,6 +117,63 @@ def test_rejects_shape_mismatch():
 def test_integers_are_coerced_to_fractions():
     out = solve([1], [c([1], LE, 3)])
     assert isinstance(out.value, F) and out.value == 3
+
+
+def test_int_entries_are_kept_as_ints():
+    con = Constraint((1, -2, F(1, 2)), GE, 3)
+    assert [type(v) for v in con.coeffs] == [int, int, F] and type(con.rhs) is int
+    lp = LinearProgram((2, F(3)), (Constraint((1, 1), LE, 4),))
+    assert [type(v) for v in lp.objective] == [int, F]
+    out = lp_solve(lp)
+    assert out.solution == (0, 4) and all(type(x) is F for x in out.solution)
+    assert out.value == 12 and type(out.value) is F
+
+
+def test_an_int_row_enters_the_tableau_unchanged():
+    rows, basis, art_cols = ratlp._standardize((1, 1), (Constraint((2, 4), LE, 6),))
+    assert rows == [[2, 4, 1, 6]] and basis == [2] and not art_cols
+    rows, _, _ = ratlp._standardize((1, 1), (Constraint((F(2), F(4)), LE, F(6)),))
+    assert rows == [[2, 4, 1, 6]]
+
+
+def _times(factor, values):
+    """`values` times a positive factor, as ints when the products are whole."""
+    products = [factor * v for v in values]
+    if all(v.denominator == 1 for v in products):
+        return tuple(int(v) for v in products)
+    return tuple(products)
+
+
+def test_positive_scaling_keeps_status_and_solution():
+    # scaling a row or the objective by a positive factor changes no sign of
+    # a reduced cost and no order of the ratios: Bland's rule takes the same
+    # pivots, so the vertex is the same and the value scales with the objective.
+    # Even cases clear each row's denominators, so those rows enter as ints.
+    rng = random.Random(6173)
+    statuses = set()
+    for i in range(300):
+        lp = random_lp(rng, max_vars=5, max_constraints=8)
+        cleared = i % 2 == 0
+
+        def factor(values):
+            f = rng.randint(1, 60)
+            return f * math.lcm(*(F(v).denominator for v in values)) if cleared else f
+
+        rows = []
+        for con in lp.constraints:
+            values = _times(factor(con.coeffs + (con.rhs,)), con.coeffs + (con.rhs,))
+            rows.append(Constraint(values[:-1], con.relation, values[-1]))
+        k = factor(lp.objective)
+        scaled = LinearProgram(_times(k, lp.objective), tuple(rows))
+        if cleared:
+            assert all(type(v) is int for row in rows for v in row.coeffs + (row.rhs,))
+            assert all(type(v) is int for v in scaled.objective)
+        want, got = lp_solve(lp), lp_solve(scaled)
+        statuses.add(want.status)
+        assert got.status is want.status, i
+        assert got.solution == want.solution, i
+        assert got.value == (None if want.value is None else k * want.value), i
+    assert statuses == set(LpStatus)
 
 
 # ---------------------------------------------------------------------------

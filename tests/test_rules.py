@@ -30,7 +30,8 @@ from pcvote import (
     relabel,
 )
 from pcvote import rules
-from pcvote.ratlp import lp_solve
+from pcvote.profilefmt import parse_profile
+from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
 from helpers import maximal_lottery_is_unique, random_profile, solve_margin_game
 
 F = Fraction
@@ -316,8 +317,43 @@ def test_ml_case_selection_counts_lps(monkeypatch):
     assert len(solves) > 1
 
 
+def test_ml_skips_the_coordinates_the_max_min_point_lifts(monkeypatch):
+    # three cyclic ballots with even margins, so the leximin loop runs. Each
+    # of its four rounds pins one coordinate (d, then b, a, c), and in each
+    # the max-min LP's own point lifts every other free coordinate above
+    # the floor, so only the pinned one is tried: 4 + 4 LPs, where trying
+    # every free coordinate takes 4 + (4 + 3 + 2 + 1) = 14.
+    prof = parse_profile(
+        "alternatives: a b c d\n"
+        "200001: a > b > c > d\n199999: b > c > a > d\n200000: c > a > b > d\n"
+    )
+    solves, tried = [], []
+    real = rules._ml_coordinate_max
+
+    def counting(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    def coordinate_max(margins, fixed, free, floor, coord):
+        tried.append(coord)
+        return real(margins, fixed, free, floor, coord)
+
+    monkeypatch.setattr(rules, "lp_solve", counting)
+    monkeypatch.setattr(rules, "_ml_coordinate_max", coordinate_max)
+    n = prof.n
+    assert ml(prof).probs == (F(200000, n), F(199998, n), F(200002, n), F(0))
+    assert len(solves) == 8
+    assert tried == [3, 1, 0, 2]
+
+
 def test_internal_error_is_not_a_domain_error():
     assert not issubclass(InternalError, DomainError)
+
+
+def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
+    monkeypatch.setattr(rules, "lp_solve", lambda lp: LpOutcome(LpStatus.Optimal, None, F(0)))
+    with pytest.raises(InternalError):
+        ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
 
 
 def _unpinnable(margins, fixed, free, floor, coord):
