@@ -34,12 +34,13 @@ from .model import (
 from .extensions import (
     ComparisonOutcome,
     Extension,
-    _pc_form,
     dominance_outcomes,
     dominates,
     is_dominance,
+    pc_form,
+    sd_form,
 )
-from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, Rational, _require_rational, lp_solve
+from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, Rational, lp_solve, require_rational
 
 
 class EfficiencyNotion(Enum):
@@ -84,23 +85,20 @@ def _certificate(
 
 def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
     """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0, times
-    p's denominator."""
-    weights, _ = _pc_form(ballot, p)
+    p's denominator (`pc_form`)."""
+    weights, _ = pc_form(ballot, p)
     return (Constraint(tuple(weights), GE, 0),)
 
 
 def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
     """Every proper prefix of the ballot gets at least p's mass under q,
-    times p's denominator."""
+    times p's denominator (`sd_form`)."""
     alts = p.alternatives
-    mass, den = p._mass
+    prefixes, den = sd_form(ballot, p)
     rows: list[Constraint] = []
-    prefix = 0
     indicator = [0] * len(alts)
-    for x in ballot.order[:-1]:
-        i = alts.index(x)
-        indicator[i] = den
-        prefix += mass[i]
+    for x, prefix in zip(ballot.order, prefixes):
+        indicator[alts.index(x)] = den
         rows.append(Constraint(tuple(indicator), GE, prefix))
     return tuple(rows)
 
@@ -120,7 +118,8 @@ def _dominator_lp(
     `all_rankings` order (sorted label tuples), weighted in the objective
     by the total weight of its voters. The program, and so the witness, is
     a function of the ballot multiset and those totals alone. The rows are
-    in ints over p's denominator, which the value is divided by once."""
+    in ints over p's denominator, and so is the value: only whether it is
+    0 is read."""
     ballot_rows = _DOMINATOR_ROWS[extension]
     rows: list[Constraint] = []
     objective: list[Rational] = [0] * profile.m
@@ -135,8 +134,7 @@ def _dominator_lp(
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
-    den = p._mass[1]
-    return (outcome.value - baseline) / den, Lottery(profile.alternatives, outcome.solution)
+    return outcome.value - baseline, Lottery(profile.alternatives, outcome.solution)
 
 
 def _ballot_weights(
@@ -146,7 +144,7 @@ def _ballot_weights(
     their count when no weights are given. Int and Fraction weights are
     summed as given."""
     if weights is not None:
-        weights = tuple(_require_rational(w, "voter weight") for w in weights)
+        weights = tuple(require_rational(w, "voter weight") for w in weights)
         if len(weights) != profile.n:
             raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
         if any(w <= 0 for w in weights):

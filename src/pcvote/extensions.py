@@ -65,13 +65,35 @@ def _pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
     return weights, den
 
 
+def pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
+    """`pc_weights(ranking, p)` as ints over p's denominator, and that
+    denominator."""
+    if p.alternatives != ranking.alternatives:
+        raise DomainError("ranking and lottery must share one alternative set")
+    return _pc_form(ranking, p)
+
+
 def pc_weights(ranking: Ranking, p: Lottery) -> tuple[Fraction, ...]:
     """The voter's PC form against p: coefficients w, in alternative order,
     with w · q = pc_score(ranking, q, p) for every lottery q."""
+    weights, den = pc_form(ranking, p)
+    return tuple(Fraction(w, den) for w in weights)
+
+
+def sd_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
+    """p's mass on each proper prefix of the ranking (its top alternative,
+    its top two, ...) as ints over p's denominator, and that denominator:
+    q SD-dominates-or-equals p for this voter iff q puts at least that much
+    on every prefix."""
     if p.alternatives != ranking.alternatives:
         raise DomainError("ranking and lottery must share one alternative set")
-    weights, den = _pc_form(ranking, p)
-    return tuple(Fraction(w, den) for w in weights)
+    mass, den = p._mass
+    prefixes = []
+    prefix = 0
+    for x in ranking.order[:-1]:
+        prefix += mass[p.alternatives.index(x)]
+        prefixes.append(prefix)
+    return prefixes, den
 
 
 def pc_score(ranking: Ranking, p: Lottery, q: Lottery) -> Fraction:

@@ -52,8 +52,9 @@ def _require_exact(value: object, what: str) -> Fraction:
     raise DomainError(f"{what} must be an int or Fraction, got {type(value).__name__}")
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """`values` times the lcm of their denominators, as ints, and that lcm."""
+def _scaled(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """`values` times the lcm of their denominators, as ints, and that lcm.
+    An int's denominator is 1, so all-int values come back as they are."""
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 

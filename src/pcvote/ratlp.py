@@ -9,8 +9,9 @@ cross-multiplication. These are the pivots of the same simplex over
 `Fraction` rows: the same program always takes the same pivots and
 returns the same optimal vertex.
 
-An all-int constraint enters the tableau unchanged; one with fractions is
-multiplied by the lcm of its denominators. Multiplying a constraint, a
+Each constraint enters the tableau times the lcm of its denominators; an
+int's denominator is 1, so an all-int row has scale 1 and enters
+unchanged. Multiplying a constraint, a
 column or the objective by a positive factor changes no sign of a reduced
 cost and no order of the ratios, so Bland's rule takes the same pivots
 and returns the same vertex: callers may clear denominators themselves.
@@ -37,7 +38,7 @@ _RELATIONS = (LE, EQ, GE)
 Rational = int | Fraction
 
 
-def _require_rational(value: object, what: str) -> Rational:
+def require_rational(value: object, what: str) -> Rational:
     """An int as given, anything else through `_require_exact`: Fractions as
     given, floats and other types refused."""
     return value if type(value) is int else _require_exact(value, what)
@@ -53,9 +54,9 @@ class Constraint:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coeffs", tuple(_require_rational(c, "constraint coefficient") for c in self.coeffs)
+            self, "coeffs", tuple(require_rational(c, "constraint coefficient") for c in self.coeffs)
         )
-        object.__setattr__(self, "rhs", _require_rational(self.rhs, "constraint rhs"))
+        object.__setattr__(self, "rhs", require_rational(self.rhs, "constraint rhs"))
         if self.relation not in _RELATIONS:
             raise DomainError(f"constraint relation must be one of {_RELATIONS}, got {self.relation!r}")
 
@@ -69,7 +70,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "objective", tuple(_require_rational(c, "objective coefficient") for c in self.objective)
+            self, "objective", tuple(require_rational(c, "objective coefficient") for c in self.objective)
         )
         object.__setattr__(self, "constraints", tuple(self.constraints))
         n = len(self.objective)
@@ -168,27 +169,20 @@ def _run_simplex(rows: list[list[int]], z: list[int], basis: list[int], banned: 
         _pivot(rows, z, basis, leaving, entering)
 
 
-def _integer_row(values: tuple[Rational, ...]) -> tuple[list[int], int]:
-    """`values` as ints and the factor they were multiplied by: an all-int
-    row as it is, any other times the lcm of its denominators."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    return _scaled(values)
-
-
 def _standardize(
     objective: Sequence[Rational], constraints: Sequence[Constraint]
 ) -> tuple[list[list[int]], list[int], frozenset[int]]:
     """Equality standard form with rhs >= 0, slack/surplus and artificial columns.
 
     Returns (rows, basis, artificial column set). Each row is the constraint
-    row in ints (`_integer_row`) times ±1, with the rhs last; it stands for
-    itself divided by its basis entry, which is > 0.
+    row times ± the lcm of its denominators, in ints with the rhs last; an
+    int's denominator is 1, so an all-int row is taken as it is. A row
+    stands for itself divided by its basis entry, which is > 0.
     """
     n = len(objective)
     normalized: list[tuple[list[int], str, int]] = []
     for c in constraints:
-        values, scale = _integer_row(c.coeffs + (c.rhs,))
+        values, scale = _scaled(c.coeffs + (c.rhs,))
         rel = c.relation
         if c.rhs < 0:
             values = [-v for v in values]
@@ -256,7 +250,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             else:
                 _pivot(rows, z, basis, r, pivot_col)
 
-    z = _objective_row(_integer_row(objective)[0] + [0] * (num_cols - n), rows, basis)
+    z = _objective_row(_scaled(objective)[0] + [0] * (num_cols - n), rows, basis)
     status = _run_simplex(rows, z, basis, banned=art_cols)
     if status == "unbounded":
         return LpOutcome(LpStatus.Unbounded, None, None)

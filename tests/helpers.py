@@ -359,5 +359,4 @@ def reference_dominator_lp(prof: Profile, p, extension: Extension, weights=None)
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
-    # the rows are in ints over p's denominator
-    return (outcome.value - baseline) / p._mass[1], Lottery(prof.alternatives, outcome.solution)
+    return outcome.value - baseline, Lottery(prof.alternatives, outcome.solution)

@@ -22,7 +22,9 @@ from pcvote.extensions import (
     outcome_from_score,
     pc1_compare,
     pc_compare,
+    pc_form,
     sd_compare,
+    sd_form,
     weakly_prefers,
 )
 from helpers import random_lottery, reference_pc_score, reference_sd_compare
@@ -83,6 +85,29 @@ def test_pc_weights_pinned_and_checked():
     assert pc_weights(R_ABC, lot((1, 2), (1, 4), (1, 4))) == (F(1, 2), F(-1, 4), F(-3, 4))
     with pytest.raises(DomainError):
         pc_weights(R_ABC, Lottery.uniform("xyz"))
+
+
+def test_integer_forms_are_over_the_lotterys_denominator():
+    rng = random.Random(29)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        alts = alternative_set("abcd"[:m])
+        r = ranking(alts, rng.sample(alts.names, m))
+        p = random_lottery(rng, alts)
+        weights, den = pc_form(r, p)
+        assert all(type(w) is int for w in weights)
+        assert tuple(F(w, den) for w in weights) == pc_weights(r, p)
+        prefixes, sd_den = sd_form(r, p)
+        assert sd_den == den and all(type(v) is int for v in prefixes)
+        want = [sum(p.prob(x) for x in r.order[:k]) for k in range(1, m)]
+        assert [F(v, den) for v in prefixes] == want
+    p = lot((1, 2), (1, 4), (1, 4))
+    assert pc_form(R_ABC, p) == ([2, -1, -3], 4)
+    assert sd_form(ranking(ABC, ("c", "a", "b")), p) == ([1, 3], 4)
+    for form in (pc_form, sd_form):
+        for other in ("xyz", "cba"):
+            with pytest.raises(DomainError):
+                form(R_ABC, Lottery.uniform(other))
 
 
 def test_outcome_from_score():
