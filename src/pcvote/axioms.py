@@ -417,30 +417,24 @@ def enumerate_profiles(
 
 
 def _relabelling_tables(rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
-    """For each alternative permutation but the identity, the index in
-    `rankings` of every ranking's relabelled image."""
+    """For each alternative permutation, the identity included, the index
+    in `rankings` of every ranking's relabelled image."""
     index = {r.order: k for k, r in enumerate(rankings)}
     names = rankings[0].alternatives.names
     tables = []
     for image in rankings:
-        if image.order == names:
-            continue
         mapping = dict(zip(names, image.order))
         tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in rankings))
     return tables
 
 
-def _least_in_orbit(
-    indices: tuple[int, ...], tables: list[tuple[int, ...]], up_to_anonymity: bool
-) -> bool:
-    """Does no relabelling of this profile come earlier in the enumeration?
-    Under `up_to_anonymity` a relabelled profile is enumerated sorted."""
+def _least_in_orbit(indices: tuple[int, ...], tables: list[tuple[int, ...]]) -> bool:
+    """Is this profile, in either scan mode, the least of its orbit under
+    relabelling the alternatives and reordering the voters? Each image is
+    compared sorted; the identity table makes an unsorted profile fail."""
     key = list(indices)
     for table in tables:
-        image = list(map(table.__getitem__, indices))
-        if up_to_anonymity:
-            image.sort()
-        if image < key:
+        if sorted(map(table.__getitem__, indices)) < key:
             return False
     return True
 
@@ -524,29 +518,28 @@ def exhaustive_scan(
     axiom_name: str,
     up_to_anonymity: bool = False,
     n_min: Optional[int] = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> AxiomReport:
     """Run one axiom checker over every profile with n_min..n_max voters,
     stopping at the first witness. Deterministic enumeration order. Each
-    voter count's space must fit the budget; this is checked for n_max
-    before the first profile.
+    voter count's space must fit `DEFAULT_ENUMERATION_BUDGET`; this is
+    checked for n_max before the first profile.
 
     A rule that declares a statistic is evaluated once per distinct value
     of it (`rules.memoized`), except under `anonymity`, which the memo
     assumes; the memo is dropped when the scan returns.
 
     A rule that declares a statistic and `neutral` is checked on one
-    profile per orbit under the m! relabellings of the alternatives: the
-    one that comes first in the enumeration. Except under `anonymity` and
-    `neutrality`, which test those declarations, this is sound. Every
+    profile per orbit under the m! relabellings of the alternatives and
+    the reorderings of the voters: the one that comes first in the
+    enumeration, which is sorted in either mode. Except under `anonymity`
+    and `neutrality`, which test those declarations, this is sound. Every
     other axiom is invariant under relabelling the alternatives and, for
-    an anonymous rule, under reordering the voters (which is how a
-    relabelled multiset returns to sorted order). So for a neutral and
+    an anonymous rule, under reordering the voters. So for a neutral and
     anonymous rule the violating profiles are a union of orbits, and the
     first of them in enumeration order is the first of its orbit. That
     profile is checked exactly as without the reduction. The skipped
     profiles count as checked, so the verdict, the witness and
-    `profiles_checked` are those of the unreduced scan.
+    `profiles_checked` are those of the unreduced scan, ordered or not.
     """
     spec = axiom(axiom_name)
     if axiom_name != "anonymity":
@@ -555,7 +548,7 @@ def exhaustive_scan(
     if n_max < lo:
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")
     # the budget holds per voter count, and the largest count has the most profiles
-    _check_enumerable(m, n_max, up_to_anonymity, budget)
+    _check_enumerable(m, n_max, up_to_anonymity, DEFAULT_ENUMERATION_BUDGET)
     alts = _alternatives(m)
     rankings = all_rankings(alts)
     reduced = (
@@ -568,7 +561,7 @@ def exhaustive_scan(
     for n in range(lo, n_max + 1):
         for indices in _ballot_indices(m, n, up_to_anonymity):
             checked += 1
-            if tables and not _least_in_orbit(indices, tables, up_to_anonymity):
+            if tables and not _least_in_orbit(indices, tables):
                 continue
             profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
             witness = spec.check(rule, profile)

@@ -231,9 +231,10 @@ def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     free = list(range(m))
     while free:
         floor, point = _ml_max_min(margins, fixed, free)
-        stuck = [
-            j for j in free
-            if point[j] == floor and _ml_coordinate_max(margins, fixed, free, floor, j) == floor
+        candidates = [j for j in free if point[j] == floor]
+        # some free coordinate is stuck, else averaging the lifting points raises the floor
+        stuck = candidates if len(candidates) == 1 else [
+            j for j in candidates if _ml_coordinate_max(margins, fixed, free, floor, j) == floor
         ]
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")

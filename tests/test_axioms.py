@@ -532,13 +532,26 @@ def test_a_reduced_scan_checks_the_first_profile_of_each_orbit(monkeypatch, m, n
         for image in all_rankings(prof.alternatives):
             relabelled = relabel(prof, alt_perm=dict(zip(prof.alternatives.names, image.order)))
             orders = [b.order for b in relabelled.ballots]
-            images.append(tuple(sorted(orders) if anonymous else orders))
+            images.append(tuple(sorted(orders)))
         return min(images)
 
     first_of_orbit: dict = {}
     for prof in enumerate_profiles(m, n, anonymous):
         first_of_orbit.setdefault(orbit_key(prof), prof)
     assert checked == list(first_of_orbit.values())
+
+
+@pytest.mark.parametrize("m, n, orbits", [(3, 3, 10), (3, 4, 24), (4, 2, 17), (2, 5, 3)])
+def test_an_ordered_reduced_scan_checks_the_anonymous_scans_profiles(monkeypatch, m, n, orbits):
+    # an anonymous rule's axioms do not see voter order, so the ordered scan
+    # checks only sorted profiles: the multisets the anonymous scan checks
+    checked = {False: [], True: []}
+    for anonymous in (False, True):
+        spec = AxiomSpec("unanimity", lambda rule, p, seen=checked[anonymous]: seen.append(p))
+        monkeypatch.setitem(AXIOMS, "unanimity", spec)
+        rep = exhaustive_scan(RD, m, n, "unanimity", up_to_anonymity=anonymous, n_min=n)
+        assert rep.verdict is Verdict.Holds and rep.profiles_checked == count_profiles(m, n, anonymous)
+    assert checked[False] == checked[True] and len(checked[True]) == orbits
 
 
 def test_only_the_symmetry_scans_check_every_profile():

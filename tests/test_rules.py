@@ -321,8 +321,8 @@ def test_ml_skips_the_coordinates_the_max_min_point_lifts(monkeypatch):
     # three cyclic ballots with even margins, so the leximin loop runs. Each
     # of its four rounds pins one coordinate (d, then b, a, c), and in each
     # the max-min LP's own point lifts every other free coordinate above
-    # the floor, so only the pinned one is tried: 4 + 4 LPs, where trying
-    # every free coordinate takes 4 + (4 + 3 + 2 + 1) = 14.
+    # the floor. The lone coordinate at the floor is stuck without an LP:
+    # 4 LPs, where trying every free coordinate takes 4 + (4 + 3 + 2 + 1) = 14.
     prof = parse_profile(
         "alternatives: a b c d\n"
         "200001: a > b > c > d\n199999: b > c > a > d\n200000: c > a > b > d\n"
@@ -342,8 +342,8 @@ def test_ml_skips_the_coordinates_the_max_min_point_lifts(monkeypatch):
     monkeypatch.setattr(rules, "_ml_coordinate_max", coordinate_max)
     n = prof.n
     assert ml(prof).probs == (F(200000, n), F(199998, n), F(200002, n), F(0))
-    assert len(solves) == 8
-    assert tried == [3, 1, 0, 2]
+    assert len(solves) == 4
+    assert tried == []
 
 
 def test_internal_error_is_not_a_domain_error():
