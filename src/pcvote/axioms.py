@@ -140,15 +140,30 @@ def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
     return alternatives._rankings
 
 
-def _check_rule_evaluations(m: int, count: int, what: str) -> None:
-    """Refuse a per-profile check over the rankings of m alternatives that
-    would evaluate the rule `count` times, if that is more than
+def _check_rule_evaluations(count: int, what: str) -> None:
+    """Refuse a per-profile check that would evaluate the rule `count`
+    times, besides once on the profile itself, if that is more than
     `RULE_EVALUATION_BUDGET`, before the first evaluation."""
-    _check_ranking_count(m)
     if count > RULE_EVALUATION_BUDGET:
         raise EnumerationBudgetError(
             f"{what} needs {count} rule evaluations, over the budget of {RULE_EVALUATION_BUDGET}"
         )
+
+
+def _voters_to_try(
+    rule: SocialDecisionScheme, profile: Profile, voters: Optional[Sequence[int]] = None
+) -> Sequence[int]:
+    """The voters a per-voter check tries, in order: the listed ones or all n,
+    but for a rule that declares a statistic, and so is anonymous, only the
+    first with each distinct ballot, read off the runs when none are listed."""
+    if getattr(rule, "statistic", None) is None:
+        return voters if voters is not None else range(1, profile.n + 1)
+    if voters is None:
+        voters = itertools.accumulate((count for _, count in profile.runs[:-1]), initial=1)
+    first: dict[Ranking, int] = {}
+    for i in voters:
+        first.setdefault(profile.ballot(i), i)
+    return list(first.values())
 
 
 def find_manipulation(
@@ -165,25 +180,17 @@ def find_manipulation(
     preferred to (incomparability included); weak mode flags one whose
     outcome the voter strictly prefers.
 
-    A rule that declares a statistic is anonymous, so a listed voter whose
-    ballot an earlier listed voter has is skipped: the outcomes would repeat.
-    The (m! - 1) misreports of each remaining voter are budgeted up front.
+    The voters tried are those of `_voters_to_try`, and the (m! - 1)
+    misreports of each are budgeted up front.
     """
-    voter_list = voters if voters is not None else range(1, profile.n + 1)
-    anonymous = getattr(rule, "statistic", None) is not None
-    deviators: list[tuple[int, Ranking]] = []
-    tried: set[Ranking] = set()
-    for i in voter_list:
-        true_ballot = profile.ballot(i)
-        if anonymous and true_ballot in tried:
-            continue
-        tried.add(true_ballot)
-        deviators.append((i, true_ballot))
+    deviators = _voters_to_try(rule, profile, voters)
     m = profile.m
-    _check_rule_evaluations(m, (math.factorial(m) - 1) * len(deviators), "the misreport search")
+    _check_ranking_count(m)
+    _check_rule_evaluations((math.factorial(m) - 1) * len(deviators), "the misreport search")
     candidates = all_rankings(profile.alternatives)
     truthful = rule(profile)
-    for i, true_ballot in deviators:
+    for i in deviators:
+        true_ballot = profile.ballot(i)
         for misreport in candidates:
             if misreport == true_ballot:
                 continue
@@ -221,12 +228,14 @@ def check_participation(
     extension: Extension,
     strict: bool = False,
 ) -> Optional[ParticipationWitness]:
-    """Does any voter weakly regret showing up — or, in strict mode, fail
-    to strictly gain although a strict gain was available?"""
+    """Does any voter of `_voters_to_try` weakly regret showing up — or, in
+    strict mode, fail to strictly gain although a strict gain was available?"""
     if profile.n < 2:
         raise DomainError("participation needs at least two voters to compare against")
+    leaving = _voters_to_try(rule, profile)
+    _check_rule_evaluations(len(leaving), "the participation check")
     with_voter = rule(profile)
-    for i in range(1, profile.n + 1):
+    for i in leaving:
         ballot = profile.ballot(i)
         without = rule(remove_voter(profile, i))
         outcome = compare(extension, ballot, with_voter, without)
@@ -242,49 +251,51 @@ def check_participation(
     return None
 
 
-def _voter_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    if n <= 5:
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield perm
-    else:
-        # adjacent transpositions generate the full group
-        for i in range(1, n):
-            perm = list(range(1, n + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            yield tuple(perm)
-
-
 def check_symmetry(
-    rule: SocialDecisionScheme, profile: Profile, kind: Optional[str] = None
+    rule: SocialDecisionScheme, profile: Profile, kind: str
 ) -> Optional[SymmetryWitness]:
-    """Anonymity (voter permutations leave the outcome alone) and
-    neutrality (alternative permutations commute with the rule).
-    `kind` restricts the check to "anonymity" or "neutrality"."""
-    if kind not in (None, "anonymity", "neutrality"):
-        raise DomainError(f"kind must be None, 'anonymity' or 'neutrality', got {kind!r}")
-    base = rule(profile)
-    if kind in (None, "anonymity"):
-        for perm in _voter_permutations(profile.n):
-            if perm == tuple(range(1, profile.n + 1)):
+    """Anonymity (reordering the voters leaves the outcome alone) or neutrality
+    (relabelling the alternatives commutes with the rule), as `kind` names.
+    Anonymity evaluates each distinct ballot sequence once, budgeted at n! - 1."""
+    if kind == "anonymity":
+        n = profile.n
+        one_ballot = len({ballot for ballot, _ in profile.runs}) == 1
+        # n! - 1 other orders, or none for one ballot; k! - 1 passes the budget by k = 9
+        k = 1
+        while not one_ballot and k < n and math.factorial(k) - 1 <= RULE_EVALUATION_BUDGET:
+            k += 1
+        _check_rule_evaluations(math.factorial(k) - 1, f"the anonymity check on {k} of {n} voters")
+        base = rule(profile)
+        if one_ballot:
+            return None  # no other voter order
+        seen = {profile.ballots}
+        for perm in itertools.permutations(range(1, n + 1)):
+            order = tuple(map(profile.ballot, perm))
+            if order in seen:
                 continue
-            actual = rule(relabel(profile, voter_perm=perm))
+            seen.add(order)
+            actual = rule(Profile.from_ballots(profile.alternatives, order))
             if actual != base:
                 return SymmetryWitness(profile, "anonymity", perm, None, base, actual)
-    if kind in (None, "neutrality"):
+        return None
+    if kind == "neutrality":
         m = profile.m
-        _check_rule_evaluations(m, math.factorial(m) - 1, "the neutrality check")
+        _check_ranking_count(m)
+        _check_rule_evaluations(math.factorial(m) - 1, "the neutrality check")
+        base = rule(profile)
         names = profile.alternatives.names
         for ranking in all_rankings(profile.alternatives):
-            mapping = dict(zip(names, ranking.order))
-            if all(k == v for k, v in mapping.items()):
+            if ranking.order == names:
                 continue
+            mapping = dict(zip(names, ranking.order))
             actual = rule(relabel(profile, alt_perm=mapping))
             expected = base.relabel(mapping)
             if actual != expected:
                 return SymmetryWitness(
                     profile, "neutrality", None, tuple(sorted(mapping.items())), expected, actual
                 )
-    return None
+        return None
+    raise DomainError(f"kind must be 'anonymity' or 'neutrality', got {kind!r}")
 
 
 def check_cancellation(
@@ -292,7 +303,8 @@ def check_cancellation(
 ) -> Optional[CancellationWitness]:
     """Adding a ballot and its exact reverse must not move the outcome."""
     m = profile.m
-    _check_rule_evaluations(m, math.factorial(m), "the cancellation check")
+    _check_ranking_count(m)
+    _check_rule_evaluations(math.factorial(m), "the cancellation check")
     rankings = all_rankings(profile.alternatives)
     base = rule(profile)
     for ballot in rankings:
@@ -350,8 +362,8 @@ def check_efficiency(
 # ---------------------------------------------------------------------------
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
-# rule evaluations one per-profile check may make: a misreport search, a
-# cancellation or a neutrality check over m! rankings
+# rule evaluations a per-profile check may make besides the one on the
+# profile itself
 RULE_EVALUATION_BUDGET = 100_000
 
 

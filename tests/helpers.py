@@ -9,7 +9,7 @@ It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
 definitions of profile statistics, lottery comparisons, manipulation
-search and the dominator LP.
+search, the participation check and the dominator LP.
 """
 
 from __future__ import annotations
@@ -19,10 +19,26 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from pcvote.axioms import ManipulationWitness, Mode, all_rankings, find_manipulation
+from pcvote.axioms import (
+    ManipulationWitness,
+    Mode,
+    ParticipationWitness,
+    all_rankings,
+    exists_strict_improvement,
+    find_manipulation,
+)
 from pcvote.efficiency import _DOMINATOR_ROWS
 from pcvote.extensions import ComparisonOutcome, Extension, compare, weakly_prefers
-from pcvote.model import DomainError, InternalError, Lottery, MarginMatrix, Profile, margin_matrix, profile
+from pcvote.model import (
+    DomainError,
+    InternalError,
+    Lottery,
+    MarginMatrix,
+    Profile,
+    margin_matrix,
+    profile,
+    remove_voter,
+)
 from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
 from pcvote.rules import SocialDecisionScheme, _margin_rows, _unit
 
@@ -328,6 +344,26 @@ def reference_find_manipulation(rule, prof: Profile, extension: Extension, mode:
             if violated:
                 return ManipulationWitness(
                     prof, i, misreport, deviated, truthful, outcome, extension, mode
+                )
+    return None
+
+
+def reference_check_participation(rule, prof: Profile, extension: Extension, strict: bool = False):
+    """`check_participation` as a plain loop over every voter, with no
+    reduction for repeated ballots."""
+    with_voter = rule(prof)
+    for i in range(1, prof.n + 1):
+        ballot = prof.ballot(i)
+        without = rule(remove_voter(prof, i))
+        outcome = compare(extension, ballot, with_voter, without)
+        if not weakly_prefers(outcome):
+            return ParticipationWitness(
+                prof, i, with_voter, without, extension, strict, "participation-harms"
+            )
+        if strict and exists_strict_improvement(ballot, without):
+            if outcome is not ComparisonOutcome.StrictlyPreferred:
+                return ParticipationWitness(
+                    prof, i, with_voter, without, extension, strict, "no-strict-gain"
                 )
     return None
 

@@ -36,6 +36,7 @@ from pcvote import (
     margin_matrix,
     ml,
     never_bottom_set,
+    parse_profile,
     profile,
     ranking,
     relabel,
@@ -53,6 +54,7 @@ from pcvote.rules import RULES, SocialDecisionScheme, memoized
 from helpers import (
     random_lottery,
     random_profile,
+    reference_check_participation,
     reference_find_manipulation,
     strategyproofness_ladder_gaps,
 )
@@ -71,6 +73,21 @@ DICTATOR = SocialDecisionScheme(
 FIRST_NAME = SocialDecisionScheme(
     "first-name", lambda p: Lottery.degenerate(p.alternatives, p.alternatives.names[0])
 )
+LAST_VOTER = SocialDecisionScheme(
+    "dictator-n", lambda p: Lottery.degenerate(p.alternatives, p.ballot(p.n).top)
+)
+
+
+def counting(rule):
+    """The rule with its declarations kept, and the list of profiles it is
+    evaluated on."""
+    calls = []
+
+    def evaluate(prof):
+        calls.append(prof)
+        return rule.evaluate(prof)
+
+    return replace(rule, evaluate=evaluate), calls
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +208,43 @@ def test_participation_needs_two_voters():
         check_participation(RD, profile("ab", [("a", "b")]), Extension.PC)
 
 
+def test_participation_tries_each_distinct_ballot_once():
+    rule, calls = counting(RD)
+    prof = parse_profile("alternatives: a b c\n1000: a > b > c\n")
+    assert check_participation(rule, prof, Extension.SD, strict=True) is None
+    assert len(calls) == 2  # the profile, and one voter left out
+
+
+def test_per_voter_checks_take_a_ballot_repeated_in_a_later_run_once():
+    prof = parse_profile("alternatives: a b c\n2: a > b > c\n1: b > a > c\n2: a > b > c\n")
+    assert len(prof.runs) == 3
+    rule, calls = counting(RD)
+    assert check_participation(rule, prof, Extension.SD) is None
+    assert len(calls) == 1 + 2
+    calls.clear()
+    assert find_manipulation(rule, prof, Extension.SD, Mode.Strong) is None
+    assert len(calls) == 1 + 2 * 5
+    # a rule that declares no statistic may tell the voters apart
+    rule, calls = counting(LAST_VOTER)
+    assert check_participation(rule, prof, Extension.SD) is None
+    assert len(calls) == 1 + 5
+
+
+def test_participation_equals_the_per_voter_reference():
+    spaces = [(3, n) for n in range(2, 5)] + [(4, 2)]
+    for name, rule in RULES.items():
+        memo = memoized(rule)
+        for m, n in spaces:
+            for prof in enumerate_profiles(m, n):
+                if not rule.applicable(prof):
+                    continue
+                for extension in Extension:
+                    for strict in (False, True):
+                        found = check_participation(memo, prof, extension, strict)
+                        expected = reference_check_participation(memo, prof, extension, strict)
+                        assert found == expected, (name, prof, extension, strict)
+
+
 # ---------------------------------------------------------------------------
 # symmetry and cancellation
 # ---------------------------------------------------------------------------
@@ -208,6 +262,46 @@ def test_dictatorship_is_not_anonymous():
     prof = profile("abc", [("a", "b", "c"), ("b", "a", "c")])
     w = check_symmetry(DICTATOR, prof, "anonymity")
     assert w is not None and w.kind == "anonymity"
+
+
+def test_a_dictatorship_over_six_voters_is_not_anonymous():
+    prof = parse_profile("alternatives: a b\n5: a > b\n1: b > a\n")
+    w = check_symmetry(DICTATOR, prof, "anonymity")
+    assert w is not None and w.voter_perm == (6, 1, 2, 3, 4, 5)
+    assert w.actual == Lottery.degenerate(prof.alternatives, "b")
+
+
+def _plain_anonymity_witness(rule, prof):
+    """The first voter order, of all n!, that moves the outcome."""
+    base = rule(prof)
+    for perm in itertools.permutations(range(1, prof.n + 1)):
+        actual = rule(relabel(prof, voter_perm=perm))
+        if actual != base:
+            return perm, actual
+    return None
+
+
+def test_anonymity_witnesses_equal_the_walk_over_every_voter_order():
+    violations = 0
+    for m, n_max in ((2, 6), (3, 3)):
+        for n in range(1, n_max + 1):
+            for prof in enumerate_profiles(m, n):
+                for rule in (DICTATOR, LAST_VOTER, RD):
+                    w = check_symmetry(rule, prof, "anonymity")
+                    found = None if w is None else (w.voter_perm, w.actual)
+                    assert found == _plain_anonymity_witness(rule, prof), (rule.name, prof)
+                    violations += w is not None
+    assert violations == 660
+
+
+def test_anonymity_evaluates_each_distinct_ballot_sequence_once():
+    rule, calls = counting(RD)
+    assert check_symmetry(rule, parse_profile("alternatives: a b\n7: a > b\n1: b > a\n"), "anonymity") is None
+    assert len(calls) == 8  # the profile, and b's seven other places
+    calls.clear()
+    # one distinct ballot has no other voter order
+    assert check_symmetry(rule, parse_profile("alternatives: a b\n1000000000: a > b\n"), "anonymity") is None
+    assert len(calls) == 1
 
 
 def test_constant_winner_is_not_neutral():
@@ -639,6 +733,40 @@ def test_per_profile_checks_refuse_too_many_rule_evaluations_at_once(check, need
         check(NINE)
     assert time.perf_counter() - start < 1
     assert "_rankings" not in NINE.alternatives.__dict__, "rankings were built before the refusal"
+
+
+@pytest.mark.parametrize("voters", [9, 10, 1_000_000_000])
+def test_anonymity_over_nine_or_more_voters_is_refused_before_any_evaluation(voters):
+    rule, calls = counting(DICTATOR)
+    prof = parse_profile(f"alternatives: a b\n{voters - 1}: a > b\n1: b > a\n")
+    start = time.perf_counter()
+    needed = f"the anonymity check on 9 of {voters} voters needs 362879 rule evaluations"
+    with pytest.raises(EnumerationBudgetError, match=needed):
+        check_symmetry(rule, prof, "anonymity")
+    assert time.perf_counter() - start < 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: check_participation(RD, p, Extension.SD, strict=True),
+    lambda p: check_symmetry(RD, p, "anonymity"),
+], ids=["participation", "anonymity"])
+def test_checks_that_walk_no_rankings_run_over_ten_alternatives(check):
+    names = "abcdefghij"
+    assert check(profile(names, [names, names[::-1]])) is None
+
+
+@pytest.mark.parametrize("name", ["rd", "ml"])
+def test_every_axiom_answers_on_a_billion_voters_with_few_evaluations(name):
+    prof = parse_profile("alternatives: a b c\n1000000000: a > b > c\n")
+    rule, calls = counting(RULES[name])
+    for axiom_name in AXIOMS:
+        calls.clear()
+        try:
+            check_axiom_on_profile(rule, prof, axiom_name)
+        except EnumerationBudgetError:
+            pass
+        assert len(calls) <= 7, axiom_name  # m! + 1
 
 
 def test_all_rankings_are_built_once_per_alternative_set():

@@ -333,6 +333,19 @@ def test_per_profile_checks_refuse_too_many_rule_evaluations_at_once(tmp_path, c
     assert err == f"error: {needed} rule evaluations, over the budget of 100000\n"
 
 
+@pytest.mark.parametrize("axiom, code", [("pc-participation", 0), ("anonymity", 2)])
+def test_per_profile_checks_on_a_large_electorate_answer_at_once(tmp_path, capsys, axiom, code):
+    doc = tmp_path / "electorate.profile"
+    doc.write_text("alternatives: a b c\n200001: a > b > c\n199999: b > c > a\n200000: c > a > b\n")
+    start = time.perf_counter()
+    got, out, err = run(capsys, "check", "--axiom", axiom, "--rule", "ml", "--profile", str(doc))
+    assert time.perf_counter() - start < 2
+    assert got == code
+    if code == 2:
+        needed = "the anonymity check on 9 of 600000 voters needs 362879"
+        assert (out, err) == ("", f"error: {needed} rule evaluations, over the budget of 100000\n")
+
+
 # ---------------------------------------------------------------------------
 # paper-suite
 # ---------------------------------------------------------------------------
