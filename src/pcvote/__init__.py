@@ -16,20 +16,24 @@ from .model import (
     MarginMatrix,
     Profile,
     Ranking,
+    Tally,
     UnknownAlternativeError,
     absolute_winner,
     alternative_set,
     condorcet_winner,
     majority_margin,
     margin_matrix,
+    margin_tally,
     never_bottom_set,
     pareto_dominated_set,
     profile,
     ranking,
     relabel,
     remove_voter,
+    top_bottom_tally,
     top_count,
     top_counts,
+    top_tally,
     weak_condorcet_winners,
 )
 from .extensions import (

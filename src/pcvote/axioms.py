@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .model import (
@@ -166,6 +167,91 @@ def _voters_to_try(
     return list(first.values())
 
 
+class _Edits:
+    """A rule's outcomes on one profile and on its edits: one ballot taken
+    out, one swapped, or two put in. Ballots are named by their index in
+    `all_rankings`.
+
+    For a rule with a memo (`rules.memoized`) an edit's outcome is read by
+    its tally vector: the profile's, minus the tally of the ballot taken
+    out, plus those of the ballots put in. Its `Profile` is made by `build`
+    only on a memo miss. Misreport comparisons are memoized too, keyed by
+    the identities of the memo's lotteries. Any other rule is evaluated on
+    the built profile, as the per-voter reference does.
+    """
+
+    def __init__(self, rule: SocialDecisionScheme, profile: Profile) -> None:
+        self.rule = rule
+        self.memo = memo = getattr(rule, "memo", None)
+        if memo is None:
+            return
+        alts = self.alternatives = profile.alternatives
+        if alts not in memo.tallies:
+            rankings = all_rankings(alts)
+            memo.tallies[alts] = (
+                {r.order: k for k, r in enumerate(rankings)},
+                [rule.statistic.of(r) for r in rankings],
+            )
+        self.index, self.tallies = memo.tallies[alts]
+        self.cache = memo.outcomes.setdefault(alts, {})
+        self.base = rule.statistic(profile)
+        self.without: dict[Optional[int], tuple[int, ...]] = {None: self.base}
+
+    def ballot(self, ranking: Ranking) -> Optional[int]:
+        """The ranking's index in `all_rankings`; None when the rule has no
+        memo, which reads no index."""
+        return None if self.memo is None else self.index[ranking.order]
+
+    def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
+        """The tally vector of the profile with ballot `taken` out and the
+        ballots `put` in."""
+        vector = self.without.get(taken)
+        if vector is None:
+            vector = self.without[taken] = tuple(map(sub, self.base, self.tallies[taken]))
+        for k in put:
+            vector = map(add, vector, self.tallies[k])
+        return tuple(vector)
+
+    def outcome(
+        self, taken: Optional[int], put: Sequence[Optional[int]], build: Callable[[], Profile]
+    ) -> Lottery:
+        """The rule's outcome on the edited profile that `build()` makes."""
+        if self.memo is None:
+            return self.rule(build())
+        vector = self.vector(taken, put)
+        found = self.cache.get(vector)
+        if found is None:
+            found = self.memo.outcome(self.alternatives, vector, lambda: self.rule(build()))
+        return found
+
+    def judge(
+        self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
+    ) -> Callable[[Lottery], bool]:
+        """Does a voter with this true ballot gain by the move from `truthful`
+        to a given outcome, in this mode (see `find_manipulation`)?"""
+        if self.memo is None:
+            return lambda outcome: _manipulates(extension, mode, ballot, truthful, outcome)
+        seen = self.memo.comparisons.setdefault(
+            (extension, mode, self.index[ballot.order], id(truthful)), {}
+        )
+
+        def manipulates(outcome: Lottery) -> bool:
+            found = seen.get(id(outcome))
+            if found is None:
+                found = seen[id(outcome)] = _manipulates(extension, mode, ballot, truthful, outcome)
+            return found
+
+        return manipulates
+
+
+def _manipulates(
+    extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery, outcome: Lottery
+) -> bool:
+    if mode is Mode.Strong:
+        return not weakly_prefers(compare(extension, ballot, truthful, outcome))
+    return compare(extension, ballot, outcome, truthful) is ComparisonOutcome.StrictlyPreferred
+
+
 def find_manipulation(
     rule: SocialDecisionScheme,
     profile: Profile,
@@ -181,31 +267,27 @@ def find_manipulation(
     outcome the voter strictly prefers.
 
     The voters tried are those of `_voters_to_try`, and the (m! - 1)
-    misreports of each are budgeted up front.
+    misreports of each are budgeted up front. For a memoized rule a
+    misreport's outcome is looked up by its tally vector (`_Edits`), and a
+    `Profile` is built only on a memo miss and for the witness.
     """
     deviators = _voters_to_try(rule, profile, voters)
     m = profile.m
     _check_ranking_count(m)
     _check_rule_evaluations((math.factorial(m) - 1) * len(deviators), "the misreport search")
     candidates = all_rankings(profile.alternatives)
-    truthful = rule(profile)
+    edits = _Edits(rule, profile)
+    truthful = edits.outcome(None, (), lambda: profile)
     for i in deviators:
         true_ballot = profile.ballot(i)
-        for misreport in candidates:
-            if misreport == true_ballot:
+        taken = candidates.index(true_ballot)
+        manipulates = edits.judge(extension, mode, true_ballot, truthful)
+        for k, misreport in enumerate(candidates):
+            if k == taken:
                 continue
-            deviated = profile.replace_ballot(i, misreport)
-            outcome = rule(deviated)
-            if mode is Mode.Strong:
-                violated = not weakly_prefers(
-                    compare(extension, true_ballot, truthful, outcome)
-                )
-            else:
-                violated = (
-                    compare(extension, true_ballot, outcome, truthful)
-                    is ComparisonOutcome.StrictlyPreferred
-                )
-            if violated:
+            outcome = edits.outcome(taken, (k,), lambda: profile.replace_ballot(i, misreport))
+            if manipulates(outcome):
+                deviated = profile.replace_ballot(i, misreport)
                 return ManipulationWitness(
                     profile, i, misreport, deviated, truthful, outcome, extension, mode
                 )
@@ -234,10 +316,11 @@ def check_participation(
         raise DomainError("participation needs at least two voters to compare against")
     leaving = _voters_to_try(rule, profile)
     _check_rule_evaluations(len(leaving), "the participation check")
-    with_voter = rule(profile)
+    edits = _Edits(rule, profile)
+    with_voter = edits.outcome(None, (), lambda: profile)
     for i in leaving:
         ballot = profile.ballot(i)
-        without = rule(remove_voter(profile, i))
+        without = edits.outcome(edits.ballot(ballot), (), lambda: remove_voter(profile, i))
         outcome = compare(extension, ballot, with_voter, without)
         if not weakly_prefers(outcome):
             return ParticipationWitness(
@@ -260,11 +343,8 @@ def check_symmetry(
     if kind == "anonymity":
         n = profile.n
         one_ballot = len({ballot for ballot, _ in profile.runs}) == 1
-        # n! - 1 other orders, or none for one ballot; k! - 1 passes the budget by k = 9
-        k = 1
-        while not one_ballot and k < n and math.factorial(k) - 1 <= RULE_EVALUATION_BUDGET:
-            k += 1
-        _check_rule_evaluations(math.factorial(k) - 1, f"the anonymity check on {k} of {n} voters")
+        if not one_ballot:  # else there is no other voter order
+            _check_voter_orders(n)
         base = rule(profile)
         if one_ballot:
             return None  # no other voter order
@@ -306,10 +386,12 @@ def check_cancellation(
     _check_ranking_count(m)
     _check_rule_evaluations(math.factorial(m), "the cancellation check")
     rankings = all_rankings(profile.alternatives)
-    base = rule(profile)
-    for ballot in rankings:
-        extended = profile.append(ballot, ballot.reversed())
-        after = rule(extended)
+    edits = _Edits(rule, profile)
+    base = edits.outcome(None, (), lambda: profile)
+    for k, ballot in enumerate(rankings):
+        reverse = ballot.reversed()
+        put = (k, edits.ballot(reverse))
+        after = edits.outcome(None, put, lambda: profile.append(ballot, reverse))
         if after != base:
             return CancellationWitness(profile, ballot, base, after)
     return None
@@ -369,6 +451,21 @@ RULE_EVALUATION_BUDGET = 100_000
 
 class EnumerationBudgetError(DomainError):
     """The requested profile space is larger than the allowed budget."""
+
+
+# the fewest voters whose n! - 1 other orders pass the budget
+ANONYMITY_VOTER_LIMIT = next(
+    k for k in itertools.count(1) if math.factorial(k) - 1 > RULE_EVALUATION_BUDGET
+)
+
+
+def _check_voter_orders(n: int) -> None:
+    """Refuse an anonymity check on n voters with two or more distinct
+    ballots if their n! - 1 other orders pass the budget; the count is
+    taken only as far as `ANONYMITY_VOTER_LIMIT` voters, so a huge n costs
+    nothing."""
+    k = min(n, ANONYMITY_VOTER_LIMIT)
+    _check_rule_evaluations(math.factorial(k) - 1, f"the anonymity check on {k} of {n} voters")
 
 
 def count_profiles(m: int, n: int, up_to_anonymity: bool = False) -> int:
@@ -534,11 +631,18 @@ def exhaustive_scan(
     """Run one axiom checker over every profile with n_min..n_max voters,
     stopping at the first witness. Deterministic enumeration order. Each
     voter count's space must fit `DEFAULT_ENUMERATION_BUDGET`; this is
-    checked for n_max before the first profile.
+    checked for n_max before the first profile. So is an `anonymity` scan
+    that would meet a profile whose voter orders its check refuses (two
+    distinct ballots and `ANONYMITY_VOTER_LIMIT` or more voters), with the
+    check's own message.
 
-    A rule that declares a statistic is evaluated once per distinct value
-    of it (`rules.memoized`), except under `anonymity`, which the memo
-    assumes; the memo is dropped when the scan returns.
+    A rule that declares a statistic is evaluated once per alternative set
+    and distinct tally vector (`rules.memoized`), except under `anonymity`,
+    which the memo assumes; the memo is dropped when the scan returns. The
+    misreport, participation and cancellation checks key each edit of a
+    profile by the profile's vector plus the edit's tally delta, so they
+    build a `Profile` only for a vector the scan has not seen and for a
+    witness.
 
     A rule that declares a statistic and `neutral` is checked on one
     profile per orbit under the m! relabellings of the alternatives and
@@ -561,6 +665,9 @@ def exhaustive_scan(
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")
     # the budget holds per voter count, and the largest count has the most profiles
     _check_enumerable(m, n_max, up_to_anonymity, DEFAULT_ENUMERATION_BUDGET)
+    if axiom_name == "anonymity" and m >= 2 and n_max >= ANONYMITY_VOTER_LIMIT:
+        # every n >= 2 has a profile with two distinct ballots
+        _check_voter_orders(max(lo, ANONYMITY_VOTER_LIMIT))
     alts = _alternatives(m)
     rankings = all_rankings(alts)
     reduced = (

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations, repeat
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class DomainError(ValueError):
@@ -137,6 +138,15 @@ class Ranking:
     def positions(self) -> tuple[int, ...]:
         """The 0-based place of each alternative, in alternative order."""
         return tuple(map(self.order.index, self.alternatives.names))
+
+    @cached_property
+    def pair_signs(self) -> tuple[int, ...]:
+        """For each pair of alternatives i < j, row by row in alternative
+        order: 1 if this ballot puts i above j, else -1. Summed over a
+        profile's ballots, it is the upper triangle of the margin matrix."""
+        pos = self.positions
+        m = len(pos)
+        return tuple(1 if pos[i] < pos[j] else -1 for i in range(m - 1) for j in range(i + 1, m))
 
     def rank(self, x: str) -> int:
         """1-based position of `x` (1 = best)."""
@@ -268,27 +278,21 @@ class Profile:
 
     @cached_property
     def _margins(self) -> "MarginMatrix":
-        """The margin matrix, from the runs in O(runs * m^2)."""
+        """The margin matrix: `margin_tally` of the runs, in O(runs * m^2),
+        and its negation below the diagonal."""
         m = self.m
-        upper = [[0] * m for _ in range(m)]  # margins of i over j > i
-        for ballot, count in self.runs:
-            pos = ballot.positions
-            for i in range(m - 1):
-                row, place = upper[i], pos[i]
-                for j in range(i + 1, m):
-                    row[j] += count if place < pos[j] else -count
-        rows = tuple(
-            tuple(upper[i][j] if i < j else -upper[j][i] for j in range(m)) for i in range(m)
-        )
-        return MarginMatrix(self.alternatives, rows)
+        rows = [[0] * m for _ in range(m)]
+        upper = iter(margin_tally(self))
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                rows[i][j] = g = next(upper)
+                rows[j][i] = -g
+        return MarginMatrix(self.alternatives, tuple(map(tuple, rows)))
 
     @cached_property
     def _top_counts(self) -> tuple[int, ...]:
         """First places per alternative, in alternative order."""
-        counts = [0] * self.m
-        for ballot, count in self.runs:
-            counts[self.alternatives.index(ballot.top)] += count
-        return tuple(counts)
+        return top_tally(self)
 
 
 def profile(alternatives: Iterable[str] | AlternativeSet, orders: Iterable[Iterable[str]]) -> Profile:
@@ -392,6 +396,42 @@ class MarginMatrix:
 # ---------------------------------------------------------------------------
 # profile statistics
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Tally:
+    """A statistic of the ballot multiset that is a sum over ballots: each
+    ranking contributes the int vector `of(ranking)`, and a profile's value
+    is the count-weighted sum of its runs' vectors.
+
+    Putting a ballot in or taking one out moves the value by that ballot's
+    vector, so the value of a profile with one ballot swapped is its
+    parent's minus the true ballot's vector plus the new one's. Fishburn's
+    C2 class (rules reading only the margins) is a function of
+    `margin_tally`, and random dictatorship of `top_tally`.
+    """
+
+    of: Callable[[Ranking], tuple[int, ...]]
+
+    def __call__(self, p: Profile) -> tuple[int, ...]:
+        vectors = [(self.of(ballot), count) for ballot, count in p.runs]
+        return tuple(
+            sum(count * vector[k] for vector, count in vectors) for k in range(len(vectors[0][0]))
+        )
+
+
+def _at_place(r: Ranking, place: int) -> tuple[int, ...]:
+    """1 for the alternative the ranking puts at `place` (0 = top), 0 for the rest."""
+    return tuple(1 if at == place else 0 for at in r.positions)
+
+
+# the upper triangle of the margin matrix, row by row
+margin_tally = Tally(attrgetter("pair_signs"))
+# the top counts
+top_tally = Tally(lambda r: _at_place(r, 0))
+# the top counts, then the bottom counts: an alternative is never ranked
+# last when its bottom count is 0
+top_bottom_tally = Tally(lambda r: _at_place(r, 0) + _at_place(r, len(r.order) - 1))
+
 
 def majority_margin(p: Profile, x: str, y: str) -> int:
     """#voters preferring x to y minus #voters preferring y to x."""

@@ -17,25 +17,58 @@ All rules return exact `Lottery` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 from .model import (
+    AlternativeSet,
     ApplicabilityError,
     DomainError,
     InternalError,
     Lottery,
     MarginMatrix,
     Profile,
+    Tally,
     condorcet_winner,
     margin_matrix,
+    margin_tally,
     never_bottom_set,
+    top_bottom_tally,
     top_count,
-    top_counts,
+    top_tally,
     weak_condorcet_winners,
 )
 from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
+
+
+class Memo:
+    """One scan's caches for a rule that declares a statistic.
+
+    `outcomes` holds, per alternative set, one lottery per tally vector, so
+    a lottery read from it is the one object for its key, and stays alive
+    as long as the memo. That lets `comparisons` key the axiom checks'
+    comparisons by the identities of the lotteries compared. `tallies`
+    holds, per alternative set, the index of each ranking in
+    `axioms.all_rankings` (by its order) and the rankings' tallies in that
+    order.
+    """
+
+    def __init__(self) -> None:
+        self.outcomes: dict[AlternativeSet, dict[tuple[int, ...], Lottery]] = {}
+        self.comparisons: dict[tuple, dict[int, bool]] = {}
+        self.tallies: dict[AlternativeSet, tuple[dict[tuple[str, ...], int], list[tuple[int, ...]]]] = {}
+
+    def outcome(
+        self, alternatives: AlternativeSet, vector: tuple[int, ...], evaluate: Callable[[], Lottery]
+    ) -> Lottery:
+        """The cached lottery for this alternative set and tally vector;
+        on a miss, `evaluate()`'s, cached."""
+        cache = self.outcomes.setdefault(alternatives, {})
+        found = cache.get(vector)
+        if found is None:
+            found = cache[vector] = evaluate()
+        return found
 
 
 @dataclass(frozen=True)
@@ -43,21 +76,25 @@ class SocialDecisionScheme:
     """A named rule mapping profiles to lotteries.
 
     `statistic` declares that, over one alternative set, the output is a
-    function of this statistic of the ballot multiset (the margin matrix
-    for Fishburn's C2 class, the top counts for rd). Such a rule is
-    anonymous, so callers may reuse an output across profiles with equal
-    statistics (see `memoized`).
+    function of this `Tally` of the ballot multiset: `margin_tally` (the
+    margins, Fishburn's C2 class), `top_tally` for rd, `top_bottom_tally`
+    for f2. Such a rule is anonymous, so callers may reuse an output across
+    profiles with equal tallies (see `memoized`), and it must be applicable
+    to every profile over an alternative set or to none.
 
     `neutral` declares that relabelling the alternatives of a profile
     relabels the output the same way. With a statistic it lets a scan
     check one profile per relabelling orbit (`axioms.exhaustive_scan`).
+
+    `memo` is set by `memoized` and by nothing else.
     """
 
     name: str
     evaluate: Callable[[Profile], Lottery]
     applicability: Optional[Callable[[Profile], bool]] = None
-    statistic: Optional[Callable[[Profile], Hashable]] = None
+    statistic: Optional[Tally] = None
     neutral: bool = False
+    memo: Optional[Memo] = field(default=None, compare=False, repr=False)
 
     def applicable(self, profile: Profile) -> bool:
         return self.applicability is None or self.applicability(profile)
@@ -291,26 +328,29 @@ def ml(profile: Profile) -> Lottery:
 
 
 def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
-    """The rule with its evaluations cached by alternative set and declared
-    statistic; a rule that declares none is returned as it is.
+    """The rule with a `Memo`: its outcomes cached by alternative set and
+    tally vector. A rule that declares no statistic, or already has a
+    memo, is returned as it is.
 
-    A miss calls the rule's own `evaluate`, so a replaced evaluate is
-    still the function that runs. The cache lives as long as the returned
-    rule and holds one entry per distinct statistic seen.
+    Called on a profile, the rule sums the profile's tally from its runs
+    and looks it up. The axiom checks look up a profile's edits by a
+    vector they compute from the profile's (`axioms.find_manipulation`),
+    and build and evaluate an edited profile only on a miss, so they read
+    each alternative set's rankings. A miss calls the rule's own
+    `evaluate`, so a replaced evaluate is still the function that runs.
+    The memo lives as long as the returned rule and its copies, and holds
+    one entry per distinct vector seen.
     """
     statistic = rule.statistic
-    if statistic is None:
+    if statistic is None or rule.memo is not None:
         return rule
+    memo = Memo()
     evaluate = rule.evaluate
-    cache: dict[Hashable, Lottery] = {}
 
     def lookup(profile: Profile) -> Lottery:
-        key = (profile.alternatives, statistic(profile))
-        if key not in cache:
-            cache[key] = evaluate(profile)
-        return cache[key]
+        return memo.outcome(profile.alternatives, statistic(profile), lambda: evaluate(profile))
 
-    return replace(rule, evaluate=lookup)
+    return replace(rule, evaluate=lookup, memo=memo)
 
 
 def _three_alternatives_only(profile: Profile) -> bool:
@@ -320,19 +360,13 @@ def _three_alternatives_only(profile: Profile) -> bool:
 RULES: dict[str, SocialDecisionScheme] = {
     sds.name: sds
     for sds in (
-        SocialDecisionScheme("rd", rd, statistic=top_counts, neutral=True),
-        SocialDecisionScheme("ml", ml, statistic=margin_matrix, neutral=True),
+        SocialDecisionScheme("rd", rd, statistic=top_tally, neutral=True),
+        SocialDecisionScheme("ml", ml, statistic=margin_tally, neutral=True),
         SocialDecisionScheme(
-            "condorcet-uniform", condorcet_uniform, statistic=margin_matrix, neutral=True
+            "condorcet-uniform", condorcet_uniform, statistic=margin_tally, neutral=True
         ),
-        SocialDecisionScheme("f1", f1, _three_alternatives_only, margin_matrix, neutral=True),
-        SocialDecisionScheme(
-            "f2",
-            f2,
-            _three_alternatives_only,
-            lambda p: (top_counts(p), never_bottom_set(p)),
-            neutral=True,
-        ),
+        SocialDecisionScheme("f1", f1, _three_alternatives_only, margin_tally, neutral=True),
+        SocialDecisionScheme("f2", f2, _three_alternatives_only, top_bottom_tally, neutral=True),
     )
 }
 

@@ -16,6 +16,8 @@ from pcvote import (
     Extension,
     Lottery,
     Mode,
+    Profile,
+    Tally,
     Verdict,
     all_rankings,
     alternative_set,
@@ -34,19 +36,24 @@ from pcvote import (
     fixture_profile,
     get_rule,
     margin_matrix,
+    margin_tally,
     ml,
     never_bottom_set,
     parse_profile,
     profile,
     ranking,
     relabel,
+    remove_voter,
+    top_bottom_tally,
     top_counts,
+    top_tally,
 )
 from pcvote.axioms import (
     DEFAULT_ENUMERATION_BUDGET,
     RULE_EVALUATION_BUDGET,
     AxiomSpec,
     EnumerationBudgetError,
+    _Edits,
     exists_strict_improvement,
 )
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
@@ -539,7 +546,7 @@ def test_margin_memo_evaluates_once_per_matrix_and_per_scan():
         evaluations.append(prof)
         return ml(prof)
 
-    rule = SocialDecisionScheme("ml", counting_ml, statistic=margin_matrix)
+    rule = SocialDecisionScheme("ml", counting_ml, statistic=margin_tally)
     for _ in range(2):
         evaluations.clear()
         rep = exhaustive_scan(rule, 3, 2, "pc-strategyproofness", n_min=2)
@@ -575,11 +582,81 @@ def test_manipulation_search_equals_the_per_voter_reference():
                         assert found == reference_find_manipulation(memo, prof, extension, mode), (name, prof)
 
 
+TALLIES = {"margins": margin_tally, "tops": top_tally, "tops-and-bottoms": top_bottom_tally}
+
+
+def _edited_profiles(prof):
+    """Every edit of the profile that the misreport, participation and
+    cancellation checks make: (ballot taken out, ballots put in, the
+    profile built), with ballots as indices into `all_rankings`."""
+    rankings = all_rankings(prof.alternatives)
+    for i in range(1, prof.n + 1):
+        taken = rankings.index(prof.ballot(i))
+        for k, misreport in enumerate(rankings):
+            yield taken, (k,), prof.replace_ballot(i, misreport)
+        if prof.n >= 2:
+            yield taken, (), remove_voter(prof, i)
+    for k, ballot in enumerate(rankings):
+        yield None, (k, rankings.index(ballot.reversed())), prof.append(ballot, ballot.reversed())
+
+
+@pytest.mark.parametrize("m, n_max, edits", [(3, 3, 6624), (4, 2, 43776)])
+def test_edit_vectors_equal_the_tallies_of_the_built_profiles(m, n_max, edits):
+    memos = {
+        name: memoized(SocialDecisionScheme(name, RD.evaluate, statistic=tally))
+        for name, tally in TALLIES.items()
+    }
+    checked = 0
+    for n in range(1, n_max + 1):
+        for prof in enumerate_profiles(m, n):
+            kernels = {name: _Edits(rule, prof) for name, rule in memos.items()}
+            for taken, put, built in _edited_profiles(prof):
+                vectors = {name: kernel.vector(taken, put) for name, kernel in kernels.items()}
+                for name, tally in TALLIES.items():
+                    assert vectors[name] == tally(built), (name, prof, built)
+                rows = margin_matrix(built).rows
+                assert vectors["margins"] == tuple(rows[i][j] for i in range(m) for j in range(i + 1, m))
+                assert vectors["tops"] == top_counts(built) == vectors["tops-and-bottoms"][:m]
+                bottoms = vectors["tops-and-bottoms"][m:]
+                assert {x for x, c in zip(built.alternatives, bottoms) if c == 0} == never_bottom_set(built)
+                checked += 1
+    assert checked == edits
+
+
+def test_a_tallied_scan_builds_a_profile_only_on_a_memo_miss(monkeypatch):
+    built = []
+    post_init = Profile.__post_init__
+
+    def counting_post_init(prof):
+        built.append(prof)
+        post_init(prof)
+
+    monkeypatch.setattr(Profile, "__post_init__", counting_post_init)
+    rule, calls = counting(RD)
+    rep = exhaustive_scan(rule, 4, 2, "sd-strategyproofness", up_to_anonymity=True)
+    assert rep.verdict is Verdict.Holds and rep.profiles_checked == 324
+    # 18 orbit representatives, 12 deviations missed; a profile per deviation made 800
+    assert (len(built), len(calls)) == (30, 14)
+
+
+def test_an_anonymity_scan_the_check_would_refuse_is_refused_before_its_first_profile():
+    rule, calls = counting(RD)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match="the anonymity check on 9 of 9 voters needs 362879"):
+        exhaustive_scan(rule, 2, 9, "anonymity")
+    with pytest.raises(EnumerationBudgetError, match="the anonymity check on 9 of 12 voters"):
+        exhaustive_scan(rule, 2, 14, "anonymity", up_to_anonymity=True, n_min=12)
+    assert time.perf_counter() - start < 1
+    assert calls == []
+    # one alternative makes one ballot, which has no other voter order
+    assert exhaustive_scan(rule, 1, 9, "anonymity").verdict is Verdict.Holds
+
+
 def test_a_false_statistic_still_fails_an_anonymity_scan():
     def first_voter_dictates(prof):
         return Lottery.degenerate(prof.alternatives, prof.ballot(1).top)
 
-    rule = SocialDecisionScheme("dictator", first_voter_dictates, statistic=margin_matrix)
+    rule = SocialDecisionScheme("dictator", first_voter_dictates, statistic=margin_tally)
     rep = exhaustive_scan(rule, 3, 2, "anonymity")
     assert rep.verdict is Verdict.Violated
     # the memo would have hidden it: it answers every voter order alike
@@ -660,7 +737,7 @@ def test_only_the_symmetry_scans_check_every_profile():
 
         return wrapper
 
-    rule = replace(RD, evaluate=counted(RD.evaluate), statistic=counted(RD.statistic))
+    rule = replace(RD, evaluate=counted(RD.evaluate), statistic=Tally(counted(RD.statistic.of)))
     for axiom_name in ("anonymity", "neutrality", "sd-strategyproofness"):
         reports, work = [], []
         for neutral in (True, False):
@@ -692,7 +769,7 @@ def test_a_false_neutral_declaration_fails_the_neutrality_scan_and_moves_a_reduc
     false = SocialDecisionScheme(
         "a-unless-last",
         a_unless_ranked_last,
-        statistic=lambda p: (top_counts(p), never_bottom_set(p)),
+        statistic=top_bottom_tally,
         neutral=True,
     )
     honest = replace(false, neutral=False)

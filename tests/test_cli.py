@@ -276,6 +276,15 @@ def test_check_rejects_a_huge_bounded_scan_at_once(capsys):
     assert err == f"error: the 10000-voter profiles over 3 alternatives {budget}\n"
 
 
+def test_check_refuses_an_anonymity_scan_past_the_voter_order_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--axiom", "anonymity", "--rule", "rd", "--scan", "m=2,n<=9")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    needed = "the anonymity check on 9 of 9 voters needs 362879"
+    assert err == f"error: {needed} rule evaluations, over the budget of 100000\n"
+
+
 def test_check_requires_exactly_one_target(capsys):
     code, _, err = run(capsys, "check", "--axiom", "anonymity", "--rule", "rd")
     assert code == 2 and "exactly one of" in err

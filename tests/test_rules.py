@@ -24,6 +24,7 @@ from pcvote import (
     get_rule,
     is_maximal_lottery,
     margin_matrix,
+    margin_tally,
     ml,
     profile,
     rd,
@@ -279,7 +280,7 @@ def test_ml_builds_the_margins_once(monkeypatch):
 
 
 def test_ml_is_margin_based_on_the_three_by_two_space():
-    assert get_rule("ml").statistic is margin_matrix
+    assert get_rule("ml").statistic is margin_tally
     outputs = {}
     for prof in enumerate_profiles(3, 2):
         outputs.setdefault(margin_matrix(prof), set()).add(ml(prof))
