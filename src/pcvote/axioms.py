@@ -40,7 +40,7 @@ from .efficiency import (
     is_efficient,
     pc1_find_dominator,
 )
-from .rules import SocialDecisionScheme, memoized
+from .rules import Memo, SocialDecisionScheme, memoized
 
 
 class Mode(Enum):
@@ -141,6 +141,12 @@ def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
     return alternatives._rankings
 
 
+def _ranking_index(alternatives: AlternativeSet) -> dict[tuple[str, ...], int]:
+    """Each ranking's index in `all_rankings`, by its order, budgeted alike."""
+    _check_ranking_count(len(alternatives))
+    return alternatives._ranking_index
+
+
 def _check_rule_evaluations(count: int, what: str) -> None:
     """Refuse a per-profile check that would evaluate the rule `count`
     times, besides once on the profile itself, if that is more than
@@ -172,39 +178,32 @@ class _Edits:
     out, one swapped, or two put in. Ballots are named by their index in
     `all_rankings`.
 
-    For a rule with a memo (`rules.memoized`) an edit's outcome is read by
-    its tally vector: the profile's, minus the tally of the ballot taken
-    out, plus those of the ballots put in. Its `Profile` is made by `build`
-    only on a memo miss. Misreport comparisons are memoized too, keyed by
-    the identities of the memo's lotteries. Any other rule is evaluated on
-    the built profile, as the per-voter reference does.
+    For a memoized rule (`rules.memoized`) an edit's outcome is one memo
+    lookup by its tally vector: the profile's, minus the tally of the ballot
+    taken out, plus those of the ballots put in. Its `Profile` is made by
+    `build` only on a miss. Misreport comparisons are memoized too, keyed by
+    the identities of the memo's lotteries. Any other rule, or a bare
+    function, is evaluated on the built profile, as the per-voter reference.
     """
 
     def __init__(self, rule: SocialDecisionScheme, profile: Profile) -> None:
         self.rule = rule
-        self.memo = memo = getattr(rule, "memo", None)
-        if memo is None:
+        memo = getattr(rule, "evaluate", None)
+        self.memo = memo if isinstance(memo, Memo) else None
+        if self.memo is None:
             return
         alts = self.alternatives = profile.alternatives
-        if alts not in memo.tallies:
-            rankings = all_rankings(alts)
-            memo.tallies[alts] = (
-                {r.order: k for k, r in enumerate(rankings)},
-                [rule.statistic.of(r) for r in rankings],
-            )
-        self.index, self.tallies = memo.tallies[alts]
-        self.cache = memo.outcomes.setdefault(alts, {})
-        self.base = rule.statistic(profile)
+        self.index = _ranking_index(alts)
+        self.tallies = memo.tallies(all_rankings(alts))
+        self.base = memo.rule.statistic(profile)
         self.without: dict[Optional[int], tuple[int, ...]] = {None: self.base}
 
     def ballot(self, ranking: Ranking) -> Optional[int]:
-        """The ranking's index in `all_rankings`; None when the rule has no
-        memo, which reads no index."""
+        """The ranking's index in `all_rankings`, or None without a memo."""
         return None if self.memo is None else self.index[ranking.order]
 
     def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
-        """The tally vector of the profile with ballot `taken` out and the
-        ballots `put` in."""
+        """The tally vector of the profile with `taken` out and `put` in."""
         vector = self.without.get(taken)
         if vector is None:
             vector = self.without[taken] = tuple(map(sub, self.base, self.tallies[taken]))
@@ -218,38 +217,21 @@ class _Edits:
         """The rule's outcome on the edited profile that `build()` makes."""
         if self.memo is None:
             return self.rule(build())
-        vector = self.vector(taken, put)
-        found = self.cache.get(vector)
-        if found is None:
-            found = self.memo.outcome(self.alternatives, vector, lambda: self.rule(build()))
-        return found
+        return self.memo.outcome(self.alternatives, self.vector(taken, put), build)
 
     def judge(
         self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
     ) -> Callable[[Lottery], bool]:
         """Does a voter with this true ballot gain by the move from `truthful`
         to a given outcome, in this mode (see `find_manipulation`)?"""
-        if self.memo is None:
-            return lambda outcome: _manipulates(extension, mode, ballot, truthful, outcome)
-        seen = self.memo.comparisons.setdefault(
-            (extension, mode, self.index[ballot.order], id(truthful)), {}
-        )
-
         def manipulates(outcome: Lottery) -> bool:
-            found = seen.get(id(outcome))
-            if found is None:
-                found = seen[id(outcome)] = _manipulates(extension, mode, ballot, truthful, outcome)
-            return found
+            if mode is Mode.Strong:
+                return not weakly_prefers(compare(extension, ballot, truthful, outcome))
+            return compare(extension, ballot, outcome, truthful) is ComparisonOutcome.StrictlyPreferred
 
-        return manipulates
-
-
-def _manipulates(
-    extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery, outcome: Lottery
-) -> bool:
-    if mode is Mode.Strong:
-        return not weakly_prefers(compare(extension, ballot, truthful, outcome))
-    return compare(extension, ballot, outcome, truthful) is ComparisonOutcome.StrictlyPreferred
+        if self.memo is None:
+            return manipulates
+        return self.memo.judged((extension, mode, self.index[ballot.order], id(truthful)), manipulates)
 
 
 def find_manipulation(
@@ -269,27 +251,34 @@ def find_manipulation(
     The voters tried are those of `_voters_to_try`, and the (m! - 1)
     misreports of each are budgeted up front. For a memoized rule a
     misreport's outcome is looked up by its tally vector (`_Edits`), and a
-    `Profile` is built only on a memo miss and for the witness.
+    `Profile` is built only on a memo miss and for the witness, once.
     """
     deviators = _voters_to_try(rule, profile, voters)
     m = profile.m
     _check_ranking_count(m)
     _check_rule_evaluations((math.factorial(m) - 1) * len(deviators), "the misreport search")
     candidates = all_rankings(profile.alternatives)
+    index = _ranking_index(profile.alternatives)
     edits = _Edits(rule, profile)
     truthful = edits.outcome(None, (), lambda: profile)
+
+    def build() -> Profile:  # the deviation the loop is at, kept for the witness
+        nonlocal deviated
+        deviated = profile.replace_ballot(i, misreport)
+        return deviated
+
     for i in deviators:
         true_ballot = profile.ballot(i)
-        taken = candidates.index(true_ballot)
+        taken = index[true_ballot.order]
         manipulates = edits.judge(extension, mode, true_ballot, truthful)
         for k, misreport in enumerate(candidates):
             if k == taken:
                 continue
-            outcome = edits.outcome(taken, (k,), lambda: profile.replace_ballot(i, misreport))
+            deviated = None
+            outcome = edits.outcome(taken, (k,), build)
             if manipulates(outcome):
-                deviated = profile.replace_ballot(i, misreport)
                 return ManipulationWitness(
-                    profile, i, misreport, deviated, truthful, outcome, extension, mode
+                    profile, i, misreport, deviated or build(), truthful, outcome, extension, mode
                 )
     return None
 
@@ -527,8 +516,8 @@ def enumerate_profiles(
 
 def _relabelling_tables(rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
     """For each alternative permutation, the identity included, the index
-    in `rankings` of every ranking's relabelled image."""
-    index = {r.order: k for k, r in enumerate(rankings)}
+    in `rankings` (`all_rankings`) of every ranking's relabelled image."""
+    index = _ranking_index(rankings[0].alternatives)
     names = rankings[0].alternatives.names
     tables = []
     for image in rankings:
@@ -636,13 +625,10 @@ def exhaustive_scan(
     distinct ballots and `ANONYMITY_VOTER_LIMIT` or more voters), with the
     check's own message.
 
-    A rule that declares a statistic is evaluated once per alternative set
-    and distinct tally vector (`rules.memoized`), except under `anonymity`,
-    which the memo assumes; the memo is dropped when the scan returns. The
-    misreport, participation and cancellation checks key each edit of a
-    profile by the profile's vector plus the edit's tally delta, so they
-    build a `Profile` only for a vector the scan has not seen and for a
-    witness.
+    A rule that declares a statistic is memoized for the scan alone
+    (`rules.memoized`), except under `anonymity`, which the memo assumes.
+    So the rule is evaluated, and an edited `Profile` built (`_Edits`), once
+    per alternative set and distinct tally vector, and for a witness.
 
     A rule that declares a statistic and `neutral` is checked on one
     profile per orbit under the m! relabellings of the alternatives and

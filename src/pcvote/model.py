@@ -87,6 +87,10 @@ class AlternativeSet:
         built once per set (see `axioms.all_rankings`, which budgets it)."""
         return tuple(Ranking(self, perm) for perm in sorted(permutations(self.names)))
 
+    @cached_property
+    def _ranking_index(self) -> dict[tuple[str, ...], int]:
+        return {r.order: k for k, r in enumerate(self._rankings)}
+
     def __len__(self) -> int:
         return len(self.names)
 

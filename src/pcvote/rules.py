@@ -17,7 +17,7 @@ All rules return exact `Lottery` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -29,6 +29,7 @@ from .model import (
     Lottery,
     MarginMatrix,
     Profile,
+    Ranking,
     Tally,
     condorcet_winner,
     margin_matrix,
@@ -43,31 +44,57 @@ from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, l
 
 
 class Memo:
-    """One scan's caches for a rule that declares a statistic.
+    """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
+    alternative set and tally vector, the vector being a profile's, summed
+    from its runs, or one the axiom checks compute for an edit
+    (`axioms._Edits`).
 
-    `outcomes` holds, per alternative set, one lottery per tally vector, so
-    a lottery read from it is the one object for its key, and stays alive
-    as long as the memo. That lets `comparisons` key the axiom checks'
-    comparisons by the identities of the lotteries compared. `tallies`
-    holds, per alternative set, the index of each ranking in
-    `axioms.all_rankings` (by its order) and the rankings' tallies in that
-    order.
+    `outcomes` holds one lottery per (alternative names, vector), so a
+    lottery read from it is the one object for its key, and stays alive as
+    long as the memo. That lets `comparisons` key the axiom checks'
+    comparisons by the identities of the lotteries compared (`judged`).
     """
 
-    def __init__(self) -> None:
-        self.outcomes: dict[AlternativeSet, dict[tuple[int, ...], Lottery]] = {}
+    def __init__(self, rule: SocialDecisionScheme) -> None:
+        self.rule = rule
+        self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
-        self.tallies: dict[AlternativeSet, tuple[dict[tuple[str, ...], int], list[tuple[int, ...]]]] = {}
+        self._tallies: dict[AlternativeSet, list[tuple[int, ...]]] = {}
+
+    def __call__(self, profile: Profile) -> Lottery:
+        return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
 
     def outcome(
-        self, alternatives: AlternativeSet, vector: tuple[int, ...], evaluate: Callable[[], Lottery]
+        self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
     ) -> Lottery:
-        """The cached lottery for this alternative set and tally vector;
-        on a miss, `evaluate()`'s, cached."""
-        cache = self.outcomes.setdefault(alternatives, {})
-        found = cache.get(vector)
+        """The cached lottery for this alternative set and tally vector; on a
+        miss, the unmemoized rule's on the profile `build()` makes, cached."""
+        # sets are equal by their names, and a tuple of names hashes with no Python call
+        key = (alternatives.names, vector)
+        found = self.outcomes.get(key)
         if found is None:
-            found = cache[vector] = evaluate()
+            found = self.outcomes[key] = self.rule(build())
+        return found
+
+    def judged(self, key: tuple, judge: Callable[[Lottery], bool]) -> Callable[[Lottery], bool]:
+        """`judge`, its answers kept under `key` by the identity of the
+        lottery judged, which must be one of `outcomes`."""
+        seen = self.comparisons.setdefault(key, {})
+
+        def judged(outcome: Lottery) -> bool:
+            found = seen.get(id(outcome))
+            if found is None:
+                found = seen[id(outcome)] = judge(outcome)
+            return found
+
+        return judged
+
+    def tallies(self, rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
+        """The tally of each of one alternative set's `all_rankings`."""
+        alternatives = rankings[0].alternatives
+        found = self._tallies.get(alternatives)
+        if found is None:
+            found = self._tallies[alternatives] = list(map(self.rule.statistic.of, rankings))
         return found
 
 
@@ -85,8 +112,6 @@ class SocialDecisionScheme:
     `neutral` declares that relabelling the alternatives of a profile
     relabels the output the same way. With a statistic it lets a scan
     check one profile per relabelling orbit (`axioms.exhaustive_scan`).
-
-    `memo` is set by `memoized` and by nothing else.
     """
 
     name: str
@@ -94,7 +119,6 @@ class SocialDecisionScheme:
     applicability: Optional[Callable[[Profile], bool]] = None
     statistic: Optional[Tally] = None
     neutral: bool = False
-    memo: Optional[Memo] = field(default=None, compare=False, repr=False)
 
     def applicable(self, profile: Profile) -> bool:
         return self.applicability is None or self.applicability(profile)
@@ -328,29 +352,13 @@ def ml(profile: Profile) -> Lottery:
 
 
 def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
-    """The rule with a `Memo`: its outcomes cached by alternative set and
-    tally vector. A rule that declares no statistic, or already has a
-    memo, is returned as it is.
-
-    Called on a profile, the rule sums the profile's tally from its runs
-    and looks it up. The axiom checks look up a profile's edits by a
-    vector they compute from the profile's (`axioms.find_manipulation`),
-    and build and evaluate an edited profile only on a miss, so they read
-    each alternative set's rankings. A miss calls the rule's own
-    `evaluate`, so a replaced evaluate is still the function that runs.
-    The memo lives as long as the returned rule and its copies, and holds
-    one entry per distinct vector seen.
+    """The rule with a `Memo` of it as its `evaluate`, or, if it declares
+    no statistic or is memoized already, the rule as it is. The memo lives
+    as long as the returned rule and its copies, one entry per vector seen.
     """
-    statistic = rule.statistic
-    if statistic is None or rule.memo is not None:
+    if rule.statistic is None or isinstance(rule.evaluate, Memo):
         return rule
-    memo = Memo()
-    evaluate = rule.evaluate
-
-    def lookup(profile: Profile) -> Lottery:
-        return memo.outcome(profile.alternatives, statistic(profile), lambda: evaluate(profile))
-
-    return replace(rule, evaluate=lookup, memo=memo)
+    return replace(rule, evaluate=Memo(rule))
 
 
 def _three_alternatives_only(profile: Profile) -> bool:

@@ -42,6 +42,7 @@ from pcvote import (
     parse_profile,
     profile,
     ranking,
+    rd,
     relabel,
     remove_voter,
     top_bottom_tally,
@@ -147,6 +148,43 @@ def test_manipulated_profile_is_single_ballot_edit():
     prof = fixture_profile("ml_manipulation_R")
     w = find_manipulation(ML, prof, Extension.PC, Mode.Weak)
     assert w.manipulated_profile == prof.replace_ballot(w.voter, w.misreport)
+
+
+def test_the_witness_is_the_deviated_profile_the_search_built(monkeypatch):
+    built = []
+    replace_ballot = Profile.replace_ballot
+
+    def counting_replace_ballot(prof, i, ballot):
+        built.append(replace_ballot(prof, i, ballot))
+        return built[-1]
+
+    monkeypatch.setattr(Profile, "replace_ballot", counting_replace_ballot)
+    rule, calls = counting(ML)  # no memo: every deviation is evaluated on its profile
+    w = find_manipulation(rule, fixture_profile("ml_manipulation_R"), Extension.PC, Mode.Weak)
+    assert w is not None and w.manipulated_profile is built[-1]
+    # one profile per deviation tried, none more for the witness; the first call is the profile itself
+    assert len(built) == len(calls) - 1
+
+
+def test_a_bare_function_is_a_rule_to_the_per_profile_checks():
+    # criterion 02 passes `ml` itself: a function declares no statistic, so
+    # every voter is tried on built profiles, and the first witness is the
+    # bundled rule's
+    found = {"manipulation": 0, "participation": 0, "cancellation": 0}
+    for function in (ml, rd):
+        rule = RULES[function.__name__]
+        for prof in enumerate_profiles(3, 3, up_to_anonymity=True):
+            for extension in (Extension.PC, Extension.SD):
+                witness = find_manipulation(function, prof, extension, Mode.Strong)
+                assert witness == find_manipulation(rule, prof, extension, Mode.Strong), prof
+                found["manipulation"] += witness is not None
+                witness = check_participation(function, prof, extension, strict=True)
+                assert witness == check_participation(rule, prof, extension, strict=True), prof
+                found["participation"] += witness is not None
+            witness = check_cancellation(function, prof)
+            assert witness == check_cancellation(rule, prof), prof
+            found["cancellation"] += witness is not None
+    assert found == {"manipulation": 8, "participation": 72, "cancellation": 56}
 
 
 def test_voters_filter_validates_nothing_silently():
@@ -631,12 +669,21 @@ def test_a_tallied_scan_builds_a_profile_only_on_a_memo_miss(monkeypatch):
         built.append(prof)
         post_init(prof)
 
+    sums = []
+
+    class CountingTally(Tally):
+        def __call__(self, prof):
+            sums.append(prof)
+            return super().__call__(prof)
+
     monkeypatch.setattr(Profile, "__post_init__", counting_post_init)
-    rule, calls = counting(RD)
+    rule, calls = counting(replace(RD, statistic=CountingTally(RD.statistic.of)))
     rep = exhaustive_scan(rule, 4, 2, "sd-strategyproofness", up_to_anonymity=True)
     assert rep.verdict is Verdict.Holds and rep.profiles_checked == 324
     # 18 orbit representatives, 12 deviations missed; a profile per deviation made 800
     assert (len(built), len(calls)) == (30, 14)
+    # a profile's tally is summed once, and a miss evaluates the profile it built
+    assert len(sums) == 18
 
 
 def test_an_anonymity_scan_the_check_would_refuse_is_refused_before_its_first_profile():
@@ -830,7 +877,11 @@ def test_anonymity_over_nine_or_more_voters_is_refused_before_any_evaluation(vot
 ], ids=["participation", "anonymity"])
 def test_checks_that_walk_no_rankings_run_over_ten_alternatives(check):
     names = "abcdefghij"
-    assert check(profile(names, [names, names[::-1]])) is None
+    prof = profile(names, [names, names[::-1]])
+    start = time.perf_counter()
+    assert check(prof) is None
+    assert time.perf_counter() - start < 1
+    assert "_rankings" not in prof.alternatives.__dict__
 
 
 @pytest.mark.parametrize("name", ["rd", "ml"])

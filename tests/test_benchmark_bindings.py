@@ -1,14 +1,19 @@
 """The benchmark's tracer (`benchmarks/spans.py`) wraps each traced
 function at every module that binds it by name, and silently skips a
 module that no longer does. These checks keep a refactor from dropping a
-binding unnoticed."""
+binding unnoticed. The benchmark's workloads check their own outputs;
+one pass of each runs here too, so a wrong output fails this suite."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from pcvote import rules
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 def _load_spans():
@@ -32,3 +37,15 @@ def test_the_ml_rule_is_registered_for_tracing():
     # the tracer replaces this entry with a copy whose `evaluate` is wrapped
     assert "ml" in rules.RULES
     assert callable(rules.RULES["ml"].evaluate)
+
+
+@pytest.mark.parametrize("workload", ["scan-ml", "scan-nolp", "corpus", "electorate"])
+def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    seed = module.RECORDED["corpus_digests"]["seed"]  # 90210, whose corpus digests are recorded
+    for op in module.WORKLOADS[workload](seed).ops:
+        assert op.check(op.run()) is None, op.label
