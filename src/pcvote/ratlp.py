@@ -18,12 +18,22 @@ and returns the same vertex: callers may clear denominators themselves.
 
 Conventions: objectives are maximized; every variable is bounded below by
 0 and unbounded above.
+
+An optimal outcome also reports, in `tight`, inequality rows that are
+tight at every optimal point, not only at the vertex returned. The final
+objective row prices each column out against the optimal basis: the
+objective is the optimal value plus each nonbasic column's reduced cost
+times its value, and no reduced cost is positive. A row whose slack or
+surplus column has a nonzero (so negative) reduced cost therefore has
+slack 0 at every optimum: its dual value is nonzero. Only the sign is
+read, so no scale is needed. The report is sound, not complete: at a
+degenerate optimum a row can be tight everywhere with a zero dual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -91,9 +101,15 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """`tight` indexes the constraints, all inequalities, that the final
+    tableau proves tight at every optimal point; empty unless optimal. It
+    is evidence about the solve, not part of the answer, so it is left out
+    of the repr and of equality."""
+
     status: LpStatus
     solution: Optional[tuple[Fraction, ...]]
     value: Optional[Fraction]
+    tight: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -260,4 +276,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if j < n:
             x[j] = Fraction(row[-1], row[j])
     value = sum(c * v for c, v in zip(objective, x))
-    return LpOutcome(LpStatus.Optimal, tuple(x), value)
+    # `_standardize` gives the inequality rows, in order, the columns n, n + 1, ...
+    inequalities = [i for i, c in enumerate(lp.constraints) if c.relation != EQ]
+    tight = frozenset(i for k, i in enumerate(inequalities) if z[n + k])
+    return LpOutcome(LpStatus.Optimal, tuple(x), value, tight)

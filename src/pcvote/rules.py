@@ -244,9 +244,11 @@ def _optimal_value(outcome: LpOutcome) -> Fraction:
 
 def _ml_max_min(
     margins: MarginMatrix, fixed: dict[int, Fraction], free: list[int]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
+) -> tuple[Fraction, tuple[Fraction, ...], list[int]]:
     """Maximize the smallest free coordinate over the optimal set, with the
-    already-settled coordinates pinned: that floor and the optimal point."""
+    already-settled coordinates pinned: that floor, the optimal point, and
+    the free coordinates whose floor row the final tableau proves tight,
+    which sit at the floor at every optimal point."""
     m = len(margins.alternatives)
     # variables: p_0..p_{m-1}, then t
     rows: list[Constraint] = [
@@ -254,30 +256,15 @@ def _ml_max_min(
     ]
     for j, value in fixed.items():
         rows.append(Constraint(_unit(m, j) + (0,), EQ, value))
+    first = len(rows)
     for j in free:
         rows.append(Constraint(_unit(m, j) + (-1,), GE, 0))
     outcome = lp_solve(LinearProgram(_unit(m + 1, m), tuple(rows)))
     floor = _optimal_value(outcome)
     if outcome.solution is None:
         raise InternalError("the max-min LP of ml came out optimal with no solution")
-    return floor, outcome.solution[:m]
-
-
-def _ml_coordinate_max(
-    margins: MarginMatrix,
-    fixed: dict[int, Fraction],
-    free: list[int],
-    floor: Fraction,
-    coord: int,
-) -> Fraction:
-    """Maximize one free coordinate over the current face of the optimal set."""
-    m = len(margins.alternatives)
-    rows = list(_margin_rows(margins))
-    for j, value in fixed.items():
-        rows.append(Constraint(_unit(m, j), EQ, value))
-    for j in free:
-        rows.append(Constraint(_unit(m, j), GE, floor))
-    return _optimal_value(lp_solve(LinearProgram(_unit(m, coord), tuple(rows))))
+    proven = [j for k, j in enumerate(free) if first + k in outcome.tight]
+    return floor, outcome.solution[:m], proven
 
 
 def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
@@ -285,23 +272,24 @@ def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     smallest coordinate as far as the optimal set allows, pin every
     coordinate that cannot go higher, repeat on the rest.
 
-    Only the coordinates at the floor in the max-min LP's own point are
-    tried: a point of the face already lifts every other one above it."""
+    One LP per round. Its tableau proves some floor rows tight: t has
+    objective 1 and appears only in the floor rows, each with a -1, so the
+    duals of the floor rows sum to at least 1 and one of them is nonzero. When every free
+    coordinate sits at the floor they are all stuck, since their sum is
+    fixed; the last free coordinate is 1 minus the fixed ones."""
     m = len(margins.alternatives)
     fixed: dict[int, Fraction] = {}
     free = list(range(m))
-    while free:
-        floor, point = _ml_max_min(margins, fixed, free)
-        candidates = [j for j in free if point[j] == floor]
-        # some free coordinate is stuck, else averaging the lifting points raises the floor
-        stuck = candidates if len(candidates) == 1 else [
-            j for j in candidates if _ml_coordinate_max(margins, fixed, free, floor, j) == floor
-        ]
+    while len(free) > 1:
+        floor, point, proven = _ml_max_min(margins, fixed, free)
+        stuck = free if all(point[j] == floor for j in free) else proven
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")
         for j in stuck:
             fixed[j] = floor
         free = [j for j in free if j not in stuck]
+    if free:
+        fixed[free[0]] = 1 - sum(fixed.values(), Fraction(0))
     return tuple(fixed[j] for j in range(m))
 
 

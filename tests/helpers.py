@@ -212,6 +212,37 @@ def solve_margin_game(margins: MarginMatrix) -> tuple[Fraction, tuple[Fraction, 
     return outcome.value, outcome.solution[:m]
 
 
+def reference_ml_leximin(margins: MarginMatrix, solve=lp_solve) -> tuple[Fraction, ...]:
+    """The leximin point of the margin game's optimal set, by the iterated
+    max-min that proves each stuck coordinate by its own LP: raise the
+    smallest free coordinate as far as the set allows (floor f), then a
+    free coordinate at f in that LP's point is stuck exactly when its
+    maximum over the face where every free coordinate is >= f is f. It
+    reads no duals, so it checks `rules._ml_leximin`'s tableau proofs."""
+    m = len(margins.alternatives)
+    base = tuple(_margin_rows(margins))
+    fixed: dict[int, Fraction] = {}
+    free = list(range(m))
+    while free:
+        pinned = [Constraint(_unit(m, j), EQ, value) for j, value in fixed.items()]
+        # variables: p_0..p_{m-1}, then t
+        rows = [Constraint(c.coeffs + (0,), c.relation, c.rhs) for c in base + tuple(pinned)]
+        rows += [Constraint(_unit(m, j) + (-1,), GE, 0) for j in free]
+        outcome = solve(LinearProgram(_unit(m + 1, m), tuple(rows)))
+        assert outcome.status is LpStatus.Optimal
+        floor, point = outcome.value, outcome.solution
+        face = base + tuple(pinned) + tuple(Constraint(_unit(m, j), GE, floor) for j in free)
+        stuck = [
+            j for j in free
+            if point[j] == floor and solve(LinearProgram(_unit(m, j), face)).value == floor
+        ]
+        assert stuck, "some free coordinate is stuck in every max-min round"
+        for j in stuck:
+            fixed[j] = floor
+        free = [j for j in free if j not in stuck]
+    return tuple(fixed[j] for j in range(m))
+
+
 def strategyproofness_ladder_gaps(rule: SocialDecisionScheme, prof: Profile) -> list[str]:
     """Consistency probe: a weak PC1 manipulation implies a strong PC one,
     which implies a strong SD one. Returns descriptions of any broken

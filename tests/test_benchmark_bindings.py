@@ -2,7 +2,8 @@
 function at every module that binds it by name, and silently skips a
 module that no longer does. These checks keep a refactor from dropping a
 binding unnoticed. The benchmark's workloads check their own outputs;
-one pass of each runs here too, so a wrong output fails this suite."""
+one pass of each runs here too, so a wrong output fails this suite, and
+so does a change in the number of LPs the pass solves."""
 
 import importlib.util
 import sys
@@ -39,6 +40,10 @@ def test_the_ml_rule_is_registered_for_tracing():
     assert callable(rules.RULES["ml"].evaluate)
 
 
+# `ratlp.lp_solve.calls` of one pass at seed 90210, as `benchmarks/run.py --trace 1` counts them
+LP_SOLVES = {"scan-ml": 19, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
+
+
 @pytest.mark.parametrize("workload", ["scan-ml", "scan-nolp", "corpus", "electorate"])
 def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
     spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARKS / "workloads.py")
@@ -47,5 +52,20 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     seed = module.RECORDED["corpus_digests"]["seed"]  # 90210, whose corpus digests are recorded
+    # count the solves where the tracer does: at every module that binds lp_solve
+    home, attr, bound_in, _ = _load_spans().TARGETS["ratlp.lp_solve"]
+    solve, solves = getattr(home, attr), []
+
+    def counting(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    for owner in (home, *bound_in):
+        monkeypatch.setattr(owner, attr, counting)
+    lps = 0
     for op in module.WORKLOADS[workload](seed).ops:
-        assert op.check(op.run()) is None, op.label
+        output = op.run()
+        lps += len(solves)
+        assert op.check(output) is None, op.label
+        solves.clear()  # the checks' own solves are not the pass's, as in the tracer
+    assert lps == LP_SOLVES[workload]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pcvote import Constraint, DomainError, LinearProgram, LpStatus, lp_solve, ratlp
-from pcvote.ratlp import EQ, GE, LE
+from pcvote.ratlp import EQ, GE, LE, LpOutcome
 from helpers import bfs_reference_solve, lp_feasible, random_lp
 
 F = Fraction
@@ -238,6 +238,42 @@ def test_outcomes_pinned():
         lp = random_lp(rng) if k < 500 else random_lp(rng, max_vars=6, max_constraints=10)
         digest.update(repr(lp_solve(lp)).encode())
     assert digest.hexdigest() == "4ce1663bef5478942dcadd6607b7f34ceb5f706181e75a99e007e70c82ebbdca"
+
+
+def test_rows_reported_tight_stay_tight_over_the_optimal_face():
+    # criterion 09's 500 programs, then 500 larger ones from the same stream.
+    # A reported row's slack, maximized over the optimal face (every
+    # constraint and objective >= value), must stay 0; the small programs
+    # are checked by the basic-solution enumerator, which reads no tableau.
+    rng = random.Random(1729)
+    reported = optimal = 0
+    for k in range(1000):
+        lp = random_lp(rng) if k < 500 else random_lp(rng, max_vars=6, max_constraints=10)
+        out = lp_solve(lp)
+        if out.status is not LpStatus.Optimal:
+            assert not out.tight, k
+            continue
+        optimal += 1
+        face = lp.constraints + (Constraint(lp.objective, GE, out.value),)
+        for i in out.tight:
+            row = lp.constraints[i]
+            assert row.relation != EQ, (k, i)
+            # the slack is rhs - coeffs·x for <=, coeffs·x - rhs for >=
+            sign = -1 if row.relation == LE else 1
+            slack_max = LinearProgram(tuple(sign * a for a in row.coeffs), face)
+            if k < 500:
+                assert bfs_reference_solve(slack_max) == (LpStatus.Optimal, sign * row.rhs), (k, i)
+            else:
+                assert lp_solve(slack_max).value == sign * row.rhs, (k, i)
+            reported += 1
+    assert optimal == 164 and reported > 100, (optimal, reported)
+
+
+def test_the_tight_report_is_left_out_of_repr_and_equality():
+    out = solve([1, 1], [c([1, 2], LE, 4), c([3, 1], LE, 6)])
+    assert out.tight == {0, 1}
+    bare = LpOutcome(out.status, out.solution, out.value)
+    assert bare == out and repr(bare) == repr(out) and hash(bare) == hash(out)
 
 
 def _assert_canonical(rows, basis):

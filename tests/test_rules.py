@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,12 @@ from pcvote import (
 from pcvote import rules
 from pcvote.profilefmt import parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
-from helpers import maximal_lottery_is_unique, random_profile, solve_margin_game
+from helpers import (
+    maximal_lottery_is_unique,
+    random_profile,
+    reference_ml_leximin,
+    solve_margin_game,
+)
 
 F = Fraction
 
@@ -231,6 +237,70 @@ def forced_leximin(monkeypatch, leximin_results):
     return leximin
 
 
+def _floor_rows(lp):
+    """The max-min LP's rows p_j - t >= 0: the ones with t's -1."""
+    return {i for i, c in enumerate(lp.constraints) if c.coeffs[-1] == -1}
+
+
+def test_ml_leximin_equals_the_reference_on_every_margin_matrix_up_to_four_by_three(
+    monkeypatch, leximin_results
+):
+    # Every matrix through the one-LP-per-round loop, whatever case `ml`
+    # would take, against the loop that proves each stuck coordinate by its
+    # own LP. Each max-min tableau proves at least one floor row tight. The
+    # results fill the module's cache for the tests below.
+    outcomes = []
+
+    def recording(lp):
+        outcomes.append((lp, lp_solve(lp)))
+        return outcomes[-1][1]
+
+    monkeypatch.setattr(rules, "lp_solve", recording)
+    regions = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3)]
+    firsts = _distinct_margin_profiles(regions)
+    assert len(firsts) == 1426
+    for mm in firsts:
+        outcomes.clear()
+        got = leximin_results[mm] = rules._ml_leximin(mm)
+        assert got == reference_ml_leximin(mm), mm.rows
+        assert len(outcomes) < len(mm.alternatives), mm.rows
+        for lp, outcome in outcomes:
+            assert outcome.tight & _floor_rows(lp), (mm.rows, lp)
+
+
+def _tie_heavy_profile(rng):
+    """Up to six alternatives, an even number of ballots drawn from a pool
+    of at most three rankings, half the draws paired with their reversal:
+    margins are even and often 0, so the leximin loop runs with ties."""
+    m = rng.randint(3, 6)
+    alts = "abcdef"[:m]
+    pool = [tuple(rng.sample(alts, m)) for _ in range(rng.randint(1, 3))]
+    ballots = []
+    for _ in range(rng.randint(1, 3)):
+        ballot = rng.choice(pool)
+        ballots += [ballot, ballot[::-1] if rng.random() < 0.5 else rng.choice(pool)]
+    return profile(alts, ballots)
+
+
+def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
+    solves = {"loop": 0, "reference": 0}
+
+    def counting(key):
+        def solve(lp):
+            solves[key] += 1
+            return lp_solve(lp)
+        return solve
+
+    monkeypatch.setattr(rules, "lp_solve", counting("loop"))
+    reference = counting("reference")
+    rng = random.Random(1515)
+    for k in range(600):
+        mm = margin_matrix(_tie_heavy_profile(rng))
+        assert rules._ml_leximin(mm) == reference_ml_leximin(mm, reference), (k, mm.rows)
+    # the loop's one LP per round against one per round and per coordinate at the floor
+    assert solves == {"loop": 703, "reference": 3841}
+
+
 def test_ml_equals_the_leximin_loop_on_small_spaces(forced_leximin):
     regions = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(4, 1), (4, 2)]
     firsts = _distinct_margin_profiles(regions)
@@ -243,7 +313,8 @@ def test_ml_equals_the_leximin_loop_on_the_criterion_08_corpus(forced_leximin):
     rng = random.Random(90210)  # criterion 08's seed and generator
     for k in range(500):
         prof = random_profile(rng, m_max=4, n_max=7)
-        assert ml(prof).probs == forced_leximin(margin_matrix(prof)), k
+        mm = margin_matrix(prof)
+        assert ml(prof).probs == forced_leximin(mm) == reference_ml_leximin(mm), k
 
 
 def test_ml_outputs_pinned_on_every_margin_matrix_up_to_four_by_three(forced_leximin):
@@ -314,37 +385,31 @@ def test_ml_case_selection_counts_lps(monkeypatch):
         ml(fixture_profile(name))
         assert len(solves) == lps, name
     solves.clear()
-    ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))  # all margins 0: the loop
-    assert len(solves) > 1
+    # all margins 0: the loop, whose one max-min point has every coordinate
+    # at the floor, so all are stuck
+    ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
+    assert len(solves) == 1
 
 
 def test_ml_skips_the_coordinates_the_max_min_point_lifts(monkeypatch):
-    # three cyclic ballots with even margins, so the leximin loop runs. Each
-    # of its four rounds pins one coordinate (d, then b, a, c), and in each
-    # the max-min LP's own point lifts every other free coordinate above
-    # the floor. The lone coordinate at the floor is stuck without an LP:
-    # 4 LPs, where trying every free coordinate takes 4 + (4 + 3 + 2 + 1) = 14.
+    # three cyclic ballots with even margins, so the leximin loop runs. Its
+    # rounds pin d, then b, then a, each proven stuck by its max-min LP's
+    # tableau, and c is what is left: 3 LPs, where trying every free
+    # coordinate by its own LP takes 4 + (4 + 3 + 2 + 1) = 14.
     prof = parse_profile(
         "alternatives: a b c d\n"
         "200001: a > b > c > d\n199999: b > c > a > d\n200000: c > a > b > d\n"
     )
-    solves, tried = [], []
-    real = rules._ml_coordinate_max
+    solves = []
 
     def counting(lp):
         solves.append(lp)
         return lp_solve(lp)
 
-    def coordinate_max(margins, fixed, free, floor, coord):
-        tried.append(coord)
-        return real(margins, fixed, free, floor, coord)
-
     monkeypatch.setattr(rules, "lp_solve", counting)
-    monkeypatch.setattr(rules, "_ml_coordinate_max", coordinate_max)
     n = prof.n
     assert ml(prof).probs == (F(200000, n), F(199998, n), F(200002, n), F(0))
-    assert len(solves) == 4
-    assert tried == []
+    assert len(solves) == 3
 
 
 def test_internal_error_is_not_a_domain_error():
@@ -357,14 +422,16 @@ def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
         ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
 
 
-def _unpinnable(margins, fixed, free, floor, coord):
-    return floor + 1
+# even margins, no Condorcet winner: the first max-min point puts 1/3 on a,
+# b and c and 0 on d, so only the tableau's proof can pin a coordinate
+DOUBLED_CYCLE = profile("abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "a", "b", "d")] * 2)
 
 
 def test_ml_raises_when_a_max_min_round_pins_nothing(monkeypatch):
-    monkeypatch.setattr(rules, "_ml_coordinate_max", _unpinnable)
+    assert ml(DOUBLED_CYCLE).probs == (F(1, 3), F(1, 3), F(1, 3), F(0))
+    monkeypatch.setattr(rules, "lp_solve", lambda lp: replace(lp_solve(lp), tight=frozenset()))
     with pytest.raises(InternalError):
-        ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
+        ml(DOUBLED_CYCLE)
 
 
 def test_ml_raises_on_a_non_maximal_result(monkeypatch):
@@ -375,18 +442,21 @@ def test_ml_raises_on_a_non_maximal_result(monkeypatch):
 
 _OPTIMIZED_GUARDS = """
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pcvote import InternalError, fixture_profile, ml, profile, rules
 
 assert False, "asserts must be stripped here"
-tied = profile("abc", [("a", "b", "c"), ("c", "b", "a")])
-rules._ml_coordinate_max = lambda margins, fixed, free, floor, coord: floor + 1
+cycle = profile("abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "a", "b", "d")] * 2)
+solve = rules.lp_solve
+rules.lp_solve = lambda lp: replace(solve(lp), tight=frozenset())
 try:
-    ml(tied)
+    ml(cycle)
 except InternalError:
     pass
 else:
     sys.exit("the max-min guard did not fire")
+rules.lp_solve = solve
 rules._ml_unique_point = lambda margins: (Fraction(1), Fraction(0), Fraction(0))
 try:
     ml(fixture_profile("ml_manipulation_R"))
