@@ -8,7 +8,8 @@ Three comparators are provided:
   does; its sign decides the comparison. Complete, but not transitive.
 * PC1 — the degenerate-restricted variant: two lotteries are comparable
   only when at least one of them is degenerate, in which case the PC
-  comparison applies. Everything else is incomparable.
+  comparison applies, or when they are equal (indifferent). Everything
+  else is incomparable.
 * SD  — stochastic dominance via prefix sums along the voter's ranking.
   Transitive, but incomplete.
 
@@ -122,10 +123,11 @@ def pc_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
 
 
 def pc1_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
-    """PC, but only when at least one of the two lotteries is degenerate."""
+    """PC, but only when at least one of the two lotteries is degenerate;
+    otherwise equal lotteries are indifferent, and the rest incomparable."""
     _check_arena(ranking, p, q)
     if not p.is_degenerate() and not q.is_degenerate():
-        return ComparisonOutcome.Incomparable
+        return ComparisonOutcome.Indifferent if p == q else ComparisonOutcome.Incomparable
     return pc_compare(ranking, p, q)
 
 

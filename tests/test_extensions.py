@@ -19,6 +19,7 @@ from pcvote import (
 )
 from pcvote.model import DomainError
 from pcvote.extensions import (
+    comparator,
     outcome_from_score,
     pc1_compare,
     pc_compare,
@@ -163,6 +164,19 @@ def test_pc1_agrees_with_pc_when_degenerate():
         d = Lottery.degenerate(ABC, rng.choice("abc"))
         assert pc1_compare(R_ABC, d, p) is pc_compare(R_ABC, d, p)
         assert pc1_compare(R_ABC, p, d) is pc_compare(R_ABC, p, d)
+
+
+def test_every_extension_is_reflexive():
+    rng = random.Random(37)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        alts = alternative_set("abcd"[:m])
+        r = ranking(alts, rng.sample(alts.names, m))
+        p = random_lottery(rng, alts)
+        copy = Lottery(alts, tuple(p.probs))
+        for extension in Extension:
+            assert compare(extension, r, p, p) is IND, (extension, p)
+            assert comparator(extension)(r, p, copy) is IND, (extension, p)
 
 
 def test_sd_compare_pinned():
