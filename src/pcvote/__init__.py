@@ -40,7 +40,6 @@ from .extensions import (
     ComparisonOutcome,
     Extension,
     compare,
-    dominance_outcomes,
     dominates,
     pc1_compare,
     pc_compare,

@@ -41,7 +41,7 @@ from .extensions import Extension
 from .model import DomainError, InternalError, Lottery, Profile, remove_voter
 from .profilefmt import ParseError, format_lottery, format_profile, parse_lottery, parse_profile
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _EXTENSIONS = {e.value: e for e in Extension}
 _NOTIONS = {n.value: n for n in EfficiencyNotion}
@@ -181,12 +181,13 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
             "result": {"dominated": False, "dominator": None},
         }
         return _emit(args, report, 0, f"no {args.ext}-dominator: the lottery is {args.ext}-efficient")
-    outcomes = [o.value for o in cert.outcomes]
-    human = (
-        f"dominated under {args.ext}\n"
-        f"  dominator: {format_lottery(cert.dominator)}\n"
-        f"  per-voter outcomes: {', '.join(outcomes)}"
-    )
+    lines = [f"dominated under {args.ext}", f"  dominator: {format_lottery(cert.dominator)}"]
+    lines.append("  outcomes per ranking:")
+    lines += [f"    {voters}: {' > '.join(ballot.order)}  {o.value}" for ballot, voters, o in cert.outcomes]
+    outcomes = [
+        {"ranking": list(ballot.order), "voters": voters, "outcome": o.value}
+        for ballot, voters, o in cert.outcomes
+    ]
     report = {
         "command": "dominate",
         "inputs": inputs,
@@ -196,7 +197,7 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
             "outcomes": outcomes,
         },
     }
-    return _emit(args, report, 1, human)
+    return _emit(args, report, 1, "\n".join(lines))
 
 
 def _cmd_efficient(args: argparse.Namespace) -> int:

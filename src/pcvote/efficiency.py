@@ -34,7 +34,7 @@ from .model import (
 from .extensions import (
     ComparisonOutcome,
     Extension,
-    dominance_outcomes,
+    comparator,
     dominates,
     is_dominance,
     pc_form,
@@ -52,12 +52,14 @@ class EfficiencyNotion(Enum):
 
 @dataclass(frozen=True)
 class DominanceCertificate:
-    """A verified witness that `dominator` dominates `dominated`."""
+    """A verified witness that `dominator` dominates `dominated`: every
+    ranking in the profile, in `all_rankings` order, with its voter count
+    and how such a voter compares the dominator against the dominated."""
 
     extension: Extension
     dominated: Lottery
     dominator: Lottery
-    outcomes: tuple[ComparisonOutcome, ...]
+    outcomes: tuple[tuple[Ranking, int, ComparisonOutcome], ...]
 
 
 class PathTermination(Enum):
@@ -77,8 +79,11 @@ class ImprovementPath:
 def _certificate(
     profile: Profile, extension: Extension, p: Lottery, q: Lottery
 ) -> DominanceCertificate:
-    outcomes = dominance_outcomes(profile, extension, q, p)
-    if not is_dominance(outcomes):
+    compare_fn = comparator(extension)
+    outcomes = tuple(
+        (ballot, voters, compare_fn(ballot, q, p)) for ballot, voters in _ballot_weights(profile, None)
+    )
+    if not is_dominance([outcome for _, _, outcome in outcomes]):
         raise InternalError("dominance witness failed re-validation")
     return DominanceCertificate(extension, p, q, outcomes)
 
@@ -341,7 +346,7 @@ def improvement_path(
             break
         nxt = cert.dominator
         strict = sum(
-            1 for o in cert.outcomes if o is ComparisonOutcome.StrictlyPreferred
+            voters for _, voters, o in cert.outcomes if o is ComparisonOutcome.StrictlyPreferred
         )
         steps.append(
             f"step {step_index + 1}: PC dominator via LP ({strict}/{profile.n} voters strictly better)"

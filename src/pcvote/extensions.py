@@ -192,14 +192,5 @@ def dominates_under(profile: Profile, compare_fn: Comparator, q: Lottery, p: Lot
     return is_dominance([compare_fn(ballot, q, p) for ballot, _ in profile.runs])
 
 
-def dominance_outcomes(
-    profile: Profile, extension: Extension, q: Lottery, p: Lottery
-) -> tuple[ComparisonOutcome, ...]:
-    """Per-voter outcome of the challenger q measured against p, compared
-    once per run of identical ballots."""
-    compare_fn = comparator(extension)
-    return tuple(o for ballot, count in profile.runs for o in [compare_fn(ballot, q, p)] * count)
-
-
 def dominates(profile: Profile, extension: Extension, q: Lottery, p: Lottery) -> bool:
     return dominates_under(profile, comparator(extension), q, p)

@@ -143,9 +143,6 @@ class Fact:
     text: str
     holds: Callable[[Fixture, Bench], tuple[bool, str]]
 
-    def describe(self) -> str:
-        return self.text
-
     def check(self, fixture: Fixture, bench: Bench) -> FactResult:
         passed, detail = self.holds(fixture, bench)
         return FactResult(fixture.name, self.text, passed, detail)

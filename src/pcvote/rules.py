@@ -209,13 +209,15 @@ def f2(profile: Profile) -> Lottery:
 # maximal lotteries
 # ---------------------------------------------------------------------------
 
-def _margin_rows(margins: MarginMatrix) -> list[Constraint]:
+def _margin_rows(margins: MarginMatrix, pad: int = 0) -> list[Constraint]:
     """The optimal-strategy polytope: for every alternative x, the margin-
     weighted mass (G p)_x must be <= 0, and p must live on the simplex.
-    The rows are the margins' own ints."""
+    The rows are the margins' own ints, then `pad` zeros for any variables
+    that follow p."""
     m = len(margins.alternatives)
-    rows = [Constraint(row, LE, 0) for row in margins.rows]
-    rows.append(Constraint((1,) * m, EQ, 1))
+    zeros = (0,) * pad
+    rows = [Constraint(row + zeros, LE, 0) for row in margins.rows]
+    rows.append(Constraint((1,) * m + zeros, EQ, 1))
     return rows
 
 
@@ -243,17 +245,15 @@ def _optimal_value(outcome: LpOutcome) -> Fraction:
 
 
 def _ml_max_min(
-    margins: MarginMatrix, fixed: dict[int, Fraction], free: list[int]
+    optimal_set: list[Constraint], fixed: dict[int, Fraction], free: list[int]
 ) -> tuple[Fraction, tuple[Fraction, ...], list[int]]:
-    """Maximize the smallest free coordinate over the optimal set, with the
-    already-settled coordinates pinned: that floor, the optimal point, and
-    the free coordinates whose floor row the final tableau proves tight,
-    which sit at the floor at every optimal point."""
-    m = len(margins.alternatives)
-    # variables: p_0..p_{m-1}, then t
-    rows: list[Constraint] = [
-        Constraint(c.coeffs + (0,), c.relation, c.rhs) for c in _margin_rows(margins)
-    ]
+    """Maximize the smallest free coordinate t over the optimal set (its
+    rows over p and t), with the already-settled coordinates pinned: that
+    floor, the optimal point, and the free coordinates whose floor row the
+    final tableau proves tight, which sit at the floor at every optimal
+    point."""
+    m = len(optimal_set) - 1  # a margin row per alternative, then the simplex row
+    rows = list(optimal_set)
     for j, value in fixed.items():
         rows.append(Constraint(_unit(m, j) + (0,), EQ, value))
     first = len(rows)
@@ -278,10 +278,12 @@ def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     coordinate sits at the floor they are all stuck, since their sum is
     fixed; the last free coordinate is 1 minus the fixed ones."""
     m = len(margins.alternatives)
+    # variables: p_0..p_{m-1}, then t
+    optimal_set = _margin_rows(margins, pad=1)
     fixed: dict[int, Fraction] = {}
     free = list(range(m))
     while len(free) > 1:
-        floor, point, proven = _ml_max_min(margins, fixed, free)
+        floor, point, proven = _ml_max_min(optimal_set, fixed, free)
         stuck = free if all(point[j] == floor for j in free) else proven
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")

@@ -10,10 +10,16 @@ feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
 definitions of profile statistics, lottery comparisons, manipulation
 search, the participation check and the dominator LP.
+
+The oracles build their LP rows here, from the definitions, and import
+no private name from `pcvote`: an oracle that built its rows with a
+function of the code it gates would pass its gate when that function is
+wrong.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -27,7 +33,6 @@ from pcvote.axioms import (
     exists_strict_improvement,
     find_manipulation,
 )
-from pcvote.efficiency import _DOMINATOR_ROWS
 from pcvote.extensions import ComparisonOutcome, Extension, compare, weakly_prefers
 from pcvote.model import (
     DomainError,
@@ -40,7 +45,7 @@ from pcvote.model import (
     remove_voter,
 )
 from pcvote.ratlp import EQ, GE, LE, Constraint, LinearProgram, LpStatus, lp_solve
-from pcvote.rules import SocialDecisionScheme, _margin_rows, _unit
+from pcvote.rules import SocialDecisionScheme
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +185,26 @@ def lp_feasible(constraints, num_vars: int) -> tuple[bool, Optional[tuple[Fracti
     return False, None
 
 
+def unit(m: int, j: int) -> tuple[int, ...]:
+    return tuple(int(k == j) for k in range(m))
+
+
+def optimal_set_rows(margins: MarginMatrix) -> tuple[Constraint, ...]:
+    """The margin game's optimal strategies p, read off `margins.rows`:
+    no alternative beats p in expectation, and p sums to 1."""
+    m = len(margins.alternatives)
+    rows = tuple(Constraint(tuple(row), LE, 0) for row in margins.rows)
+    return rows + (Constraint((1,) * m, EQ, 1),)
+
+
 def maximal_lottery_is_unique(prof: Profile) -> bool:
     """Is the optimal set of the margin game a single point? Every
     coordinate's maximum over the set must equal its minimum."""
     m = prof.m
-    rows = tuple(_margin_rows(margin_matrix(prof)))
+    rows = optimal_set_rows(margin_matrix(prof))
     for j in range(m):
-        hi = lp_solve(LinearProgram(_unit(m, j), rows))
-        lo = lp_solve(LinearProgram(tuple(-v for v in _unit(m, j)), rows))
+        hi = lp_solve(LinearProgram(unit(m, j), rows))
+        lo = lp_solve(LinearProgram(tuple(-v for v in unit(m, j)), rows))
         assert hi.status is LpStatus.Optimal and lo.status is LpStatus.Optimal
         if hi.value != -lo.value:
             return False
@@ -220,21 +237,21 @@ def reference_ml_leximin(margins: MarginMatrix, solve=lp_solve) -> tuple[Fractio
     maximum over the face where every free coordinate is >= f is f. It
     reads no duals, so it checks `rules._ml_leximin`'s tableau proofs."""
     m = len(margins.alternatives)
-    base = tuple(_margin_rows(margins))
+    base = optimal_set_rows(margins)
     fixed: dict[int, Fraction] = {}
     free = list(range(m))
     while free:
-        pinned = [Constraint(_unit(m, j), EQ, value) for j, value in fixed.items()]
+        pinned = [Constraint(unit(m, j), EQ, value) for j, value in fixed.items()]
         # variables: p_0..p_{m-1}, then t
         rows = [Constraint(c.coeffs + (0,), c.relation, c.rhs) for c in base + tuple(pinned)]
-        rows += [Constraint(_unit(m, j) + (-1,), GE, 0) for j in free]
-        outcome = solve(LinearProgram(_unit(m + 1, m), tuple(rows)))
+        rows += [Constraint(unit(m, j) + (-1,), GE, 0) for j in free]
+        outcome = solve(LinearProgram(unit(m + 1, m), tuple(rows)))
         assert outcome.status is LpStatus.Optimal
         floor, point = outcome.value, outcome.solution
-        face = base + tuple(pinned) + tuple(Constraint(_unit(m, j), GE, floor) for j in free)
+        face = base + tuple(pinned) + tuple(Constraint(unit(m, j), GE, floor) for j in free)
         stuck = [
             j for j in free
-            if point[j] == floor and solve(LinearProgram(_unit(m, j), face)).value == floor
+            if point[j] == floor and solve(LinearProgram(unit(m, j), face)).value == floor
         ]
         assert stuck, "some free coordinate is stuck in every max-min round"
         for j in stuck:
@@ -399,20 +416,42 @@ def reference_check_participation(rule, prof: Profile, extension: Extension, str
     return None
 
 
+@functools.cache
+def reference_dominator_rows(order: tuple[str, ...], p, extension: Extension) -> tuple[Constraint, ...]:
+    """One voter's dominator rows over lotteries q, in `Fraction`s. PC:
+    the voter must not PC-prefer p, pc_score(q, p) >= 0, which is linear in
+    q with coefficient pc_score(x, p) on each alternative x. SD: every
+    proper prefix of the ballot gets at least p's mass under q. Cached,
+    since the gates ask for the same rows under several voter weights."""
+    names = p.alternatives.names
+    if extension is Extension.PC:
+        coeffs = tuple(reference_pc_score(order, Lottery.degenerate(p.alternatives, x), p) for x in names)
+        return (Constraint(coeffs, GE, Fraction(0)),)
+    return tuple(
+        Constraint(
+            tuple(Fraction(int(x in order[:k])) for x in names),
+            GE,
+            sum((p.prob(x) for x in order[:k]), Fraction(0)),
+        )
+        for k in range(1, len(order))
+    )
+
+
 def reference_dominator_lp(prof: Profile, p, extension: Extension, weights=None):
     """The dominator LP with every voter's rows, in voter order, weighted
     by that voter's weight (1 when `weights` is None): the per-voter form
     that `efficiency._dominator_lp` reduces to one block per ranking.
-    Returns (value, dominator) like it; the value is 0 iff p is efficient."""
+    Returns (value, dominator) like it; the value is 0 iff p is efficient.
+    Its rows (`reference_dominator_rows`) are over 1 where the library's
+    are over p's denominator, so only whether the value is 0 compares."""
     m = prof.m
     lam = weights if weights is not None else (Fraction(1),) * prof.n
-    ballot_rows = _DOMINATOR_ROWS[extension]
     seen: dict = {}
     mass: dict = {}
     rows: list[Constraint] = []
     for ballot, factor in zip(prof.ballots, lam):
         if ballot not in seen:
-            seen[ballot] = ballot_rows(ballot, p)
+            seen[ballot] = reference_dominator_rows(ballot.order, p, extension)
         mass[ballot] = mass.get(ballot, 0) + factor
         rows.extend(seen[ballot])
     objective = [Fraction(0)] * m

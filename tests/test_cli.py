@@ -68,7 +68,7 @@ def test_compute_remove_voter(capsys):
 def test_compute_json_report(capsys):
     code, doc, _ = run_json(capsys, "compute", "--rule", "ml", "--profile", "ml_manipulation_R")
     assert code == 0
-    assert doc["report_version"] == 1
+    assert doc["report_version"] == 2
     assert doc["exit_status"] == 0
     assert doc["command"] == "compute"
     assert doc["inputs"]["profile"] == {"kind": "fixture", "name": "ml_manipulation_R"}
@@ -124,7 +124,30 @@ def test_dominate_json_fields(capsys):
     )
     assert code == 1 and doc["exit_status"] == 1
     assert doc["result"]["dominated"] is True
-    assert set(doc["result"]["outcomes"]) <= {"strictly-preferred", "indifferent"}
+    assert doc["result"]["outcomes"] == [
+        {"ranking": ["a", "b", "c"], "voters": 3, "outcome": "strictly-preferred"},
+        {"ranking": ["b", "a", "c"], "voters": 1, "outcome": "indifferent"},
+        {"ranking": ["c", "a", "b"], "voters": 1, "outcome": "indifferent"},
+    ]
+
+
+def test_dominate_certificate_is_one_entry_per_ranking(tmp_path, capsys):
+    # 600 000 voters in a few runs of three ballots: the report stays the size of the LP
+    runs = [(200001, "a > b > c > d"), (99999, "b > c > a > d"), (100000, "c > a > b > d"),
+            (100000, "b > c > a > d"), (100000, "c > a > b > d")]
+    doc = tmp_path / "electorate.profile"
+    doc.write_text("alternatives: a b c d\n" + "".join(f"{k}: {b}\n" for k, b in runs))
+    argv = ("dominate", "--ext", "pc", "--profile", str(doc), "--lottery", "d:1")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and len(out.encode("utf-8")) < 4096
+    result = json.loads(out)["result"]
+    assert result["dominator"] == {"a": "1"}
+    outcomes = result["outcomes"]
+    assert [o["ranking"] for o in outcomes] == [list("abcd"), list("bcad"), list("cabd")]
+    assert [o["voters"] for o in outcomes] == [200001, 199999, 200000]
+    assert sum(o["voters"] for o in outcomes) == 600_000
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and len(out.encode("utf-8")) < 1024
 
 
 def test_efficient_exit_codes(capsys):
@@ -379,21 +402,22 @@ def test_paper_suite_json(capsys):
     assert sum(not f["passed"] for f in doc["result"]["facts"]) == 3
 
 
-# sha256 of the human and the --json report, and the exit status, per run
+# sha256 of the human and the --json report (report_version 2), and the
+# exit status, per run
 SUITE_OUTPUTS = {
     "default": (
         "c8af19334b28f89f9561351ce6985318e61a8ad07c954cd03f65d81eee220b47",
-        "28bb2f86d0ad46ebb3fbcdd658b5c08cf6e232a2544f65a36da9dbe31d053072",
+        "aa621d25a60927cfb3ed15fab5693a2376ad275627c66b40d5cda80846b42a0d",
         0,
     ),
     "pc-sign-flip": (
         "54320202ab5c3cf1cdf01897fcf7d045fccfa5f366264187de2f9779931d66ce",
-        "b9e85d101a22a7436de2fb3aa524128b56d5aaa5d9f437ea6508da3063ea6726",
+        "500654811e14b78ae3b081c342549008fa160e0f40ffd6a66c074883a05969f2",
         1,
     ),
     "ml-tie-break": (
         "236c46d1955db6ad017574f316e420faee7978afe168d6eb2bdafb6df4f7d4c2",
-        "2288f895d210a63f3655eccdf8e142aba3c72241c8dab09f48bc9b42e9adf5b4",
+        "97fe1257db7d81cd52adfdc062897be13ac1b23749e827ec8c71c593855d7e62",
         1,
     ),
 }
@@ -419,67 +443,68 @@ def test_paper_suite_rejects_unknown_control(capsys):
 # witnesses and verdicts, byte for byte
 # ---------------------------------------------------------------------------
 
-# sha256 of the human and the --json report, and the exit status, per run;
-# between them these reach every witness kind the CLI prints except symmetry
+# sha256 of the human and the --json report (report_version 2, dominance
+# certificates one entry per ranking), and the exit status, per run; between
+# them these reach every witness kind the CLI prints except symmetry
 WITNESS_OUTPUTS = {
     "check --axiom weak-pc-strategyproofness --rule ml --profile ml_manipulation_R": (
         "09eda0e2ba4357f59e329cc700318bbdc5e47f981d9b16cacb0765220f5beace",
-        "a5ba29a1628fe1e1ea04c99305a7091ab2fd6b04190546fbe5a2c1cde5c8069d",
+        "1e2b35861e2d7532ce65a8ae9fa49194876c4b59f1c1cd3a2ae0a8ed39cedcbc",
         1,
     ),
     "check --axiom pc-strategyproofness --rule ml --scan m=3,n<=3": (
         "f42d1d1b1a6258488b01d664c30958fe2cbd6807a9a29daae27e3781f1feb229",
-        "b5ee9e744176f9f09ba4607353840a7bba866ec7c868787947597e40a5c0c95f",
+        "c3c72c44a0f4bec815e0b6a006b38f9b2a9e8bff044308a4e7d2f8230c1a979f",
         0,
     ),
     "check --axiom strict-sd-participation --rule condorcet-uniform --scan m=3,n<=3": (
         "83c07bcf78834818005be64b7da46441c28f941afb6aa8ed25ff33590cdec759",
-        "eba516410080f15935db38ea538f27a863bb36cb6e06374869270d23e372fa74",
+        "7279b0d838b4eabba5b95a89690e66b5cef1c171a7d54ca616f878347b199cb4",
         1,
     ),
     "check --axiom cancellation --rule rd --profile rd_example": (
         "17762db57df8bc2073dbb42da47a495560a91fc26e8e6d7a176b2e06389232a0",
-        "8f3f066c38067e6f338405948aa1d112edce1bbad72d2fd96f75a224635961fb",
+        "1b3d1da00c0597d6f529a878f122399069b76790c3e4b6e8dd70cb7559200ba1",
         1,
     ),
     "check --axiom absolute-winner --rule rd --profile rd_example": (
         "e26c1ba388606674457b265ea74db3741c3645c42677ef3acac8c26810602f50",
-        "a24a51ebc5cc65f870ef175ae0fe3dc8280bf45b2bcd1318131f1cdd56fb7daa",
+        "cf3238b8a5e7bfd5af8d71cf693b3a9c5a2bd6e60e04c83ee2fd20010a8ee12d",
         1,
     ),
     "check --axiom pc-efficiency --rule rd --profile rd_example": (
         "ee55706e2976f256f0ba813e2153d1e30b48f293ac392923d1da17b22e514035",
-        "860b90e2381c7fb43261a9b03050badbb6a03e8f424e25dd201456d25c5ac68a",
+        "75bb9309680bc055edeae314d69939ba4d087edf5937f792eed59fb900a96327",
         1,
     ),
     "check --axiom sd-efficiency --rule condorcet-uniform --scan m=3,n<=3": (
         "434726a0374a089fa03d65756dd2b75559779ffbfadb669657d0f0ca4a48642b",
-        "4a4e3ccd9325c60c1241acc0cfbad57caf087bd00b7634405e6d7d529835a8a0",
+        "8c9594c3aa984f056553e8baa518b3c6d5893abbc60e6bf4ec2099584bb46e96",
         1,
     ),
     "dominate --ext pc1 --profile rd_example --lottery a:3/5,b:1/5,c:1/5": (
-        "a2e3692be6e5fee61fcdadd0741b01ef73227b08ca43b5c92aaca8d0feea101a",
-        "f44180106a3f84819bca220416ee971bc5737d9b666cbac2f9f3c667dfa81fbf",
+        "dac6d0f7472b8b567c9afac975ce2de3820906b1c8c66beb3cfad1e8f0a849ee",
+        "79aba208156e649ddb1ac68a3947678c45221e86197555c01fceffc8c569612f",
         1,
     ),
     "dominate --ext pc --profile improvement_cycle --lottery a:1/2,b:1/2": (
-        "af7e19fce5f95d67af7cec4ecf70469ce5c1c8d4f5b5ce731a0263ff90c27a5d",
-        "12de438ce346f55559a4d9a12ac7faf33a16590db2786174d39878fda7265762",
+        "ddfcd7970524405141326464dfc6fe79dd430b5d86a6b1110b28d46cfa8bb488",
+        "5d2b0b14c4774ea5921888f08066a8f7c6bd0233fb484581aa60eaae01a01960",
         1,
     ),
     "dominate --ext sd --profile pareto_join_R1 --lottery c:1/4,d:3/4": (
-        "3bb2c38b55333af41299d300d1787df9753afdb86566c0fb24cf91e8e12f7b5c",
-        "08b84bfab09859473567ba9575c99df6339f18142e02c295eadc545a5ea80b5b",
+        "8faece9bbf51062872b66dfa4edecaa58d308987447d781ca170d971eb2432a9",
+        "b391a7542533900c9cf99081f57c4549a0f805182abdbec3f1d96808325369a2",
         1,
     ),
     "efficient --ext pc1 --profile rd_example --lottery a:3/5,b:1/5,c:1/5": (
         "c8b40f9c4451647633a32145588106ee5f412af2c4de5d8c6bb790d0ce6c0836",
-        "4a4657cad4649439432bdff9a9d7741abcbccc2753e89bdbc2f3916b8affee23",
+        "059e1f01b5b5e11d6052a729291397d4b1196d5067223156b8207940913eadd9",
         1,
     ),
     "path --profile improvement_cycle --start a:1/2,b:1/2 --max-steps 6 --mode random --seed 7": (
         "4c8f2fb104372e59f362fdffbb6b06f51028caad341f621cec3da0366df131da",
-        "0b89acda1b5677872dca6a6ae0c6dfbd2b9595d0f9e40527d6c15aab1f3ae78e",
+        "e770e3bce8ee4920bfe38a6e899ccf7ef7635ee4b5e38f4df6cfb38bf992798c",
         1,
     ),
 }

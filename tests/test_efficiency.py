@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import pcvote
 from pcvote import (
     ApplicabilityError,
+    ComparisonOutcome,
     DomainError,
     InternalError,
     EfficiencyNotion,
@@ -21,7 +24,6 @@ from pcvote import (
     Lottery,
     PathTermination,
     alternative_set,
-    dominance_outcomes,
     dominates,
     enumerate_profiles,
     find_dominator,
@@ -40,6 +42,8 @@ from pcvote import efficiency, ratlp, rules
 from pcvote.profilefmt import format_lottery, parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
 from helpers import random_lottery, random_profile, reference_dominator_lp
+
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 F = Fraction
 
@@ -65,7 +69,12 @@ def test_rd_output_is_pc_dominated_but_sd_efficient():
     cert = find_dominator(prof, p, Extension.PC)
     assert cert is not None
     assert dominates(prof, Extension.PC, cert.dominator, p)
-    assert cert.outcomes == dominance_outcomes(prof, Extension.PC, cert.dominator, p)
+    # one entry per ranking, in sorted order, with its voter count
+    assert [(ballot.order, voters, o) for ballot, voters, o in cert.outcomes] == [
+        (("a", "b", "c"), 3, ComparisonOutcome.StrictlyPreferred),
+        (("b", "a", "c"), 1, ComparisonOutcome.Indifferent),
+        (("c", "a", "b"), 1, ComparisonOutcome.Indifferent),
+    ]
     assert find_dominator(prof, p, Extension.SD) is None
     assert is_efficient(prof, p, EfficiencyNotion.SD)
     assert not is_efficient(prof, p, EfficiencyNotion.PC)
@@ -156,10 +165,14 @@ def _repeat_heavy_profiles(seed, count):
         yield profile(alts, [rng.choice(pool) for _ in range(n)])
 
 
-def _describe(cert):
+def _describe(prof, cert):
+    """The dominator and every voter's outcome, in voter order, rebuilt
+    from the certificate's one outcome per ranking."""
     if cert is None:
         return "-"
-    return format_lottery(cert.dominator) + " " + ",".join(o.value for o in cert.outcomes)
+    assert Counter(prof.ballots) == {ballot: voters for ballot, voters, _ in cert.outcomes}
+    by_ranking = {ballot: o for ballot, _, o in cert.outcomes}
+    return format_lottery(cert.dominator) + " " + ",".join(by_ranking[b].value for b in prof.ballots)
 
 
 def _witness_digest(seed, count):
@@ -181,7 +194,7 @@ def _witness_digest(seed, count):
                 find_dominator(prof, p, Extension.SD, weights),
                 pc1_find_dominator(prof, p),
             )
-            digest.update(("|".join(_describe(c) for c in certs) + "\n").encode())
+            digest.update(("|".join(_describe(prof, c) for c in certs) + "\n").encode())
     return digest.hexdigest()
 
 
@@ -376,6 +389,31 @@ def test_library_has_no_assert_statements():
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_helpers_import_no_private_name_from_pcvote():
+    """The oracles in helpers.py gate the library's LP rows; one whose rows
+    came from a private function of `pcvote` would pass its gate when that
+    function is wrong. So helpers.py takes no `_`-prefixed name from `pcvote`, by
+    `from ... import` or by attribute."""
+    tree = ast.parse(HELPERS.read_text(encoding="utf-8"), filename="helpers.py")
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pcvote":
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname or a.name.split(".")[0] for a in node.names if a.name.split(".")[0] == "pcvote"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{node.lineno}: {root.id}...{node.attr}")
     assert found == []
 
 

@@ -10,7 +10,6 @@ from pcvote import (
     Lottery,
     alternative_set,
     compare,
-    dominance_outcomes,
     dominates,
     pc_score,
     pc_weights,
@@ -280,8 +279,10 @@ def test_dominates_needs_a_strict_voter():
     prof = profile("abc", [("a", "b", "c")] * 3 + [("b", "a", "c"), ("c", "a", "b")])
     uniform = Lottery.uniform(ABC)
     top = Lottery.degenerate(ABC, "a")
-    outcomes = dominance_outcomes(prof, Extension.PC, top, uniform)
-    assert outcomes == (SP, SP, SP, IND, IND)
+    outcomes = [
+        (ballot.order, count, compare(Extension.PC, ballot, top, uniform)) for ballot, count in prof.runs
+    ]
+    assert outcomes == [(("a", "b", "c"), 3, SP), (("b", "a", "c"), 1, IND), (("c", "a", "b"), 1, IND)]
     assert dominates(prof, Extension.PC, top, uniform)
     assert not dominates(prof, Extension.PC, uniform, uniform)  # all indifferent
     assert not dominates(prof, Extension.PC, uniform, top)

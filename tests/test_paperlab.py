@@ -79,7 +79,7 @@ def test_every_fixture_contributes_facts():
         total += len(fx.facts)
         for fact in fx.facts:
             assert type(fact) is Fact
-            assert fact.describe()
+            assert fact.text
     assert total == 76
 
 
