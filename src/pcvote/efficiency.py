@@ -40,7 +40,7 @@ from .extensions import (
     pc_form,
     sd_form,
 )
-from .ratlp import EQ, GE, Constraint, LinearProgram, LpStatus, Rational, lp_solve, require_rational
+from .ratlp import LE, Constraint, LinearProgram, LpStatus, Rational, lp_solve, require_rational
 
 
 class EfficiencyNotion(Enum):
@@ -90,21 +90,24 @@ def _certificate(
 
 def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
     """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0, times
-    p's denominator (`pc_form`)."""
+    p's denominator (`pc_form`), written as −pc_form · q <= 0. The row is
+    homogeneous in q and holds with equality at p."""
     weights, _ = pc_form(ballot, p)
-    return (Constraint(tuple(weights), GE, 0),)
+    return (Constraint(tuple(-w for w in weights), LE, 0),)
 
 
 def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
     """Every proper prefix of the ballot gets at least p's mass under q,
-    times p's denominator (`sd_form`)."""
+    times p's denominator (`sd_form`): den · indicator · q >= prefix.
+    Homogenized by Σq = 1, that is (prefix − den · indicator) · q <= 0,
+    which holds with equality at p; on lotteries the two forms agree."""
     alts = p.alternatives
     prefixes, den = sd_form(ballot, p)
     rows: list[Constraint] = []
-    indicator = [0] * len(alts)
+    inside = [False] * len(alts)
     for x, prefix in zip(ballot.order, prefixes):
-        indicator[alts.index(x)] = den
-        rows.append(Constraint(tuple(indicator), GE, prefix))
+        inside[alts.index(x)] = True
+        rows.append(Constraint(tuple(prefix - den if i else prefix for i in inside), LE, 0))
     return tuple(rows)
 
 
@@ -113,11 +116,20 @@ _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 
 def _dominator_lp(
     profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Rational]]
-) -> tuple[Fraction, Lottery]:
-    """Maximize the weighted total of every ballot type's rows over
-    lotteries q that satisfy all of them, minus the same total at p. p is
-    feasible, so the value is at least 0; 0 means p is efficient, and a
-    positive value comes with a dominating q.
+) -> Optional[Lottery]:
+    """A lottery q that satisfies every ballot type's rows and maximizes
+    their weighted total slack, if that total is positive; None when it is
+    0, that is, when p is efficient.
+
+    Every row reads a · q <= 0, so the rows cut out a cone that holds p,
+    and the program closes it with Σq <= 1. Each row has rhs 0 and the
+    closing row rhs 1, so the all-slack basis (q = 0) is feasible and the
+    simplex starts there, with no phase one. The objective, −Σ weight · a,
+    is homogeneous and 0 at p. On a lottery q, −a · q is how far q clears
+    the row's `>=` form, so a positive value means q dominates p. The
+    optimum is 0 exactly when no lottery does, and a positive optimum lies
+    on Σq = 1, since scaling q up would raise it: the vertex returned is a
+    lottery.
 
     Each ranking in the profile contributes one block of rows, in
     `all_rankings` order (sorted label tuples), weighted in the objective
@@ -128,18 +140,18 @@ def _dominator_lp(
     ballot_rows = _DOMINATOR_ROWS[extension]
     rows: list[Constraint] = []
     objective: list[Rational] = [0] * profile.m
-    baseline: Rational = 0
     for ballot, weight in _ballot_weights(profile, weights):
         for row in ballot_rows(ballot, p):
             rows.append(row)
             for j, c in enumerate(row.coeffs):
-                objective[j] += weight * c
-            baseline += weight * row.rhs
-    rows.append(Constraint((1,) * profile.m, EQ, 1))
+                objective[j] -= weight * c
+    rows.append(Constraint((1,) * profile.m, LE, 1))
     outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
-        raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
-    return outcome.value - baseline, Lottery(profile.alternatives, outcome.solution)
+        raise InternalError(f"a dominator LP came out {outcome.status.name}, though q = 0 is feasible")
+    if outcome.value == 0:
+        return None
+    return Lottery(profile.alternatives, outcome.solution)
 
 
 def _ballot_weights(
@@ -180,10 +192,8 @@ def find_dominator(
         raise DomainError("lottery must range over the profile's alternatives")
     if extension not in _DOMINATOR_ROWS:
         raise DomainError("find_dominator solves PC and SD; use pc1_find_dominator for PC1")
-    value, q = _dominator_lp(profile, p, extension, weights)
-    if value == 0:
-        return None
-    return _certificate(profile, extension, p, q)
+    q = _dominator_lp(profile, p, extension, weights)
+    return None if q is None else _certificate(profile, extension, p, q)
 
 
 def pc1_find_dominator(profile: Profile, p: Lottery) -> Optional[DominanceCertificate]:
@@ -191,14 +201,22 @@ def pc1_find_dominator(profile: Profile, p: Lottery) -> Optional[DominanceCertif
 
     A non-degenerate lottery can only be PC1-dominated by a degenerate
     one, so trying every degenerate lottery (in alternative order) is
-    exhaustive. A degenerate p is additionally comparable against every
+    exhaustive. PC1 compares a degenerate lottery e_x as PC does, and
+    pc_score(ballot, e_x, p) is x's entry of `pc_form(ballot, p)` over p's
+    denominator, whether or not p is degenerate. So e_x dominates p
+    exactly when x's column of the runs' PC forms is >= 0 on every run and
+    > 0 on some run; only that candidate is built and checked with
+    `dominates`. A degenerate p is additionally comparable against every
     lottery, so the PC dominator LP covers the rest of that case.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    for x in profile.alternatives:
-        q = Lottery.degenerate(profile.alternatives, x)
-        if dominates(profile, Extension.PC1, q, p):
+    forms = [pc_form(ballot, p)[0] for ballot, _ in profile.runs]
+    for x, column in zip(profile.alternatives, zip(*forms)):
+        if min(column) >= 0 and max(column) > 0:
+            q = Lottery.degenerate(profile.alternatives, x)
+            if not dominates(profile, Extension.PC1, q, p):
+                raise InternalError("a PC1 dominator read off the PC forms failed re-validation")
             return _certificate(profile, Extension.PC1, p, q)
     if p.is_degenerate():
         pc_cert = find_dominator(profile, p, Extension.PC)

@@ -9,7 +9,8 @@ It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
 definitions of profile statistics, lottery comparisons, manipulation
-search, the participation check and the dominator LP.
+search, the participation check, the dominator LP and the PC1 dominator
+search.
 
 The oracles build their LP rows here, from the definitions, and import
 no private name from `pcvote`: an oracle that built its rows with a
@@ -466,3 +467,20 @@ def reference_dominator_lp(prof: Profile, p, extension: Extension, weights=None)
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though p is feasible")
     return outcome.value - baseline, Lottery(prof.alternatives, outcome.solution)
+
+
+def reference_pc1_find_dominator(prof: Profile, p) -> Optional[Lottery]:
+    """A PC1 dominator of p, or None: every degenerate lottery, in
+    alternative order, against every voter through `reference_pc_score`
+    (PC1 compares a degenerate lottery as PC does), then, for a degenerate
+    p, the per-voter PC dominator LP. Returns the dominator alone."""
+    for x in prof.alternatives.names:
+        q = Lottery.degenerate(prof.alternatives, x)
+        scores = [reference_pc_score(ballot.order, q, p) for ballot in prof.ballots]
+        if min(scores) >= 0 and max(scores) > 0:
+            return q
+    if p.is_degenerate():
+        value, q = reference_dominator_lp(prof, p, Extension.PC)
+        if value != 0:
+            return q
+    return None

@@ -3,7 +3,8 @@ function at every module that binds it by name, and silently skips a
 module that no longer does. These checks keep a refactor from dropping a
 binding unnoticed. The benchmark's workloads check their own outputs;
 one pass of each runs here too, so a wrong output fails this suite, and
-so does a change in the number of LPs the pass solves."""
+so does a change in the number of LPs the pass solves or the pivots they
+take."""
 
 import importlib.util
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pcvote import rules
+from pcvote import ratlp, rules
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
@@ -42,6 +43,8 @@ def test_the_ml_rule_is_registered_for_tracing():
 
 # `ratlp.lp_solve.calls` of one pass at seed 90210, as `benchmarks/run.py --trace 1` counts them
 LP_SOLVES = {"scan-ml": 19, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
+# `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis
+PIVOTS = {"scan-ml": 112, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
 
 
 @pytest.mark.parametrize("workload", ["scan-ml", "scan-nolp", "corpus", "electorate"])
@@ -62,10 +65,21 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
 
     for owner in (home, *bound_in):
         monkeypatch.setattr(owner, attr, counting)
-    lps = 0
+    pivot, pivoted = ratlp._pivot, []
+
+    def counting_pivot(*args):
+        pivoted.append(None)
+        return pivot(*args)
+
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+    lps = pivots = 0
     for op in module.WORKLOADS[workload](seed).ops:
         output = op.run()
         lps += len(solves)
+        pivots += len(pivoted)
         assert op.check(output) is None, op.label
-        solves.clear()  # the checks' own solves are not the pass's, as in the tracer
+        # the checks' own solves are not the pass's, as in the tracer
+        solves.clear()
+        pivoted.clear()
     assert lps == LP_SOLVES[workload]
+    assert pivots == PIVOTS[workload]

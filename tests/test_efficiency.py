@@ -41,7 +41,12 @@ from pcvote import (
 from pcvote import efficiency, ratlp, rules
 from pcvote.profilefmt import format_lottery, parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
-from helpers import random_lottery, random_profile, reference_dominator_lp
+from helpers import (
+    random_lottery,
+    random_profile,
+    reference_dominator_lp,
+    reference_pc1_find_dominator,
+)
 
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
@@ -245,6 +250,62 @@ def test_verdicts_equal_the_per_voter_lp(region):
                     assert efficient == (value == 0), (prof, p, extension, w)
                     verdicts.add(efficient)
     assert verdicts == {True, False}
+
+
+def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
+    """Every dominator row reads a · q <= 0 and the closing row Σq <= 1, so
+    `_standardize` makes no artificial column and the simplex has no phase
+    one. q = 0 is then feasible, and an efficient p returns None also when
+    the solver's vertex is q = 0."""
+    solved = []
+
+    def recording(lp):
+        outcome = lp_solve(lp)
+        solved.append((lp, outcome))
+        return outcome
+
+    monkeypatch.setattr(efficiency, "lp_solve", recording)
+    ml = rules.get_rule("ml")
+    at_zero = 0
+    for region in ("small", "anonymous", "corpus", "repeat-heavy"):
+        for prof in _gate_profiles(region):
+            for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives))):
+                for extension in (Extension.PC, Extension.SD):
+                    solved.clear()
+                    cert = find_dominator(prof, p, extension)
+                    [(lp, outcome)] = solved
+                    assert all(c.relation == ratlp.LE and c.rhs >= 0 for c in lp.constraints)
+                    assert ratlp._standardize(lp.objective, lp.constraints)[2] == frozenset()
+                    assert (cert is None) == (outcome.value == 0), (prof, p, extension)
+                    if cert is None and not any(outcome.solution):
+                        at_zero += 1
+    assert at_zero > 0
+
+
+@pytest.mark.parametrize("region", ["small", "anonymous", "corpus"])
+def test_pc1_search_equals_the_per_voter_loop(region):
+    """PC1 dominators read off the PC forms against the plain loop: every
+    degenerate lottery against every voter, then the per-voter PC LP for a
+    degenerate p. The verdicts agree, and so does a degenerate dominator,
+    which only the loop can give: if the LP's vertex were some e_x, e_x
+    would PC-dominate p and the loop would have found one."""
+    rng = random.Random(17)
+    ml = rules.get_rule("ml")
+    verdicts, degenerate = set(), 0
+    for prof in _gate_profiles(region):
+        seeded = random_lottery(rng, prof.alternatives)
+        for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives), seeded)):
+            want = reference_pc1_find_dominator(prof, p)
+            cert = pc1_find_dominator(prof, p)
+            assert (cert is None) == (want is None), (prof, p)
+            verdicts.add(cert is None)
+            if want is not None and want.is_degenerate():
+                assert cert.dominator == want, (prof, p)
+                degenerate += 1
+            elif cert is not None:
+                assert not cert.dominator.is_degenerate(), (prof, p)
+    assert verdicts == {True, False}
+    assert degenerate > 0
 
 
 def _dominator(prof, p, extension, weights=None):
