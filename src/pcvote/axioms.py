@@ -165,11 +165,16 @@ def _voters_to_try(
     first with each distinct ballot, read off the runs when none are listed."""
     if getattr(rule, "statistic", None) is None:
         return voters if voters is not None else range(1, profile.n + 1)
+    # keyed by order, which hashes with no Python call; all range over one set
+    first: dict[tuple[str, ...], int] = {}
     if voters is None:
-        voters = itertools.accumulate((count for _, count in profile.runs[:-1]), initial=1)
-    first: dict[Ranking, int] = {}
-    for i in voters:
-        first.setdefault(profile.ballot(i), i)
+        i = 1
+        for ballot, count in profile.runs:
+            first.setdefault(ballot.order, i)
+            i += count
+    else:
+        for i in voters:
+            first.setdefault(profile.ballot(i).order, i)
     return list(first.values())
 
 
@@ -182,8 +187,9 @@ class _Edits:
     lookup by its tally vector: the profile's, minus the tally of the ballot
     taken out, plus those of the ballots put in. Its `Profile` is made by
     `build` only on a miss. Misreport comparisons are memoized too, keyed by
-    the identities of the memo's lotteries. Any other rule, or a bare
-    function, is evaluated on the built profile, as the per-voter reference.
+    the identities of the memo's lotteries, and so is every clean answer of
+    a check (`settled`). Any other rule, or a bare function, is evaluated
+    on the built profile, as the per-voter reference.
     """
 
     def __init__(self, rule: SocialDecisionScheme, profile: Profile) -> None:
@@ -201,6 +207,30 @@ class _Edits:
     def ballot(self, ranking: Ranking) -> Optional[int]:
         """The ranking's index in `all_rankings`, or None without a memo."""
         return None if self.memo is None else self.index[ranking.order]
+
+    def classes(self, rankings: tuple[Ranking, ...]) -> tuple[Sequence[int], Sequence[int]]:
+        """The `all_rankings` indices in classes of equal tallies, as
+        `Memo.classes` gives them: each index's class, named by its least
+        index, and the names in order. Without a memo every class is one
+        ranking."""
+        if self.memo is None:
+            every = range(len(rankings))
+            return every, every
+        return self.memo.classes(rankings)
+
+    def settled(self, *check: object) -> bool:
+        """Has the check that `check` names come out clean on an earlier
+        profile with these alternatives and this vector? Only a memoized
+        rule, whose outcomes are a function of the vector, remembers. The
+        names are strings, ints and bools, which hash with no Python call."""
+        if self.memo is None:
+            return False
+        return (check, self.alternatives.names, self.base) in self.memo.clean
+
+    def settle(self, *check: object) -> None:
+        """Remember that the check `check` names found no violation here."""
+        if self.memo is not None:
+            self.memo.clean.add((check, self.alternatives.names, self.base))
 
     def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
         """The tally vector of the profile with `taken` out and `put` in."""
@@ -252,6 +282,14 @@ def find_manipulation(
     misreports of each are budgeted up front. For a memoized rule a
     misreport's outcome is looked up by its tally vector (`_Edits`), and a
     `Profile` is built only on a memo miss and for the witness, once.
+
+    Misreports with equal tallies give equal vectors, so equal outcomes
+    (`_Edits.classes`), and one with the true ballot's tally gives the
+    truthful outcome, which every extension compares as indifferent. So
+    each class is tried once, by its least index, in order, and the true
+    ballot's class not at all: the first witness is the full loop's. A
+    ballot that manipulates at no misreport is not tried again at an equal
+    vector (`_Edits.settled`).
     """
     deviators = _voters_to_try(rule, profile, voters)
     m = profile.m
@@ -260,6 +298,7 @@ def find_manipulation(
     candidates = all_rankings(profile.alternatives)
     index = _ranking_index(profile.alternatives)
     edits = _Edits(rule, profile)
+    class_of, leaders = edits.classes(candidates)
     truthful = edits.outcome(None, (), lambda: profile)
 
     def build() -> Profile:  # the deviation the loop is at, kept for the witness
@@ -270,16 +309,21 @@ def find_manipulation(
     for i in deviators:
         true_ballot = profile.ballot(i)
         taken = index[true_ballot.order]
+        if edits.settled("misreport", extension.value, mode.value, taken):
+            continue
+        own = class_of[taken]
         manipulates = edits.judge(extension, mode, true_ballot, truthful)
-        for k, misreport in enumerate(candidates):
-            if k == taken:
+        for k in leaders:
+            if k == own:
                 continue
+            misreport = candidates[k]
             deviated = None
             outcome = edits.outcome(taken, (k,), build)
             if manipulates(outcome):
                 return ManipulationWitness(
                     profile, i, misreport, deviated or build(), truthful, outcome, extension, mode
                 )
+        edits.settle("misreport", extension.value, mode.value, taken)
     return None
 
 
@@ -309,7 +353,10 @@ def check_participation(
     with_voter = edits.outcome(None, (), lambda: profile)
     for i in leaving:
         ballot = profile.ballot(i)
-        without = edits.outcome(edits.ballot(ballot), (), lambda: remove_voter(profile, i))
+        taken = edits.ballot(ballot)
+        if edits.settled("participation", extension.value, strict, taken):
+            continue
+        without = edits.outcome(taken, (), lambda: remove_voter(profile, i))
         outcome = compare(extension, ballot, with_voter, without)
         if not weakly_prefers(outcome):
             return ParticipationWitness(
@@ -320,6 +367,7 @@ def check_participation(
                 return ParticipationWitness(
                     profile, i, with_voter, without, extension, strict, "no-strict-gain"
                 )
+        edits.settle("participation", extension.value, strict, taken)
     return None
 
 
@@ -376,6 +424,8 @@ def check_cancellation(
     _check_rule_evaluations(math.factorial(m), "the cancellation check")
     rankings = all_rankings(profile.alternatives)
     edits = _Edits(rule, profile)
+    if edits.settled("cancellation"):
+        return None
     base = edits.outcome(None, (), lambda: profile)
     for k, ballot in enumerate(rankings):
         reverse = ballot.reversed()
@@ -383,6 +433,7 @@ def check_cancellation(
         after = edits.outcome(None, put, lambda: profile.append(ballot, reverse))
         if after != base:
             return CancellationWitness(profile, ballot, base, after)
+    edits.settle("cancellation")
     return None
 
 
@@ -514,25 +565,39 @@ def enumerate_profiles(
         yield Profile.from_ballots(alts, [rankings[i] for i in indices])
 
 
-def _relabelling_tables(rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
-    """For each alternative permutation, the identity included, the index
-    in `rankings` (`all_rankings`) of every ranking's relabelled image."""
-    index = _ranking_index(rankings[0].alternatives)
-    names = rankings[0].alternatives.names
-    tables = []
-    for image in rankings:
-        mapping = dict(zip(names, image.order))
-        tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in rankings))
-    return tables
+def _tables_to_first(alternatives: AlternativeSet) -> tuple[tuple[int, ...], ...]:
+    """For each ranking's index in `all_rankings`, the relabelling table
+    that sends it to index 0: the index of every ranking's image under the
+    one alternative permutation that does. Built once per alternative set;
+    if their (m!)² entries pass the enumeration budget, they are refused
+    before any is built."""
+    cells = math.factorial(len(alternatives)) ** 2
+    if cells > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"the {cells} relabelling table entries of {len(alternatives)} alternatives exceed "
+            f"the enumeration budget of {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    return alternatives._to_first
 
 
-def _least_in_orbit(indices: tuple[int, ...], tables: list[tuple[int, ...]]) -> bool:
+def _least_in_orbit(indices: tuple[int, ...], to_first: tuple[tuple[int, ...], ...]) -> bool:
     """Is this profile, in either scan mode, the least of its orbit under
-    relabelling the alternatives and reordering the voters? Each image is
-    compared sorted; the identity table makes an unsorted profile fail."""
+    relabelling the alternatives and reordering the voters, its images
+    compared sorted?
+
+    Relabelling acts regularly on the rankings: one permutation sends a
+    given ranking to index 0. So the least image starts with 0, and a
+    profile that does not is not least; nor is an unsorted one, whose
+    sorted self is less. Only an image that holds 0, made by the table that
+    sends one of the profile's d distinct ballots to 0, can then be less.
+    """
+    if indices[0]:
+        return False
     key = list(indices)
-    for table in tables:
-        if sorted(map(table.__getitem__, indices)) < key:
+    if sorted(indices) != key:
+        return False
+    for ballot in set(indices):
+        if ballot and sorted(map(to_first[ballot].__getitem__, indices)) < key:
             return False
     return True
 
@@ -661,12 +726,12 @@ def exhaustive_scan(
         and rule.neutral
         and axiom_name not in ("anonymity", "neutrality")
     )
-    tables = _relabelling_tables(rankings) if reduced else []
+    to_first = _tables_to_first(alts) if reduced else None
     checked = 0
     for n in range(lo, n_max + 1):
         for indices in _ballot_indices(m, n, up_to_anonymity):
             checked += 1
-            if tables and not _least_in_orbit(indices, tables):
+            if to_first is not None and not _least_in_orbit(indices, to_first):
                 continue
             profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
             witness = spec.check(rule, profile)

@@ -91,6 +91,20 @@ class AlternativeSet:
     def _ranking_index(self) -> dict[tuple[str, ...], int]:
         return {r.order: k for k, r in enumerate(self._rankings)}
 
+    @cached_property
+    def _to_first(self) -> tuple[tuple[int, ...], ...]:
+        """For each ranking's index in `_rankings`, the index of every
+        ranking's image under the one relabelling of the alternatives that
+        sends that ranking to index 0: the m! relabelling tables, the
+        identity first. Built once per set (see `axioms._tables_to_first`,
+        which budgets them)."""
+        index, first = self._ranking_index, self._rankings[0].order
+        tables = []
+        for ranking in self._rankings:
+            mapping = dict(zip(ranking.order, first))
+            tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in self._rankings))
+        return tuple(tables)
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -417,15 +431,18 @@ class Tally:
     of: Callable[[Ranking], tuple[int, ...]]
 
     def __call__(self, p: Profile) -> tuple[int, ...]:
-        vectors = [(self.of(ballot), count) for ballot, count in p.runs]
-        return tuple(
-            sum(count * vector[k] for vector, count in vectors) for k in range(len(vectors[0][0]))
-        )
+        vectors = [
+            self.of(ballot) if count == 1 else [count * v for v in self.of(ballot)]
+            for ballot, count in p.runs
+        ]
+        return tuple(map(sum, zip(*vectors)))
 
 
 def _at_place(r: Ranking, place: int) -> tuple[int, ...]:
     """1 for the alternative the ranking puts at `place` (0 = top), 0 for the rest."""
-    return tuple(1 if at == place else 0 for at in r.positions)
+    vector = [0] * len(r.order)
+    vector[r.positions.index(place)] = 1
+    return tuple(vector)
 
 
 # the upper triangle of the margin matrix, row by row

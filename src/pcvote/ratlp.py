@@ -266,16 +266,23 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             else:
                 _pivot(rows, z, basis, r, pivot_col)
 
-    z = _objective_row(_scaled(objective)[0] + [0] * (num_cols - n), rows, basis)
+    cost, scale = _scaled(objective)
+    z = _objective_row(cost + [0] * (num_cols - n), rows, basis)
     status = _run_simplex(rows, z, basis, banned=art_cols)
     if status == "unbounded":
         return LpOutcome(LpStatus.Unbounded, None, None)
 
     x = [Fraction(0)] * n
+    # the value is the scaled costs of the basic columns times their values,
+    # rhs / basis entry, over one common denominator, divided by `scale`
+    costed: list[tuple[int, int, int]] = []
     for row, j in zip(rows, basis):
         if j < n:
             x[j] = Fraction(row[-1], row[j])
-    value = sum(c * v for c, v in zip(objective, x))
+            if cost[j]:
+                costed.append((cost[j], row[-1], row[j]))
+    den = math.lcm(*(d for _, _, d in costed))
+    value = Fraction(sum(c * v * (den // d) for c, v, d in costed), den * scale)
     # `_standardize` gives the inequality rows, in order, the columns n, n + 1, ...
     inequalities = [i for i, c in enumerate(lp.constraints) if c.relation != EQ]
     tight = frozenset(i for k, i in enumerate(inequalities) if z[n + k])

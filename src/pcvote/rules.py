@@ -49,17 +49,26 @@ class Memo:
     from its runs, or one the axiom checks compute for an edit
     (`axioms._Edits`).
 
-    `outcomes` holds one lottery per (alternative names, vector), so a
-    lottery read from it is the one object for its key, and stays alive as
-    long as the memo. That lets `comparisons` key the axiom checks'
-    comparisons by the identities of the lotteries compared (`judged`).
+    `outcomes` holds one lottery per (alternative names, vector), and a
+    new outcome is interned in `lotteries`, so a lottery read from the memo
+    is the one object for its value, and stays alive as long as the memo.
+    That lets `comparisons` key the axiom checks' comparisons by the
+    identities of the lotteries compared (`judged`), across vectors with
+    equal outcomes.
+
+    `clean` holds the keys of the per-ballot checks that found no violation
+    at a vector (`axioms._Edits.settled`): their answer is a function of the
+    alternative set, the vector and the ballot, so a scan asks each once.
     """
 
     def __init__(self, rule: SocialDecisionScheme) -> None:
         self.rule = rule
         self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
+        self.lotteries: dict[Lottery, Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
+        self.clean: set[tuple] = set()
         self._tallies: dict[AlternativeSet, list[tuple[int, ...]]] = {}
+        self._classes: dict[AlternativeSet, tuple[list[int], list[int]]] = {}
 
     def __call__(self, profile: Profile) -> Lottery:
         return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
@@ -68,12 +77,14 @@ class Memo:
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
     ) -> Lottery:
         """The cached lottery for this alternative set and tally vector; on a
-        miss, the unmemoized rule's on the profile `build()` makes, cached."""
+        miss, the unmemoized rule's on the profile `build()` makes, interned
+        and cached."""
         # sets are equal by their names, and a tuple of names hashes with no Python call
         key = (alternatives.names, vector)
         found = self.outcomes.get(key)
         if found is None:
-            found = self.outcomes[key] = self.rule(build())
+            found = self.rule(build())
+            found = self.outcomes[key] = self.lotteries.setdefault(found, found)
         return found
 
     def judged(self, key: tuple, judge: Callable[[Lottery], bool]) -> Callable[[Lottery], bool]:
@@ -95,6 +106,18 @@ class Memo:
         found = self._tallies.get(alternatives)
         if found is None:
             found = self._tallies[alternatives] = list(map(self.rule.statistic.of, rankings))
+        return found
+
+    def classes(self, rankings: tuple[Ranking, ...]) -> tuple[list[int], list[int]]:
+        """The rankings, by index, in classes of equal tallies: each class
+        is named by its least index. Returns every index's class and the
+        class names in increasing order."""
+        alternatives = rankings[0].alternatives
+        found = self._classes.get(alternatives)
+        if found is None:
+            least: dict[tuple[int, ...], int] = {}
+            class_of = [least.setdefault(tally, k) for k, tally in enumerate(self.tallies(rankings))]
+            found = self._classes[alternatives] = class_of, list(least.values())
         return found
 
 

@@ -9,8 +9,8 @@ It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
 definitions of profile statistics, lottery comparisons, manipulation
-search, the participation check, the dominator LP and the PC1 dominator
-search.
+search, the participation check, the dominator LP, the PC1 dominator
+search and the orbit test of the reduced scans.
 
 The oracles build their LP rows here, from the definitions, and import
 no private name from `pcvote`: an oracle that built its rows with a
@@ -484,3 +484,30 @@ def reference_pc1_find_dominator(prof: Profile, p) -> Optional[Lottery]:
         if value != 0:
             return q
     return None
+
+
+# ---------------------------------------------------------------------------
+# the orbit test over all m! relabellings
+# ---------------------------------------------------------------------------
+
+def reference_relabelling_tables(rankings) -> list[tuple[int, ...]]:
+    """For each alternative permutation, the identity included, the index
+    in `rankings` (`all_rankings`) of every ranking's relabelled image."""
+    index = {r.order: k for k, r in enumerate(rankings)}
+    names = rankings[0].alternatives.names
+    tables = []
+    for image in rankings:
+        mapping = dict(zip(names, image.order))
+        tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in rankings))
+    return tables
+
+
+def reference_least_in_orbit(indices: tuple[int, ...], tables: list[tuple[int, ...]]) -> bool:
+    """Is this profile, in either scan mode, the least of its orbit under
+    relabelling the alternatives and reordering the voters? Each image is
+    compared sorted; the identity table makes an unsorted profile fail."""
+    key = list(indices)
+    for table in tables:
+        if sorted(map(table.__getitem__, indices)) < key:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -55,6 +56,8 @@ from pcvote.axioms import (
     AxiomSpec,
     EnumerationBudgetError,
     _Edits,
+    _least_in_orbit,
+    _tables_to_first,
     exists_strict_improvement,
 )
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
@@ -64,6 +67,8 @@ from helpers import (
     random_profile,
     reference_check_participation,
     reference_find_manipulation,
+    reference_least_in_orbit,
+    reference_relabelling_tables,
     strategyproofness_ladder_gaps,
 )
 
@@ -369,6 +374,22 @@ def test_cancellation_pinned():
 # decisiveness and efficiency checks
 # ---------------------------------------------------------------------------
 
+def test_cancellation_on_one_memo_equals_the_check_on_each_profile():
+    # one memo across the space, as in a scan: a clean answer it remembers
+    # must be the one the check gives on the profile itself
+    verdicts = {True: 0, False: 0}
+    for rule in RULES.values():
+        memo, plain = memoized(rule), _evaluated_per_profile(rule)
+        for m, n_max in ((2, 5), (3, 3)):
+            for n in range(1, n_max + 1):
+                for prof in enumerate_profiles(m, n, up_to_anonymity=True):
+                    if rule.applicable(prof):
+                        witness = check_cancellation(memo, prof)
+                        assert witness == check_cancellation(plain, prof), (rule.name, prof)
+                        verdicts[witness is None] += 1
+    assert verdicts == {True: 294, False: 181}
+
+
 def test_rd_fails_absolute_winner_on_the_worked_example():
     prof = fixture_profile("rd_example")
     w = check_decisiveness(RD, prof, Decisiveness.AbsoluteWinner)
@@ -612,15 +633,51 @@ def test_manipulation_scans_pinned():
     assert digest.hexdigest() == "27030fa9b19d7e1cddd963af24a0199ea7532c856a8257b308c21ebd132cacdf"
 
 
+def _evaluated_per_profile(rule):
+    """The rule with no memo: each profile's outcome is cached by the profile
+    itself, voter order included, which assumes nothing of the rule."""
+    return replace(rule, evaluate=functools.cache(rule.evaluate))
+
+
+def _manipulation_searches_that_differ(rule, m, n_max):
+    """The (profile, extension, mode) at which the search on the memoized
+    rule, which tries one misreport per tally class and remembers clean
+    ballots, differs from the per-voter reference on the rule itself. One
+    memo serves every search, as in a scan."""
+    memo, plain = memoized(rule), _evaluated_per_profile(rule)
+    differ = []
+    for n in range(1, n_max + 1):
+        for prof in enumerate_profiles(m, n, up_to_anonymity=True):
+            for extension in Extension:
+                for mode in Mode:
+                    found = find_manipulation(memo, prof, extension, mode)
+                    if found != reference_find_manipulation(plain, prof, extension, mode):
+                        differ.append((prof, extension, mode))
+    return differ
+
+
 def test_manipulation_search_equals_the_per_voter_reference():
+    # every tally: margins (ml, condorcet-uniform, f1), tops (rd) and tops
+    # and bottoms (f2), which reads only three alternatives
     for name, rule in RULES.items():
-        memo = memoized(rule)
-        for n in range(1, 5):
-            for prof in enumerate_profiles(3, n, up_to_anonymity=True):
-                for extension in Extension:
-                    for mode in Mode:
-                        found = find_manipulation(memo, prof, extension, mode)
-                        assert found == reference_find_manipulation(memo, prof, extension, mode), (name, prof)
+        assert _manipulation_searches_that_differ(rule, 3, 4) == [], name
+    for name in ("rd", "ml", "condorcet-uniform"):
+        assert _manipulation_searches_that_differ(RULES[name], 4, 2) == [], name
+
+
+def test_a_false_statistic_makes_the_class_search_differ_from_the_per_voter_reference():
+    # ml reads the margins. Declared to read only the top counts, a misreport
+    # that keeps the true top is never tried, and outcomes are looked up by
+    # vectors that do not determine them.
+    false = SocialDecisionScheme("ml-by-tops", ml, statistic=top_tally)
+    differ = _manipulation_searches_that_differ(false, 3, 3)
+    assert len(differ) == 53
+    # the first: a > b > c gains against b > c > a by a > c > b under PC1,
+    # a misreport in the true ballot's class, which the search skips
+    prof, extension, mode = differ[0]
+    missed = reference_find_manipulation(_evaluated_per_profile(false), prof, extension, mode)
+    assert prof == profile("abc", ["abc", "bca"]) and (extension, mode) == (Extension.PC1, Mode.Strong)
+    assert (missed.voter, missed.misreport.order) == (1, ("a", "c", "b"))
 
 
 TALLIES = {"margins": margin_tally, "tops": top_tally, "tops-and-bottoms": top_bottom_tally}
@@ -739,6 +796,43 @@ def test_orbit_reduced_scans_equal_the_unreduced_scans(rule_name, m, n_max, anon
         want = _scan_or_refusal(unreduced, m, n_max, axiom_name, anonymous)
         got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
         assert got == want, (axiom_name, m, n_max, anonymous)
+
+
+@pytest.mark.parametrize(
+    "m, n_max, anonymous",
+    [(m, 5, anonymous) for m in (1, 2, 3) for anonymous in (False, True)]
+    + [(4, 3, False), (4, 4, True)],
+)
+def test_the_orbit_test_over_d_tables_equals_the_one_over_all_m_factorial(m, n_max, anonymous):
+    alts = alternative_set("abcd"[:m])
+    rankings = all_rankings(alts)
+    tables = reference_relabelling_tables(rankings)
+    to_first = _tables_to_first(alts)
+    least = tried = 0
+    for n in range(1, n_max + 1):
+        if anonymous:
+            space = itertools.combinations_with_replacement(range(len(rankings)), n)
+        else:
+            space = itertools.product(range(len(rankings)), repeat=n)
+        for indices in space:
+            got = _least_in_orbit(indices, to_first)
+            assert got == reference_least_in_orbit(indices, tables), indices
+            least += got
+            tried += 1
+    assert 0 < least < tried or m == 1
+
+
+def test_the_tables_to_the_first_ranking_are_built_once_and_budgeted():
+    alts = alternative_set("abcd")
+    to_first = _tables_to_first(alts)
+    assert to_first is _tables_to_first(alts)
+    # each is a relabelling, and the one that sends its ranking to index 0
+    assert all(sorted(table) == list(range(24)) and table[b] == 0 for b, table in enumerate(to_first))
+    assert to_first[0] == tuple(range(24))
+    seven = alternative_set("abcdefg")
+    with pytest.raises(EnumerationBudgetError, match="25401600 relabelling table entries"):
+        _tables_to_first(seven)
+    assert "_rankings" not in seven.__dict__ and "_to_first" not in seven.__dict__
 
 
 @pytest.mark.parametrize("m, n, anonymous", [(3, 3, False), (3, 4, True), (4, 2, False), (4, 2, True)])

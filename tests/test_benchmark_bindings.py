@@ -3,8 +3,9 @@ function at every module that binds it by name, and silently skips a
 module that no longer does. These checks keep a refactor from dropping a
 binding unnoticed. The benchmark's workloads check their own outputs;
 one pass of each runs here too, so a wrong output fails this suite, and
-so does a change in the number of LPs the pass solves or the pivots they
-take."""
+so does a change in the number of LPs the pass solves, the pivots they
+take, or the memo lookups, rule evaluations and lottery comparisons its
+axiom scans make."""
 
 import importlib.util
 import sys
@@ -45,6 +46,16 @@ def test_the_ml_rule_is_registered_for_tracing():
 LP_SOLVES = {"scan-ml": 19, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
 # `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis
 PIVOTS = {"scan-ml": 112, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
+# `rules.Memo.outcome` lookups, the misses among them (each one rule evaluation)
+# and `extensions.compare` calls of the same pass. The scans look an outcome
+# up once per distinct (tally vector, ballot class) and compare once per
+# distinct (ballot, truthful lottery, deviated lottery).
+MEMO_WORK = {
+    "scan-ml": (50, 18, 26),
+    "scan-nolp": (988, 149, 183),
+    "corpus": (0, 0, 33),
+    "electorate": (0, 0, 0),
+}
 
 
 @pytest.mark.parametrize("workload", ["scan-ml", "scan-nolp", "corpus", "electorate"])
@@ -72,14 +83,34 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
         return pivot(*args)
 
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
-    lps = pivots = 0
+    outcome, looked_up = rules.Memo.outcome, []
+
+    def counting_outcome(memo, alternatives, vector, build):
+        looked_up.append((alternatives.names, vector) not in memo.outcomes)
+        return outcome(memo, alternatives, vector, build)
+
+    monkeypatch.setattr(rules.Memo, "outcome", counting_outcome)
+    home, attr, bound_in, _ = _load_spans().TARGETS["extensions.compare"]
+    comparison, compared = getattr(home, attr), []
+
+    def counting_compare(*args):
+        compared.append(None)
+        return comparison(*args)
+
+    for owner in (home, *bound_in):
+        monkeypatch.setattr(owner, attr, counting_compare)
+    lps = pivots = lookups = misses = comparisons = 0
     for op in module.WORKLOADS[workload](seed).ops:
         output = op.run()
         lps += len(solves)
         pivots += len(pivoted)
+        lookups += len(looked_up)
+        misses += sum(looked_up)
+        comparisons += len(compared)
         assert op.check(output) is None, op.label
-        # the checks' own solves are not the pass's, as in the tracer
-        solves.clear()
-        pivoted.clear()
+        # the checks' own work is not the pass's, as in the tracer
+        for counted in (solves, pivoted, looked_up, compared):
+            counted.clear()
     assert lps == LP_SOLVES[workload]
     assert pivots == PIVOTS[workload]
+    assert (lookups, misses, comparisons) == MEMO_WORK[workload]

@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pcvote import Constraint, DomainError, LinearProgram, LpStatus, lp_solve, ratlp
+from pcvote import Constraint, DomainError, LinearProgram, LpStatus, efficiency, lp_solve, ratlp, rules
 from pcvote.ratlp import EQ, GE, LE, LpOutcome
 from helpers import bfs_reference_solve, lp_feasible, random_lp
 
@@ -310,3 +313,49 @@ def test_tableau_invariants_hold_after_every_pivot(monkeypatch):
             assert sum(a * x for a, x in zip(lp.objective, got.solution)) == got.value
     # the artificial drive-out step is the only one that may pivot on a negative entry
     assert pivots["positive"] > 1000 and pivots["negative"] > 0, pivots
+
+
+def _corpus_lps(monkeypatch) -> list:
+    """Every LP one pass of the benchmark's corpus workload solves, at the
+    seed whose digests it records."""
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", benchmarks / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    solved = []
+
+    def recording(lp):
+        solved.append(lp)
+        return real(lp)
+
+    real = ratlp.lp_solve
+    for owner in (ratlp, rules, efficiency):
+        monkeypatch.setattr(owner, "lp_solve", recording)
+    for op in module.WORKLOADS["corpus"](module.RECORDED["corpus_digests"]["seed"]).ops:
+        op.run()
+    monkeypatch.undo()
+    return solved
+
+
+def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
+    # the value is summed in ints over one denominator; it must be the sum
+    # of cost times value in Fractions, down to its type and repr
+    lps = []
+    # the random programs the tests above draw, stream by stream: (seed, small, larger)
+    for seed, small, larger in ((1729, 500, 500), (8128, 150, 0), (99, 20, 0), (4913, 0, 600)):
+        rng = random.Random(seed)
+        lps += [random_lp(rng) for _ in range(small)]
+        lps += [random_lp(rng, max_vars=6, max_constraints=10) for _ in range(larger)]
+    fixtures = len(lps)
+    lps += _corpus_lps(monkeypatch)
+    assert len(lps) - fixtures == 1906
+    optimal = 0
+    for k, lp in enumerate(lps):
+        out = lp_solve(lp)
+        if out.status is not LpStatus.Optimal:
+            continue
+        optimal += 1
+        want = sum(c * v for c, v in zip(lp.objective, out.solution))
+        assert type(out.value) is Fraction and repr(out.value) == repr(want), k
+    assert optimal > 2000, optimal
