@@ -5,16 +5,22 @@ Every checker returns None when the property holds on its input and a
 typed witness object when it found a counterexample; `exhaustive_scan`
 lifts a checker over an enumerated profile space and reports the first
 witness in a deterministic order, or the number of profiles that passed.
+
+The scan kernel lives here too. A rule that declares a statistic is a
+function of its tally vector, so `memoized` caches it by that vector
+(`Memo`), and `_Edits` prices the checks' edits of a profile as memo
+lookups by vector, keeping their comparisons and clean answers on the
+same memo.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import add, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     AlternativeSet,
@@ -40,7 +46,7 @@ from .efficiency import (
     is_efficient,
     pc1_find_dominator,
 )
-from .rules import Memo, SocialDecisionScheme, memoized
+from .rules import SocialDecisionScheme
 
 
 class Mode(Enum):
@@ -141,12 +147,6 @@ def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
     return alternatives._rankings
 
 
-def _ranking_index(alternatives: AlternativeSet) -> dict[tuple[str, ...], int]:
-    """Each ranking's index in `all_rankings`, by its order, budgeted alike."""
-    _check_ranking_count(len(alternatives))
-    return alternatives._ranking_index
-
-
 def _check_rule_evaluations(count: int, what: str) -> None:
     """Refuse a per-profile check that would evaluate the rule `count`
     times, besides once on the profile itself, if that is more than
@@ -159,23 +159,82 @@ def _check_rule_evaluations(count: int, what: str) -> None:
 
 def _voters_to_try(
     rule: SocialDecisionScheme, profile: Profile, voters: Optional[Sequence[int]] = None
-) -> Sequence[int]:
-    """The voters a per-voter check tries, in order: the listed ones or all n,
-    but for a rule that declares a statistic, and so is anonymous, only the
-    first with each distinct ballot, read off the runs when none are listed."""
+) -> tuple[int, Iterable[tuple[int, Ranking]]]:
+    """How many voters a per-voter check tries, and those voters with their
+    ballots, in order: the listed ones or all n, but for a rule that declares
+    a statistic, and so is anonymous, only the first with each distinct
+    ballot, read off the runs when none are listed. Each voter of a rule
+    without a statistic is walked lazily, so counting n of them costs
+    nothing."""
     if getattr(rule, "statistic", None) is None:
-        return voters if voters is not None else range(1, profile.n + 1)
+        tried = voters if voters is not None else range(1, profile.n + 1)
+        return len(tried), ((i, profile.ballot(i)) for i in tried)
     # keyed by order, which hashes with no Python call; all range over one set
-    first: dict[tuple[str, ...], int] = {}
+    first: dict[tuple[str, ...], tuple[int, Ranking]] = {}
     if voters is None:
         i = 1
         for ballot, count in profile.runs:
-            first.setdefault(ballot.order, i)
+            first.setdefault(ballot.order, (i, ballot))
             i += count
     else:
         for i in voters:
-            first.setdefault(profile.ballot(i).order, i)
-    return list(first.values())
+            ballot = profile.ballot(i)
+            first.setdefault(ballot.order, (i, ballot))
+    return len(first), first.values()
+
+
+class Memo:
+    """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
+    alternative set and tally vector, the vector being a profile's, summed
+    from its runs, or one the checks compute for an edit (`_Edits`).
+
+    `outcomes` holds one lottery per (alternative names, vector), and a new
+    outcome is interned in `lotteries`, so a lottery read from the memo is
+    the one object for its value, and stays alive as long as the memo.
+
+    The rest is the checks' state for one scan, kept by `_Edits`:
+    `comparisons` keys the misreport comparisons by the identities of the
+    lotteries compared, across vectors with equal outcomes; `clean` holds
+    the keys of the per-ballot checks that found no violation at a vector;
+    `tallies` and `classes` hold, per alternative set, each ranking's tally
+    and the classes of equal tallies.
+    """
+
+    def __init__(self, rule: SocialDecisionScheme) -> None:
+        self.rule = rule
+        self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
+        self.lotteries: dict[Lottery, Lottery] = {}
+        self.comparisons: dict[tuple, dict[int, bool]] = {}
+        self.clean: set[tuple] = set()
+        self.tallies: dict[AlternativeSet, list[tuple[int, ...]]] = {}
+        self.classes: dict[AlternativeSet, tuple[list[int], list[int]]] = {}
+
+    def __call__(self, profile: Profile) -> Lottery:
+        return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
+
+    def outcome(
+        self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
+    ) -> Lottery:
+        """The cached lottery for this alternative set and tally vector; on a
+        miss, the unmemoized rule's on the profile `build()` makes, interned
+        and cached."""
+        # sets are equal by their names, and a tuple of names hashes with no Python call
+        key = (alternatives.names, vector)
+        found = self.outcomes.get(key)
+        if found is None:
+            found = self.rule(build())
+            found = self.outcomes[key] = self.lotteries.setdefault(found, found)
+        return found
+
+
+def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
+    """The rule with a `Memo` of it as its `evaluate`, or, if it declares
+    no statistic or is memoized already, the rule as it is. The memo lives
+    as long as the returned rule and its copies, one entry per vector seen.
+    """
+    if rule.statistic is None or isinstance(rule.evaluate, Memo):
+        return rule
+    return replace(rule, evaluate=Memo(rule))
 
 
 class _Edits:
@@ -183,13 +242,13 @@ class _Edits:
     out, one swapped, or two put in. Ballots are named by their index in
     `all_rankings`.
 
-    For a memoized rule (`rules.memoized`) an edit's outcome is one memo
-    lookup by its tally vector: the profile's, minus the tally of the ballot
-    taken out, plus those of the ballots put in. Its `Profile` is made by
-    `build` only on a miss. Misreport comparisons are memoized too, keyed by
-    the identities of the memo's lotteries, and so is every clean answer of
-    a check (`settled`). Any other rule, or a bare function, is evaluated
-    on the built profile, as the per-voter reference.
+    For a memoized rule (`memoized`) an edit's outcome is one memo lookup by
+    its tally vector: the profile's, minus the tally of the ballot taken
+    out, plus those of the ballots put in. Its `Profile` is made by `build`
+    only on a miss. Misreport comparisons are memoized too, keyed by the
+    identities of the memo's lotteries, and so is every clean answer of a
+    check (`settled`). Any other rule, or a bare function, is evaluated on
+    the built profile, as the per-voter reference.
     """
 
     def __init__(self, rule: SocialDecisionScheme, profile: Profile) -> None:
@@ -199,24 +258,30 @@ class _Edits:
         if self.memo is None:
             return
         alts = self.alternatives = profile.alternatives
-        self.index = _ranking_index(alts)
-        self.tallies = memo.tallies(all_rankings(alts))
+        tallies = memo.tallies.get(alts)
+        if tallies is None:  # the first profile over these alternatives budgets their rankings
+            tallies = memo.tallies[alts] = list(map(memo.rule.statistic.of, all_rankings(alts)))
+        self.tallies = tallies
+        self.index = alts._ranking_index
         self.base = memo.rule.statistic(profile)
-        self.without: dict[Optional[int], tuple[int, ...]] = {None: self.base}
 
     def ballot(self, ranking: Ranking) -> Optional[int]:
         """The ranking's index in `all_rankings`, or None without a memo."""
         return None if self.memo is None else self.index[ranking.order]
 
     def classes(self, rankings: tuple[Ranking, ...]) -> tuple[Sequence[int], Sequence[int]]:
-        """The `all_rankings` indices in classes of equal tallies, as
-        `Memo.classes` gives them: each index's class, named by its least
-        index, and the names in order. Without a memo every class is one
-        ranking."""
+        """The `all_rankings` indices in classes of equal tallies: each
+        index's class, named by its least index, and the names in increasing
+        order. Without a memo every class is one ranking."""
         if self.memo is None:
             every = range(len(rankings))
             return every, every
-        return self.memo.classes(rankings)
+        found = self.memo.classes.get(self.alternatives)
+        if found is None:
+            least: dict[tuple[int, ...], int] = {}
+            class_of = [least.setdefault(tally, k) for k, tally in enumerate(self.tallies)]
+            found = self.memo.classes[self.alternatives] = class_of, list(least.values())
+        return found
 
     def settled(self, *check: object) -> bool:
         """Has the check that `check` names come out clean on an earlier
@@ -234,9 +299,9 @@ class _Edits:
 
     def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
         """The tally vector of the profile with `taken` out and `put` in."""
-        vector = self.without.get(taken)
-        if vector is None:
-            vector = self.without[taken] = tuple(map(sub, self.base, self.tallies[taken]))
+        vector: Iterable[int] = self.base
+        if taken is not None:
+            vector = map(sub, vector, self.tallies[taken])
         for k in put:
             vector = map(add, vector, self.tallies[k])
         return tuple(vector)
@@ -253,7 +318,9 @@ class _Edits:
         self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
     ) -> Callable[[Lottery], bool]:
         """Does a voter with this true ballot gain by the move from `truthful`
-        to a given outcome, in this mode (see `find_manipulation`)?"""
+        to a given outcome, in this mode (see `find_manipulation`)? With a
+        memo the answers are kept by the identity of the outcome, which must
+        be one of the memo's lotteries."""
         def manipulates(outcome: Lottery) -> bool:
             if mode is Mode.Strong:
                 return not weakly_prefers(compare(extension, ballot, truthful, outcome))
@@ -261,7 +328,16 @@ class _Edits:
 
         if self.memo is None:
             return manipulates
-        return self.memo.judged((extension, mode, self.index[ballot.order], id(truthful)), manipulates)
+        key = (extension, mode, self.index[ballot.order], id(truthful))
+        seen = self.memo.comparisons.setdefault(key, {})
+
+        def judged(outcome: Lottery) -> bool:
+            found = seen.get(id(outcome))
+            if found is None:
+                found = seen[id(outcome)] = manipulates(outcome)
+            return found
+
+        return judged
 
 
 def find_manipulation(
@@ -291,12 +367,14 @@ def find_manipulation(
     ballot that manipulates at no misreport is not tried again at an equal
     vector (`_Edits.settled`).
     """
-    deviators = _voters_to_try(rule, profile, voters)
+    count, deviators = _voters_to_try(rule, profile, voters)
     m = profile.m
     _check_ranking_count(m)
-    _check_rule_evaluations((math.factorial(m) - 1) * len(deviators), "the misreport search")
-    candidates = all_rankings(profile.alternatives)
-    index = _ranking_index(profile.alternatives)
+    _check_rule_evaluations((math.factorial(m) - 1) * count, "the misreport search")
+    # budgeted just above, so the rankings and their index are read as they are
+    candidates = profile.alternatives._rankings
+    index = profile.alternatives._ranking_index
+    check = ("misreport", extension.value, mode.value)
     edits = _Edits(rule, profile)
     class_of, leaders = edits.classes(candidates)
     truthful = edits.outcome(None, (), lambda: profile)
@@ -306,10 +384,9 @@ def find_manipulation(
         deviated = profile.replace_ballot(i, misreport)
         return deviated
 
-    for i in deviators:
-        true_ballot = profile.ballot(i)
+    for i, true_ballot in deviators:
         taken = index[true_ballot.order]
-        if edits.settled("misreport", extension.value, mode.value, taken):
+        if edits.settled(*check, taken):
             continue
         own = class_of[taken]
         manipulates = edits.judge(extension, mode, true_ballot, truthful)
@@ -323,7 +400,7 @@ def find_manipulation(
                 return ManipulationWitness(
                     profile, i, misreport, deviated or build(), truthful, outcome, extension, mode
                 )
-        edits.settle("misreport", extension.value, mode.value, taken)
+        edits.settle(*check, taken)
     return None
 
 
@@ -347,14 +424,14 @@ def check_participation(
     strict mode, fail to strictly gain although a strict gain was available?"""
     if profile.n < 2:
         raise DomainError("participation needs at least two voters to compare against")
-    leaving = _voters_to_try(rule, profile)
-    _check_rule_evaluations(len(leaving), "the participation check")
+    count, leaving = _voters_to_try(rule, profile)
+    _check_rule_evaluations(count, "the participation check")
+    check = ("participation", extension.value, strict)
     edits = _Edits(rule, profile)
     with_voter = edits.outcome(None, (), lambda: profile)
-    for i in leaving:
-        ballot = profile.ballot(i)
+    for i, ballot in leaving:
         taken = edits.ballot(ballot)
-        if edits.settled("participation", extension.value, strict, taken):
+        if edits.settled(*check, taken):
             continue
         without = edits.outcome(taken, (), lambda: remove_voter(profile, i))
         outcome = compare(extension, ballot, with_voter, without)
@@ -367,7 +444,7 @@ def check_participation(
                 return ParticipationWitness(
                     profile, i, with_voter, without, extension, strict, "no-strict-gain"
                 )
-        edits.settle("participation", extension.value, strict, taken)
+        edits.settle(*check, taken)
     return None
 
 
@@ -691,7 +768,7 @@ def exhaustive_scan(
     check's own message.
 
     A rule that declares a statistic is memoized for the scan alone
-    (`rules.memoized`), except under `anonymity`, which the memo assumes.
+    (`memoized`), except under `anonymity`, which the memo assumes.
     So the rule is evaluated, and an edited `Profile` built (`_Edits`), once
     per alternative set and distinct tally vector, and for a witness.
 

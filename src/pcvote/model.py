@@ -166,6 +166,18 @@ class Ranking:
         m = len(pos)
         return tuple(1 if pos[i] < pos[j] else -1 for i in range(m - 1) for j in range(i + 1, m))
 
+    @cached_property
+    def top_indicator(self) -> tuple[int, ...]:
+        """1 for this ballot's top alternative, 0 for the rest, in
+        alternative order. Summed over a profile's ballots, the top counts."""
+        return tuple(int(p == 0) for p in self.positions)
+
+    @cached_property
+    def top_bottom_indicator(self) -> tuple[int, ...]:
+        """`top_indicator`, then the same for the bottom alternative."""
+        last = len(self.order) - 1
+        return self.top_indicator + tuple(int(p == last) for p in self.positions)
+
     def rank(self, x: str) -> int:
         """1-based position of `x` (1 = best)."""
         return self.positions[self.alternatives.index(x)] + 1
@@ -438,20 +450,13 @@ class Tally:
         return tuple(map(sum, zip(*vectors)))
 
 
-def _at_place(r: Ranking, place: int) -> tuple[int, ...]:
-    """1 for the alternative the ranking puts at `place` (0 = top), 0 for the rest."""
-    vector = [0] * len(r.order)
-    vector[r.positions.index(place)] = 1
-    return tuple(vector)
-
-
 # the upper triangle of the margin matrix, row by row
 margin_tally = Tally(attrgetter("pair_signs"))
 # the top counts
-top_tally = Tally(lambda r: _at_place(r, 0))
+top_tally = Tally(attrgetter("top_indicator"))
 # the top counts, then the bottom counts: an alternative is never ranked
 # last when its bottom count is 0
-top_bottom_tally = Tally(lambda r: _at_place(r, 0) + _at_place(r, len(r.order) - 1))
+top_bottom_tally = Tally(attrgetter("top_bottom_indicator"))
 
 
 def majority_margin(p: Profile, x: str, y: str) -> int:

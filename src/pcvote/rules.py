@@ -12,24 +12,24 @@
                       leximin point of the optimal set so that the output
                       is unique, anonymous, and neutral.
 
-All rules return exact `Lottery` values.
+All rules return exact `Lottery` values. `RULES` registers each with the
+`Tally` its output is a function of and whether it is neutral (see
+`SocialDecisionScheme`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .model import (
-    AlternativeSet,
     ApplicabilityError,
     DomainError,
     InternalError,
     Lottery,
     MarginMatrix,
     Profile,
-    Ranking,
     Tally,
     condorcet_winner,
     margin_matrix,
@@ -43,84 +43,6 @@ from .model import (
 from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
 
 
-class Memo:
-    """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
-    alternative set and tally vector, the vector being a profile's, summed
-    from its runs, or one the axiom checks compute for an edit
-    (`axioms._Edits`).
-
-    `outcomes` holds one lottery per (alternative names, vector), and a
-    new outcome is interned in `lotteries`, so a lottery read from the memo
-    is the one object for its value, and stays alive as long as the memo.
-    That lets `comparisons` key the axiom checks' comparisons by the
-    identities of the lotteries compared (`judged`), across vectors with
-    equal outcomes.
-
-    `clean` holds the keys of the per-ballot checks that found no violation
-    at a vector (`axioms._Edits.settled`): their answer is a function of the
-    alternative set, the vector and the ballot, so a scan asks each once.
-    """
-
-    def __init__(self, rule: SocialDecisionScheme) -> None:
-        self.rule = rule
-        self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
-        self.lotteries: dict[Lottery, Lottery] = {}
-        self.comparisons: dict[tuple, dict[int, bool]] = {}
-        self.clean: set[tuple] = set()
-        self._tallies: dict[AlternativeSet, list[tuple[int, ...]]] = {}
-        self._classes: dict[AlternativeSet, tuple[list[int], list[int]]] = {}
-
-    def __call__(self, profile: Profile) -> Lottery:
-        return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
-
-    def outcome(
-        self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
-    ) -> Lottery:
-        """The cached lottery for this alternative set and tally vector; on a
-        miss, the unmemoized rule's on the profile `build()` makes, interned
-        and cached."""
-        # sets are equal by their names, and a tuple of names hashes with no Python call
-        key = (alternatives.names, vector)
-        found = self.outcomes.get(key)
-        if found is None:
-            found = self.rule(build())
-            found = self.outcomes[key] = self.lotteries.setdefault(found, found)
-        return found
-
-    def judged(self, key: tuple, judge: Callable[[Lottery], bool]) -> Callable[[Lottery], bool]:
-        """`judge`, its answers kept under `key` by the identity of the
-        lottery judged, which must be one of `outcomes`."""
-        seen = self.comparisons.setdefault(key, {})
-
-        def judged(outcome: Lottery) -> bool:
-            found = seen.get(id(outcome))
-            if found is None:
-                found = seen[id(outcome)] = judge(outcome)
-            return found
-
-        return judged
-
-    def tallies(self, rankings: tuple[Ranking, ...]) -> list[tuple[int, ...]]:
-        """The tally of each of one alternative set's `all_rankings`."""
-        alternatives = rankings[0].alternatives
-        found = self._tallies.get(alternatives)
-        if found is None:
-            found = self._tallies[alternatives] = list(map(self.rule.statistic.of, rankings))
-        return found
-
-    def classes(self, rankings: tuple[Ranking, ...]) -> tuple[list[int], list[int]]:
-        """The rankings, by index, in classes of equal tallies: each class
-        is named by its least index. Returns every index's class and the
-        class names in increasing order."""
-        alternatives = rankings[0].alternatives
-        found = self._classes.get(alternatives)
-        if found is None:
-            least: dict[tuple[int, ...], int] = {}
-            class_of = [least.setdefault(tally, k) for k, tally in enumerate(self.tallies(rankings))]
-            found = self._classes[alternatives] = class_of, list(least.values())
-        return found
-
-
 @dataclass(frozen=True)
 class SocialDecisionScheme:
     """A named rule mapping profiles to lotteries.
@@ -129,8 +51,8 @@ class SocialDecisionScheme:
     function of this `Tally` of the ballot multiset: `margin_tally` (the
     margins, Fishburn's C2 class), `top_tally` for rd, `top_bottom_tally`
     for f2. Such a rule is anonymous, so callers may reuse an output across
-    profiles with equal tallies (see `memoized`), and it must be applicable
-    to every profile over an alternative set or to none.
+    profiles with equal tallies (see `axioms.memoized`), and it must be
+    applicable to every profile over an alternative set or to none.
 
     `neutral` declares that relabelling the alternatives of a profile
     relabels the output the same way. With a statistic it lets a scan
@@ -362,16 +284,6 @@ def ml(profile: Profile) -> Lottery:
     The result is degenerate exactly when the optimal set is a single
     degenerate strategy, e.g. with a Condorcet winner."""
     return maximal_lottery(margin_matrix(profile))
-
-
-def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
-    """The rule with a `Memo` of it as its `evaluate`, or, if it declares
-    no statistic or is memoized already, the rule as it is. The memo lives
-    as long as the returned rule and its copies, one entry per vector seen.
-    """
-    if rule.statistic is None or isinstance(rule.evaluate, Memo):
-        return rule
-    return replace(rule, evaluate=Memo(rule))
 
 
 def _three_alternatives_only(profile: Profile) -> bool:

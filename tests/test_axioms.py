@@ -58,10 +58,12 @@ from pcvote.axioms import (
     _Edits,
     _least_in_orbit,
     _tables_to_first,
+    _voters_to_try,
     exists_strict_improvement,
+    memoized,
 )
 from pcvote.ratlp import EQ, Constraint, LinearProgram, lp_solve
-from pcvote.rules import RULES, SocialDecisionScheme, memoized
+from pcvote.rules import RULES, SocialDecisionScheme
 from helpers import (
     random_lottery,
     random_profile,
@@ -696,6 +698,40 @@ def _edited_profiles(prof):
             yield taken, (), remove_voter(prof, i)
     for k, ballot in enumerate(rankings):
         yield None, (k, rankings.index(ballot.reversed())), prof.append(ballot, ballot.reversed())
+
+
+def _profile_with_a_ballot_in_two_runs(rng):
+    """A random profile over 2..4 alternatives whose first ballot comes back
+    in a later run, after its reverse."""
+    alts = "abcd"[: rng.randint(2, 4)]
+    first = tuple(rng.sample(alts, len(alts)))
+    orders = [first] * rng.randint(1, 3) + [first[::-1]] * rng.randint(1, 3)
+    for _ in range(rng.randint(0, 3)):
+        orders += [tuple(rng.sample(alts, len(alts)))] * rng.randint(1, 2)
+    prof = profile(alts, orders + [first] * rng.randint(1, 2))
+    assert len(prof.runs) > len({b for b, _ in prof.runs})
+    return prof
+
+
+def test_the_voter_walk_pairs_each_voter_with_its_ballot_in_order():
+    rng = random.Random(19)
+    for _ in range(40):
+        prof = _profile_with_a_ballot_in_two_runs(rng)
+        listed = sorted(rng.sample(range(1, prof.n + 1), rng.randint(1, prof.n)))
+        for voters in (None, listed):
+            tried = range(1, prof.n + 1) if voters is None else voters
+            every = [(i, prof.ballot(i)) for i in tried]
+            firsts, seen = [], set()
+            for i, ballot in every:
+                if ballot not in seen:
+                    seen.add(ballot)
+                    firsts.append((i, ballot))
+            for rule, expected in ((RD, firsts), (replace(RD, statistic=None), every)):
+                count, pairs = _voters_to_try(rule, prof, voters)
+                pairs = list(pairs)
+                assert pairs == expected and count == len(pairs), (prof, voters, rule.statistic)
+                assert all(prof.ballot(i) == ballot for i, ballot in pairs)
+                assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
 
 
 @pytest.mark.parametrize("m, n_max, edits", [(3, 3, 6624), (4, 2, 43776)])

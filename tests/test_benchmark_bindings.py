@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pcvote import ratlp, rules
+from pcvote import axioms, ratlp, rules
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
@@ -46,7 +46,7 @@ def test_the_ml_rule_is_registered_for_tracing():
 LP_SOLVES = {"scan-ml": 19, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
 # `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis
 PIVOTS = {"scan-ml": 112, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
-# `rules.Memo.outcome` lookups, the misses among them (each one rule evaluation)
+# `axioms.Memo.outcome` lookups, the misses among them (each one rule evaluation)
 # and `extensions.compare` calls of the same pass. The scans look an outcome
 # up once per distinct (tally vector, ballot class) and compare once per
 # distinct (ballot, truthful lottery, deviated lottery).
@@ -83,13 +83,13 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
         return pivot(*args)
 
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
-    outcome, looked_up = rules.Memo.outcome, []
+    outcome, looked_up = axioms.Memo.outcome, []
 
     def counting_outcome(memo, alternatives, vector, build):
         looked_up.append((alternatives.names, vector) not in memo.outcomes)
         return outcome(memo, alternatives, vector, build)
 
-    monkeypatch.setattr(rules.Memo, "outcome", counting_outcome)
+    monkeypatch.setattr(axioms.Memo, "outcome", counting_outcome)
     home, attr, bound_in, _ = _load_spans().TARGETS["extensions.compare"]
     comparison, compared = getattr(home, attr), []
 

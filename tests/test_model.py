@@ -18,13 +18,16 @@ from pcvote import (
     condorcet_winner,
     majority_margin,
     margin_matrix,
+    margin_tally,
     never_bottom_set,
     pareto_dominated_set,
     profile,
     ranking,
     relabel,
     remove_voter,
+    top_bottom_tally,
     top_count,
+    top_tally,
     weak_condorcet_winners,
 )
 from pcvote.profilefmt import format_profile, parse_profile
@@ -458,3 +461,27 @@ def test_runs_merge_and_validate_at_construction():
             Profile(alts, bad)
     with pytest.raises(DomainError):
         Profile(alts, ((Ranking(alternative_set("xyz"), "xyz"), 1),))
+
+
+def test_each_bundled_tally_is_its_definition_cached_per_ranking():
+    definitions = {
+        "margins": lambda r, names: tuple(
+            1 if r.prefers(x, y) else -1 for i, x in enumerate(names) for y in names[i + 1:]
+        ),
+        "tops": lambda r, names: tuple(int(x == r.top) for x in names),
+        "tops-and-bottoms": lambda r, names: (
+            tuple(int(x == r.top) for x in names) + tuple(int(x == r.bottom) for x in names)
+        ),
+    }
+    tallies = {"margins": margin_tally, "tops": top_tally, "tops-and-bottoms": top_bottom_tally}
+    checked = 0
+    for m in range(1, 5):
+        alts = alternative_set("abcd"[:m])
+        for order in itertools.permutations(alts.names):
+            r = Ranking(alts, order)
+            for name, tally in tallies.items():
+                first = tally.of(r)
+                assert first == definitions[name](r, alts.names), (name, order)
+                assert tally.of(r) is first, (name, order)
+            checked += 1
+    assert checked == 1 + 2 + 6 + 24
