@@ -32,6 +32,7 @@ from .model import (
     condorcet_winner,
     relabel,
     remove_voter,
+    top_counts,
 )
 from .extensions import (
     ComparisonOutcome,
@@ -521,9 +522,8 @@ def check_decisiveness(
     must put probability one on it. No trigger, nothing to check."""
     target: Optional[str] = None
     if level is Decisiveness.Unanimity:
-        tops = {b.top for b, _ in profile.runs}
-        if len(tops) == 1:
-            (target,) = tops
+        tops = zip(profile.alternatives, top_counts(profile))
+        target = next((x for x, count in tops if count == profile.n), None)
     elif level is Decisiveness.AbsoluteWinner:
         target = absolute_winner(profile)
     elif level is Decisiveness.CondorcetConsistency:

@@ -29,7 +29,7 @@ from .model import (
     _require_exact,
     never_bottom_set,
     pareto_dominated_set,
-    top_count,
+    top_counts,
 )
 from .extensions import (
     ComparisonOutcome,
@@ -101,12 +101,11 @@ def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
     times p's denominator (`sd_form`): den · indicator · q >= prefix.
     Homogenized by Σq = 1, that is (prefix − den · indicator) · q <= 0,
     which holds with equality at p; on lotteries the two forms agree."""
-    alts = p.alternatives
     prefixes, den = sd_form(ballot, p)
     rows: list[Constraint] = []
-    inside = [False] * len(alts)
-    for x, prefix in zip(ballot.order, prefixes):
-        inside[alts.index(x)] = True
+    inside = [False] * len(p.alternatives)
+    for k, prefix in zip(ballot.indices, prefixes):
+        inside[k] = True
         rows.append(Constraint(tuple(prefix - den if i else prefix for i in inside), LE, 0))
     return tuple(rows)
 
@@ -309,18 +308,15 @@ def m3_efficiency_certificate(profile: Profile, p: Lottery) -> bool:
         )
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    alts = profile.alternatives
     if any(p.prob(x) > 0 for x in pareto_dominated_set(profile)):
         return False
     never_bottom = never_bottom_set(profile)
-    bottoms = {b.bottom for b, _ in profile.runs}
-    for x in alts:
-        if x in never_bottom and top_count(profile, x) >= 1:
-            if not any(p.prob(y) == 0 for y in alts if y != x):
+    for k, (x, tops) in enumerate(zip(profile.alternatives, top_counts(profile))):
+        if x in never_bottom:
+            if tops >= 1 and not any(q == 0 for j, q in enumerate(p.probs) if j != k):
                 return False
-        if top_count(profile, x) == 0 and x in bottoms:
-            if p.prob(x) != 0:
-                return False
+        elif tops == 0 and p.probs[k] != 0:
+            return False
     return True
 
 

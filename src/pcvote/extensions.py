@@ -13,6 +13,9 @@ Three comparators are provided:
 * SD  — stochastic dominance via prefix sums along the voter's ranking.
   Transitive, but incomplete.
 
+PC and SD walk the ranking's rank order by index (`Ranking.indices`)
+through the lotteries' masses, and look no label up.
+
 Profile-level dominance (`dominates`) means: every voter weakly prefers
 the challenger and at least one strictly prefers it (`is_dominance`).
 `dominates_under` takes an explicit comparator, which lets callers swap in
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .model import DomainError, Lottery, Profile, Ranking
@@ -58,8 +62,7 @@ def _pc_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
     mass, den = p._mass
     weights = [0] * len(mass)
     above = 0
-    for x in ranking.order:
-        i = p.alternatives.index(x)
+    for i in ranking.indices:
         # p sums to one, so its mass below x is den - above - mass[i]
         weights[i] = den - mass[i] - 2 * above
         above += mass[i]
@@ -89,12 +92,7 @@ def sd_form(ranking: Ranking, p: Lottery) -> tuple[list[int], int]:
     if p.alternatives != ranking.alternatives:
         raise DomainError("ranking and lottery must share one alternative set")
     mass, den = p._mass
-    prefixes = []
-    prefix = 0
-    for x in ranking.order[:-1]:
-        prefix += mass[p.alternatives.index(x)]
-        prefixes.append(prefix)
-    return prefixes, den
+    return list(accumulate(map(mass.__getitem__, ranking.indices[:-1]))), den
 
 
 def pc_score(ranking: Ranking, p: Lottery, q: Lottery) -> Fraction:
@@ -140,8 +138,7 @@ def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
     p_ge_q = True   # p weakly dominates q
     q_ge_p = True
     acc = 0  # (p's prefix sum - q's prefix sum) * p_den * q_den
-    for x in ranking.order[:-1]:
-        i = p.alternatives.index(x)
+    for i in ranking.indices[:-1]:
         acc += p_mass[i] * q_den - q_mass[i] * p_den
         if acc < 0:
             p_ge_q = False

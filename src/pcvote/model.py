@@ -132,7 +132,8 @@ def alternative_set(names: Iterable[str] | AlternativeSet) -> AlternativeSet:
 
 @dataclass(frozen=True)
 class Ranking:
-    """One voter's ballot: a strict total order, best alternative first."""
+    """One voter's ballot: a strict total order, best alternative first,
+    read by alternative index through `indices` and `positions`."""
 
     alternatives: AlternativeSet
     order: tuple[str, ...]
@@ -151,6 +152,11 @@ class Ranking:
             if extra:
                 parts.append(f"unknown {sorted(extra)}")
             raise DomainError(f"ranking does not cover the alternative set exactly: {'; '.join(parts)}")
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The alternatives' indices in ballot order, best first."""
+        return tuple(map(self.alternatives.index, self.order))
 
     @cached_property
     def positions(self) -> tuple[int, ...]:
@@ -414,13 +420,22 @@ class Lottery:
 
 @dataclass(frozen=True)
 class MarginMatrix:
-    """All pairwise majority margins of a profile; skew-symmetric by construction."""
+    """All pairwise majority margins of a profile, by alternative index;
+    skew-symmetric by construction, so the diagonal is 0."""
 
     alternatives: AlternativeSet
     rows: tuple[tuple[int, ...], ...]
 
     def margin(self, x: str, y: str) -> int:
         return self.rows[self.alternatives.index(x)][self.alternatives.index(y)]
+
+    def condorcet_index(self) -> Optional[int]:
+        """The Condorcet winner's index, the row positive off the diagonal, if any."""
+        for i, row in enumerate(self.rows):
+            # off the 0 diagonal every entry is positive: 0 is the minimum, once
+            if min(row) == 0 and row.count(0) == 1:
+                return i
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -481,28 +496,18 @@ def top_counts(p: Profile) -> tuple[int, ...]:
 
 def condorcet_winner(p: Profile) -> Optional[str]:
     """The alternative beating every other by a strictly positive margin, if any."""
-    g = margin_matrix(p)
-    for x in p.alternatives:
-        if all(g.margin(x, y) > 0 for y in p.alternatives if y != x):
-            return x
-    return None
+    i = margin_matrix(p).condorcet_index()
+    return None if i is None else p.alternatives.names[i]
 
 
 def weak_condorcet_winners(p: Profile) -> frozenset[str]:
-    """Alternatives never beaten: margin >= 0 against everything else."""
-    g = margin_matrix(p)
-    return frozenset(
-        x for x in p.alternatives
-        if all(g.margin(x, y) >= 0 for y in p.alternatives if y != x)
-    )
+    """Alternatives never beaten: a margin row >= 0, as the diagonal is 0."""
+    return frozenset(x for x, row in zip(p.alternatives, margin_matrix(p).rows) if min(row) >= 0)
 
 
 def absolute_winner(p: Profile) -> Optional[str]:
     """The alternative top-ranked by a strict majority of voters, if any."""
-    for x in p.alternatives:
-        if 2 * top_count(p, x) > p.n:
-            return x
-    return None
+    return next((x for x, count in zip(p.alternatives, top_counts(p)) if 2 * count > p.n), None)
 
 
 def pareto_dominated_set(p: Profile) -> frozenset[str]:

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .model import AlternativeSet, Lottery, Profile, Ranking
+from .model import AlternativeSet, Lottery, Profile, Ranking, alternative_set
 
 
 class ParseError(ValueError):
@@ -110,7 +110,7 @@ def format_profile(profile: Profile) -> str:
 
 def parse_lottery(text: str, alternatives: AlternativeSet | Iterable[str]) -> Lottery:
     """Parse a lottery spec like "a:1/2,b:1/2" against known alternatives."""
-    alts = alternatives if isinstance(alternatives, AlternativeSet) else AlternativeSet(tuple(alternatives))
+    alts = alternative_set(alternatives)
     entries: dict[str, Fraction] = {}
     if not text.strip():
         raise ParseError("empty lottery spec")

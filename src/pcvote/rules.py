@@ -36,7 +36,7 @@ from .model import (
     margin_tally,
     never_bottom_set,
     top_bottom_tally,
-    top_count,
+    top_counts,
     top_tally,
     weak_condorcet_winners,
 )
@@ -79,11 +79,7 @@ class SocialDecisionScheme:
 
 def rd(profile: Profile) -> Lottery:
     """Uniform random dictatorship: probability = share of first places."""
-    n = profile.n
-    return Lottery(
-        profile.alternatives,
-        tuple(Fraction(top_count(profile, x), n) for x in profile.alternatives),
-    )
+    return Lottery(profile.alternatives, tuple(Fraction(c, profile.n) for c in top_counts(profile)))
 
 
 def condorcet_uniform(profile: Profile) -> Lottery:
@@ -135,19 +131,14 @@ def f2(profile: Profile) -> Lottery:
     if len(never_bottom) != 1:
         return rd(profile)
     (x,) = never_bottom
-    rivals = [y for y in alts if y != x]
-    least = min(top_count(profile, y) for y in rivals)
-    absorbed = [y for y in rivals if top_count(profile, y) == least]
-    n = profile.n
-    probs = []
-    for y in alts:
-        if y == x:
-            probs.append(Fraction(top_count(profile, x) + sum(top_count(profile, z) for z in absorbed), n))
-        elif y in absorbed:
-            probs.append(Fraction(0))
-        else:
-            probs.append(Fraction(top_count(profile, y), n))
-    return Lottery(alts, tuple(probs))
+    k = alts.index(x)
+    counts = list(top_counts(profile))
+    least = min(c for j, c in enumerate(counts) if j != k)
+    for j, c in enumerate(counts):
+        if j != k and c == least:
+            counts[k] += c
+            counts[j] = 0
+    return Lottery(alts, tuple(Fraction(c, profile.n) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +255,10 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
       (Laffond, Laslier & Le Breton 1997), so one LP finds it;
     * otherwise the leximin point is computed by iterated max-min.
     """
-    off_diagonal = [
-        [g for j, g in enumerate(row) if j != i] for i, row in enumerate(margins.rows)
-    ]
-    winner = next((i for i, gs in enumerate(off_diagonal) if all(g > 0 for g in gs)), None)
+    winner = margins.condorcet_index()
     if winner is not None:
         probs = _unit(len(margins.alternatives), winner)
-    elif all(g % 2 for gs in off_diagonal for g in gs):
+    elif all(g % 2 for i, row in enumerate(margins.rows) for j, g in enumerate(row) if j != i):
         probs = _ml_unique_point(margins)
     else:
         probs = _ml_leximin(margins)

@@ -10,7 +10,8 @@ feasibility, the margin game as a plain LP, uniqueness of the maximal
 lottery, the strategyproofness ladder) and per-voter reference
 definitions of profile statistics, lottery comparisons, manipulation
 search, the participation check, the dominator LP, the PC1 dominator
-search and the orbit test of the reduced scans.
+search, the three-alternative efficiency certificate and the orbit test
+of the reduced scans.
 
 The oracles build their LP rows here, from the definitions, and import
 no private name from `pcvote`: an oracle that built its rows with a
@@ -331,6 +332,23 @@ def reference_top_count(ballots: list[tuple[str, ...]], x: str) -> int:
     return sum(1 for b in ballots if b[0] == x)
 
 
+def reference_condorcet_winner(ballots: list[tuple[str, ...]], names) -> Optional[str]:
+    return next(
+        (x for x in names if all(reference_majority_margin(ballots, x, y) > 0 for y in names if y != x)),
+        None,
+    )
+
+
+def reference_weak_condorcet_winners(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
+    return frozenset(
+        x for x in names if all(reference_majority_margin(ballots, x, y) >= 0 for y in names if y != x)
+    )
+
+
+def reference_absolute_winner(ballots: list[tuple[str, ...]], names) -> Optional[str]:
+    return next((x for x in names if 2 * reference_top_count(ballots, x) > len(ballots)), None)
+
+
 def reference_pareto_dominated_set(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
     return frozenset(
         y for y in names
@@ -340,6 +358,25 @@ def reference_pareto_dominated_set(ballots: list[tuple[str, ...]], names) -> fro
 
 def reference_never_bottom_set(ballots: list[tuple[str, ...]], names) -> frozenset[str]:
     return frozenset(set(names) - {b[-1] for b in ballots})
+
+
+def reference_m3_certificate(ballots: list[tuple[str, ...]], p) -> bool:
+    """`efficiency.m3_efficiency_certificate` as its three clauses over the
+    per-voter ballots: nothing Pareto-dominated gets probability; an
+    alternative never ranked last but at least once first leaves some
+    other alternative at probability zero; an alternative never ranked
+    first but at least once last gets probability zero."""
+    names = p.alternatives.names
+    if any(p.prob(x) > 0 for x in reference_pareto_dominated_set(ballots, names)):
+        return False
+    for x in names:
+        firsts = reference_top_count(ballots, x)
+        lasts = sum(1 for b in ballots if b[-1] == x)
+        if lasts == 0 and firsts >= 1 and all(p.prob(y) > 0 for y in names if y != x):
+            return False
+        if firsts == 0 and lasts >= 1 and p.prob(x) != 0:
+            return False
+    return True
 
 
 def reference_sd_compare(order: tuple[str, ...], p, q) -> ComparisonOutcome:

@@ -45,6 +45,7 @@ from helpers import (
     random_lottery,
     random_profile,
     reference_dominator_lp,
+    reference_m3_certificate,
     reference_pc1_find_dominator,
 )
 
@@ -583,6 +584,26 @@ def test_certificate_is_sound_for_pc_efficiency():
             hits += 1
             assert is_efficient(prof, p, EfficiencyNotion.PC)
     assert hits > 0  # the sample must actually exercise the certificate
+
+
+def test_the_certificate_is_its_three_clauses_on_every_small_profile():
+    # every ballot multiset of up to four voters over three alternatives,
+    # times every lottery on the quarter grid
+    alts = alternative_set("abc")
+    quarters = [
+        Lottery(alts, (F(i, 4), F(j, 4), F(4 - i - j, 4)))
+        for i in range(5) for j in range(5 - i)
+    ]
+    checked = 0
+    for n in range(1, 5):
+        for prof in enumerate_profiles(3, n, up_to_anonymity=True):
+            ballots = [b.order for b in prof.ballots]
+            for p in quarters:
+                assert m3_efficiency_certificate(prof, p) == reference_m3_certificate(ballots, p), (
+                    ballots, p.probs
+                )
+                checked += 1
+    assert checked == 209 * 15
 
 
 def test_f1_always_earns_the_certificate():

@@ -32,10 +32,13 @@ from pcvote import (
 )
 from pcvote.profilefmt import format_profile, parse_profile
 from helpers import (
+    reference_absolute_winner,
+    reference_condorcet_winner,
     reference_majority_margin,
     reference_never_bottom_set,
     reference_pareto_dominated_set,
     reference_top_count,
+    reference_weak_condorcet_winners,
 )
 
 F = Fraction
@@ -376,6 +379,9 @@ def assert_matches_reference(prof: Profile, ballots: list[tuple[str, ...]]) -> N
     assert [top_count(prof, x) for x in names] == [reference_top_count(ballots, x) for x in names]
     assert pareto_dominated_set(prof) == reference_pareto_dominated_set(ballots, names)
     assert never_bottom_set(prof) == reference_never_bottom_set(ballots, names)
+    assert condorcet_winner(prof) == reference_condorcet_winner(ballots, names)
+    assert weak_condorcet_winners(prof) == reference_weak_condorcet_winners(ballots, names)
+    assert absolute_winner(prof) == reference_absolute_winner(ballots, names)
     assert parse_profile(format_profile(prof)) == prof
 
 
@@ -483,5 +489,10 @@ def test_each_bundled_tally_is_its_definition_cached_per_ranking():
                 first = tally.of(r)
                 assert first == definitions[name](r, alts.names), (name, order)
                 assert tally.of(r) is first, (name, order)
+            # the rank order as indices: the inverse permutation of `positions`
+            indices = r.indices
+            assert tuple(alts.names[i] for i in indices) == order
+            assert len(indices) == m and all(r.positions[i] == k for k, i in enumerate(indices))
+            assert r.indices is indices, order
             checked += 1
     assert checked == 1 + 2 + 6 + 24
