@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -187,31 +188,42 @@ def _voters_to_try(
 class Memo:
     """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
     alternative set and tally vector, the vector being a profile's, summed
-    from its runs, or one the checks compute for an edit (`_Edits`).
+    from its runs, or one the checks compute for a profile or an edit of it
+    from its rankings' tallies (`_Edits`).
 
     `outcomes` holds one lottery per (alternative names, vector), and a new
-    outcome is interned in `lotteries`, so a lottery read from the memo is
-    the one object for its value, and stays alive as long as the memo.
+    outcome is interned in `lotteries`, keyed by its names and its integer
+    `_mass`, which hash with no Python call; so a lottery read from the memo
+    is the one object for its value, and stays alive as long as the memo.
 
     The rest is the checks' state for one scan, kept by `_Edits`:
     `comparisons` keys the misreport comparisons by the identities of the
     lotteries compared, across vectors with equal outcomes; `clean` holds
     the keys of the per-ballot checks that found no violation at a vector;
-    `tallies` and `classes` hold, per alternative set, each ranking's tally
-    and the classes of equal tallies.
+    `tallies` and `classes` hold, per alternative set (by its names), each
+    ranking's tally and the classes of equal tallies.
     """
 
     def __init__(self, rule: SocialDecisionScheme) -> None:
         self.rule = rule
         self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
-        self.lotteries: dict[Lottery, Lottery] = {}
+        self.lotteries: dict[tuple, Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
         self.clean: set[tuple] = set()
-        self.tallies: dict[AlternativeSet, list[tuple[int, ...]]] = {}
-        self.classes: dict[AlternativeSet, tuple[list[int], list[int]]] = {}
+        self.tallies: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
+        self.classes: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
 
     def __call__(self, profile: Profile) -> Lottery:
         return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
+
+    def ranking_tallies(self, alternatives: AlternativeSet) -> list[tuple[int, ...]]:
+        """Each ranking's tally, by its index in `all_rankings`, kept in
+        `tallies`; the first call for an alternative set budgets its rankings."""
+        names = alternatives.names
+        found = self.tallies.get(names)
+        if found is None:
+            found = self.tallies[names] = list(map(self.rule.statistic.of, all_rankings(alternatives)))
+        return found
 
     def outcome(
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
@@ -224,7 +236,8 @@ class Memo:
         found = self.outcomes.get(key)
         if found is None:
             found = self.rule(build())
-            found = self.outcomes[key] = self.lotteries.setdefault(found, found)
+            found = self.lotteries.setdefault((found.alternatives.names, found._mass), found)
+            self.outcomes[key] = found
         return found
 
 
@@ -243,32 +256,82 @@ class _Edits:
     out, one swapped, or two put in. Ballots are named by their index in
     `all_rankings`.
 
+    The profile is given, or named by `indices`, its ballots' indices in
+    voter order; then its `Profile` is built only when asked for (`profile`),
+    and only a memoized rule may be given, whose voters `voters` reads off
+    the indices.
+
     For a memoized rule (`memoized`) an edit's outcome is one memo lookup by
-    its tally vector: the profile's, minus the tally of the ballot taken
-    out, plus those of the ballots put in. Its `Profile` is made by `build`
-    only on a miss. Misreport comparisons are memoized too, keyed by the
-    identities of the memo's lotteries, and so is every clean answer of a
-    check (`settled`). Any other rule, or a bare function, is evaluated on
-    the built profile, as the per-voter reference.
+    its tally vector: the profile's (`base`, the sum of its ballots'
+    tallies), minus the tally of the ballot taken out, plus those of the
+    ballots put in. Its `Profile` is made by `build` only on a miss.
+    Misreport comparisons are memoized too, keyed by the identities of the
+    memo's lotteries, and so is every clean answer of a check (`settled`).
+    Any other rule, or a bare function, is evaluated on the built profile,
+    as the per-voter reference.
     """
 
-    def __init__(self, rule: SocialDecisionScheme, profile: Profile) -> None:
+    def __init__(
+        self,
+        rule: SocialDecisionScheme,
+        profile: Optional[Profile],
+        alternatives: Optional[AlternativeSet] = None,
+        indices: Optional[tuple[int, ...]] = None,
+    ) -> None:
         self.rule = rule
         memo = getattr(rule, "evaluate", None)
         self.memo = memo if isinstance(memo, Memo) else None
-        if self.memo is None:
-            return
-        alts = self.alternatives = profile.alternatives
-        tallies = memo.tallies.get(alts)
-        if tallies is None:  # the first profile over these alternatives budgets their rankings
-            tallies = memo.tallies[alts] = list(map(memo.rule.statistic.of, all_rankings(alts)))
-        self.tallies = tallies
-        self.index = alts._ranking_index
-        self.base = memo.rule.statistic(profile)
+        self.indices = indices
+        if profile is None:  # a scan's representative, whose rankings the scan has budgeted
+            self.alternatives = alternatives
+            self.tallies = tallies = self.memo.ranking_tallies(alternatives)
+            self.base = tuple(map(sum, zip(*map(tallies.__getitem__, indices))))
+        else:
+            self.alternatives = profile.alternatives
+            self.profile = profile
+
+    @cached_property
+    def profile(self) -> Profile:
+        """The profile the indices name, built on first use."""
+        rankings = self.alternatives._rankings
+        return Profile.from_ballots(self.alternatives, [rankings[k] for k in self.indices])
+
+    @cached_property
+    def tallies(self) -> list[tuple[int, ...]]:
+        """Each ranking's tally, by index (`Memo.ranking_tallies`)."""
+        return self.memo.ranking_tallies(self.alternatives)
+
+    @cached_property
+    def base(self) -> tuple[int, ...]:
+        """The profile's tally vector: its ballots' tallies summed, over the
+        runs of the profile given, by count; when indices name the profile,
+        summed over them at once, in `__init__`."""
+        tallies, index = self.tallies, self.alternatives._ranking_index
+        vectors = [
+            tallies[index[ballot.order]] if count == 1
+            else [count * v for v in tallies[index[ballot.order]]]
+            for ballot, count in self.profile.runs
+        ]
+        return tuple(map(sum, zip(*vectors)))
+
+    def voters(
+        self, listed: Optional[Sequence[int]] = None
+    ) -> tuple[int, Iterable[tuple[int, Ranking]]]:
+        """`_voters_to_try` on the profile; when the indices name it, each
+        distinct index at its first voter, in voter order (a scan lists no
+        voters)."""
+        if self.indices is None:
+            return _voters_to_try(self.rule, self.profile, listed)
+        rankings = self.alternatives._rankings
+        first: dict[int, tuple[int, Ranking]] = {}
+        for i, k in enumerate(self.indices, 1):
+            if k not in first:
+                first[k] = (i, rankings[k])
+        return len(first), first.values()
 
     def ballot(self, ranking: Ranking) -> Optional[int]:
         """The ranking's index in `all_rankings`, or None without a memo."""
-        return None if self.memo is None else self.index[ranking.order]
+        return None if self.memo is None else self.alternatives._ranking_index[ranking.order]
 
     def classes(self, rankings: tuple[Ranking, ...]) -> tuple[Sequence[int], Sequence[int]]:
         """The `all_rankings` indices in classes of equal tallies: each
@@ -277,11 +340,11 @@ class _Edits:
         if self.memo is None:
             every = range(len(rankings))
             return every, every
-        found = self.memo.classes.get(self.alternatives)
+        found = self.memo.classes.get(self.alternatives.names)
         if found is None:
             least: dict[tuple[int, ...], int] = {}
             class_of = [least.setdefault(tally, k) for k, tally in enumerate(self.tallies)]
-            found = self.memo.classes[self.alternatives] = class_of, list(least.values())
+            found = self.memo.classes[self.alternatives.names] = class_of, list(least.values())
         return found
 
     def settled(self, *check: object) -> bool:
@@ -315,6 +378,12 @@ class _Edits:
             return self.rule(build())
         return self.memo.outcome(self.alternatives, self.vector(taken, put), build)
 
+    def own(self) -> Lottery:
+        """The rule's outcome on the profile itself."""
+        if self.memo is None:
+            return self.rule(self.profile)
+        return self.memo.outcome(self.alternatives, self.base, lambda: self.profile)
+
     def judge(
         self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
     ) -> Callable[[Lottery], bool]:
@@ -329,7 +398,7 @@ class _Edits:
 
         if self.memo is None:
             return manipulates
-        key = (extension, mode, self.index[ballot.order], id(truthful))
+        key = (extension, mode, self.alternatives._ranking_index[ballot.order], id(truthful))
         seen = self.memo.comparisons.setdefault(key, {})
 
         def judged(outcome: Lottery) -> bool:
@@ -368,21 +437,28 @@ def find_manipulation(
     ballot that manipulates at no misreport is not tried again at an equal
     vector (`_Edits.settled`).
     """
-    count, deviators = _voters_to_try(rule, profile, voters)
-    m = profile.m
+    return _misreports(_Edits(rule, profile), extension, mode, voters)
+
+
+def _misreports(
+    edits: _Edits, extension: Extension, mode: Mode, voters: Optional[Sequence[int]] = None
+) -> Optional[ManipulationWitness]:
+    """`find_manipulation` on the profile of `edits`."""
+    count, deviators = edits.voters(voters)
+    alts = edits.alternatives
+    m = len(alts)
     _check_ranking_count(m)
     _check_rule_evaluations((math.factorial(m) - 1) * count, "the misreport search")
     # budgeted just above, so the rankings and their index are read as they are
-    candidates = profile.alternatives._rankings
-    index = profile.alternatives._ranking_index
+    candidates = alts._rankings
+    index = alts._ranking_index
     check = ("misreport", extension.value, mode.value)
-    edits = _Edits(rule, profile)
     class_of, leaders = edits.classes(candidates)
-    truthful = edits.outcome(None, (), lambda: profile)
+    truthful = edits.own()
 
     def build() -> Profile:  # the deviation the loop is at, kept for the witness
         nonlocal deviated
-        deviated = profile.replace_ballot(i, misreport)
+        deviated = edits.profile.replace_ballot(i, misreport)
         return deviated
 
     for i, true_ballot in deviators:
@@ -398,8 +474,9 @@ def find_manipulation(
             deviated = None
             outcome = edits.outcome(taken, (k,), build)
             if manipulates(outcome):
+                deviated = deviated or build()
                 return ManipulationWitness(
-                    profile, i, misreport, deviated or build(), truthful, outcome, extension, mode
+                    edits.profile, i, misreport, deviated, truthful, outcome, extension, mode
                 )
         edits.settle(*check, taken)
     return None
@@ -425,25 +502,31 @@ def check_participation(
     strict mode, fail to strictly gain although a strict gain was available?"""
     if profile.n < 2:
         raise DomainError("participation needs at least two voters to compare against")
-    count, leaving = _voters_to_try(rule, profile)
+    return _abstentions(_Edits(rule, profile), extension, strict)
+
+
+def _abstentions(
+    edits: _Edits, extension: Extension, strict: bool
+) -> Optional[ParticipationWitness]:
+    """`check_participation` on the profile of `edits`, of two or more voters."""
+    count, leaving = edits.voters()
     _check_rule_evaluations(count, "the participation check")
     check = ("participation", extension.value, strict)
-    edits = _Edits(rule, profile)
-    with_voter = edits.outcome(None, (), lambda: profile)
+    with_voter = edits.own()
     for i, ballot in leaving:
         taken = edits.ballot(ballot)
         if edits.settled(*check, taken):
             continue
-        without = edits.outcome(taken, (), lambda: remove_voter(profile, i))
+        without = edits.outcome(taken, (), lambda: remove_voter(edits.profile, i))
         outcome = compare(extension, ballot, with_voter, without)
         if not weakly_prefers(outcome):
             return ParticipationWitness(
-                profile, i, with_voter, without, extension, strict, "participation-harms"
+                edits.profile, i, with_voter, without, extension, strict, "participation-harms"
             )
         if strict and exists_strict_improvement(ballot, without):
             if outcome is not ComparisonOutcome.StrictlyPreferred:
                 return ParticipationWitness(
-                    profile, i, with_voter, without, extension, strict, "no-strict-gain"
+                    edits.profile, i, with_voter, without, extension, strict, "no-strict-gain"
                 )
         edits.settle(*check, taken)
     return None
@@ -497,20 +580,24 @@ def check_cancellation(
     rule: SocialDecisionScheme, profile: Profile
 ) -> Optional[CancellationWitness]:
     """Adding a ballot and its exact reverse must not move the outcome."""
-    m = profile.m
+    return _reversals(_Edits(rule, profile))
+
+
+def _reversals(edits: _Edits) -> Optional[CancellationWitness]:
+    """`check_cancellation` on the profile of `edits`."""
+    m = len(edits.alternatives)
     _check_ranking_count(m)
     _check_rule_evaluations(math.factorial(m), "the cancellation check")
-    rankings = all_rankings(profile.alternatives)
-    edits = _Edits(rule, profile)
+    rankings = all_rankings(edits.alternatives)
     if edits.settled("cancellation"):
         return None
-    base = edits.outcome(None, (), lambda: profile)
+    base = edits.own()
     for k, ballot in enumerate(rankings):
         reverse = ballot.reversed()
         put = (k, edits.ballot(reverse))
-        after = edits.outcome(None, put, lambda: profile.append(ballot, reverse))
+        after = edits.outcome(None, put, lambda: edits.profile.append(ballot, reverse))
         if after != base:
-            return CancellationWitness(profile, ballot, base, after)
+            return CancellationWitness(edits.profile, ballot, base, after)
     edits.settle("cancellation")
     return None
 
@@ -681,43 +768,44 @@ def _least_in_orbit(indices: tuple[int, ...], to_first: tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class AxiomSpec:
-    """A named axiom: a checker plus the smallest profile it applies to."""
+    """A named axiom: a checker plus the smallest profile it applies to,
+    and, for a check that reads only the rule's outcomes on the profile's
+    edits, the same check on an `_Edits`, which a scan of a memoized rule
+    runs on the representative's indices."""
 
     name: str
     check: Callable[[SocialDecisionScheme, Profile], Optional[object]]
     min_voters: int = 1
+    on_edits: Optional[Callable[[_Edits], Optional[object]]] = None
 
 
 def _spec_entries() -> dict[str, AxiomSpec]:
     entries: dict[str, AxiomSpec] = {}
 
-    def add(name: str, check: Callable, min_voters: int = 1) -> None:
-        entries[name] = AxiomSpec(name, check, min_voters)
+    def add(
+        name: str, check: Callable, min_voters: int = 1, on_edits: Optional[Callable] = None
+    ) -> None:
+        entries[name] = AxiomSpec(name, check, min_voters, on_edits)
 
     add("anonymity", lambda rule, p: check_symmetry(rule, p, "anonymity"))
     add("neutrality", lambda rule, p: check_symmetry(rule, p, "neutrality"))
-    add("cancellation", check_cancellation)
+    add("cancellation", check_cancellation, on_edits=_reversals)
     for level in Decisiveness:
         add(level.value, lambda rule, p, lv=level: check_decisiveness(rule, p, lv))
     for ext in Extension:
-        add(
-            f"{ext.value}-strategyproofness",
-            lambda rule, p, e=ext: find_manipulation(rule, p, e, Mode.Strong),
-        )
-        add(
-            f"weak-{ext.value}-strategyproofness",
-            lambda rule, p, e=ext: find_manipulation(rule, p, e, Mode.Weak),
-        )
-        add(
-            f"{ext.value}-participation",
-            lambda rule, p, e=ext: check_participation(rule, p, e, strict=False),
-            min_voters=2,
-        )
-        add(
-            f"strict-{ext.value}-participation",
-            lambda rule, p, e=ext: check_participation(rule, p, e, strict=True),
-            min_voters=2,
-        )
+        for mode, prefix in ((Mode.Strong, ""), (Mode.Weak, "weak-")):
+            add(
+                f"{prefix}{ext.value}-strategyproofness",
+                lambda rule, p, e=ext, md=mode: find_manipulation(rule, p, e, md),
+                on_edits=lambda edits, e=ext, md=mode: _misreports(edits, e, md),
+            )
+        for strict, prefix in ((False, ""), (True, "strict-")):
+            add(
+                f"{prefix}{ext.value}-participation",
+                lambda rule, p, e=ext, st=strict: check_participation(rule, p, e, st),
+                min_voters=2,
+                on_edits=lambda edits, e=ext, st=strict: _abstentions(edits, e, st),
+            )
     for notion in EfficiencyNotion:
         add(
             f"{notion.value}-efficiency",
@@ -770,7 +858,11 @@ def exhaustive_scan(
     A rule that declares a statistic is memoized for the scan alone
     (`memoized`), except under `anonymity`, which the memo assumes.
     So the rule is evaluated, and an edited `Profile` built (`_Edits`), once
-    per alternative set and distinct tally vector, and for a witness.
+    per alternative set and distinct tally vector, and for a witness. A
+    check that reads only the rule's outcomes (`AxiomSpec.on_edits`) is
+    handed the profile as its index tuple, whose tally vector is the sum of
+    its rankings' tallies, and its `Profile` is built only on a memo miss
+    or for a witness.
 
     A rule that declares a statistic and `neutral` is checked on one
     profile per orbit under the m! relabellings of the alternatives and
@@ -804,14 +896,18 @@ def exhaustive_scan(
         and axiom_name not in ("anonymity", "neutrality")
     )
     to_first = _tables_to_first(alts) if reduced else None
+    on_edits = spec.on_edits if isinstance(rule.evaluate, Memo) else None
     checked = 0
     for n in range(lo, n_max + 1):
         for indices in _ballot_indices(m, n, up_to_anonymity):
             checked += 1
             if to_first is not None and not _least_in_orbit(indices, to_first):
                 continue
-            profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
-            witness = spec.check(rule, profile)
+            if on_edits is not None:
+                witness = on_edits(_Edits(rule, None, alts, indices))
+            else:
+                profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
+                witness = spec.check(rule, profile)
             if witness is not None:
                 return AxiomReport(axiom_name, rule.name, Verdict.Violated, witness, checked)
     return AxiomReport(axiom_name, rule.name, Verdict.Holds, None, checked)

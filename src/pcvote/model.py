@@ -92,6 +92,12 @@ class AlternativeSet:
         return {r.order: k for k, r in enumerate(self._rankings)}
 
     @cached_property
+    def _degenerate(self) -> dict[int, "Lottery"]:
+        """The degenerate lottery on each alternative asked for so far, by
+        index: filled one entry at a time by `Lottery.degenerate`."""
+        return {}
+
+    @cached_property
     def _to_first(self) -> tuple[tuple[int, ...], ...]:
         """For each ranking's index in `_rankings`, the index of every
         ranking's image under the one relabelling of the alternatives that
@@ -339,10 +345,15 @@ def profile(alternatives: Iterable[str] | AlternativeSet, orders: Iterable[Itera
 
 @dataclass(frozen=True)
 class Lottery:
-    """A probability distribution over alternatives, exact rationals only."""
+    """A probability distribution over alternatives, exact rationals only.
+
+    It is validated once, in ints: the probabilities times the lcm of their
+    denominators must be >= 0 and sum to that lcm. Those ints and the lcm
+    are kept as `_mass`, which the comparisons read."""
 
     alternatives: AlternativeSet
     probs: tuple[Fraction, ...]
+    _mass: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = tuple(_require_exact(p, "probability") for p in self.probs)
@@ -351,12 +362,12 @@ class Lottery:
             raise DomainError(
                 f"lottery has {len(probs)} entries for {len(self.alternatives)} alternatives"
             )
-        for p in probs:
-            if p < 0:
-                raise DomainError(f"negative probability {p}")
-        total = sum(probs, Fraction(0))
-        if total != 1:
-            raise DomainError(f"probabilities sum to {total}, expected 1")
+        mass, den = _scaled(probs)
+        if min(mass) < 0:
+            raise DomainError(f"negative probability {next(p for p in probs if p < 0)}")
+        if sum(mass) != den:
+            raise DomainError(f"probabilities sum to {sum(probs, Fraction(0))}, expected 1")
+        object.__setattr__(self, "_mass", (tuple(mass), den))
 
     @classmethod
     def from_map(
@@ -371,9 +382,15 @@ class Lottery:
 
     @classmethod
     def degenerate(cls, alternatives: Iterable[str] | AlternativeSet, x: str) -> "Lottery":
+        """Probability one on `x`: one object per alternative set and `x`,
+        built on the first request."""
         alts = alternative_set(alternatives)
-        alts.index(x)  # raises UnknownAlternativeError for a foreign label
-        return cls(alts, tuple(Fraction(1) if y == x else Fraction(0) for y in alts))
+        i = alts.index(x)  # raises UnknownAlternativeError for a foreign label
+        found = alts._degenerate.get(i)
+        if found is None:
+            probs = tuple(Fraction(int(j == i)) for j in range(len(alts)))
+            found = alts._degenerate[i] = cls(alts, probs)
+        return found
 
     @classmethod
     def uniform(
@@ -391,13 +408,6 @@ class Lottery:
                 alts.index(x)  # raises UnknownAlternativeError for a foreign label
         share = Fraction(1, len(chosen))
         return cls(alts, tuple(share if x in chosen else Fraction(0) for x in alts))
-
-    @cached_property
-    def _mass(self) -> tuple[tuple[int, ...], int]:
-        """The probabilities as ints over the lcm of their denominators, and
-        that lcm; computed once per lottery."""
-        mass, den = _scaled(self.probs)
-        return tuple(mass), den
 
     def prob(self, x: str) -> Fraction:
         return self.probs[self.alternatives.index(x)]

@@ -250,21 +250,25 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
     most balanced strategy. Three cases, cheapest first:
 
     * a Condorcet winner (a row positive off the diagonal) is the whole
-      optimal set, so the lottery is degenerate on it, with no LP;
+      optimal set, so the lottery is degenerate on it, with no LP: the one
+      `Lottery.degenerate` of the alternative set;
     * when every off-diagonal margin is odd the optimal strategy is unique
       (Laffond, Laslier & Le Breton 1997), so one LP finds it;
     * otherwise the leximin point is computed by iterated max-min.
     """
+    alts = margins.alternatives
     winner = margins.condorcet_index()
     if winner is not None:
-        probs = _unit(len(margins.alternatives), winner)
+        probs = _unit(len(alts), winner)
     elif all(g % 2 for i, row in enumerate(margins.rows) for j, g in enumerate(row) if j != i):
         probs = _ml_unique_point(margins)
     else:
         probs = _ml_leximin(margins)
     if not _beats_or_ties_every_alternative(margins, probs):
         raise InternalError(f"ml produced a non-maximal lottery {probs}")
-    return Lottery(margins.alternatives, probs)
+    if winner is not None:
+        return Lottery.degenerate(alts, alts.names[winner])
+    return Lottery(alts, probs)
 
 
 def ml(profile: Profile) -> Lottery:

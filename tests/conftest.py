@@ -1,5 +1,9 @@
 import pytest
 
+# the reference checkers' preconditions are asserts; rewritten, they hold
+# under `python -O` too, as the assertions of the test modules do
+pytest.register_assert_rewrite("helpers")
+
 
 @pytest.fixture
 def announce(request):

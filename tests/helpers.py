@@ -7,11 +7,11 @@ types, so agreement between the two is meaningful evidence.
 
 It also holds front-ends over the library that only tests use (LP
 feasibility, the margin game as a plain LP, uniqueness of the maximal
-lottery, the strategyproofness ladder) and per-voter reference
-definitions of profile statistics, lottery comparisons, manipulation
-search, the participation check, the dominator LP, the PC1 dominator
-search, the three-alternative efficiency certificate and the orbit test
-of the reduced scans.
+lottery, the strategyproofness ladder) and reference definitions of
+lottery validation, profile statistics (per voter), lottery comparisons,
+manipulation search, the participation check, the dominator LP, the PC1
+dominator search, the three-alternative efficiency certificate and the
+orbit test of the reduced scans.
 
 The oracles build their LP rows here, from the definitions, and import
 no private name from `pcvote`: an oracle that built its rows with a
@@ -311,6 +311,33 @@ def random_lottery(rng: random.Random, alternatives, max_weight: int = 6):
         weights[rng.randrange(len(names))] = 1
     total = sum(weights)
     return Lottery(alternatives, tuple(Fraction(w, total) for w in weights))
+
+
+# ---------------------------------------------------------------------------
+# lottery validation, by its definition
+# ---------------------------------------------------------------------------
+
+def reference_lottery_refusal(size: int, probs) -> Optional[str]:
+    """Why a lottery over `size` alternatives with these probabilities must
+    be refused, or None: each entry an int or a `Fraction`, never a float,
+    one per alternative, none negative, and their `Fraction` sum 1, checked
+    in that order; the message is the one `Lottery` raises."""
+    exact = []
+    for p in probs:
+        if isinstance(p, float):
+            return f"probability must be an exact rational, got float {p!r}"
+        if not isinstance(p, (int, Fraction)):
+            return f"probability must be an int or Fraction, got {type(p).__name__}"
+        exact.append(Fraction(p))
+    if len(exact) != size:
+        return f"lottery has {len(exact)} entries for {size} alternatives"
+    for p in exact:
+        if p < 0:
+            return f"negative probability {p}"
+    total = sum(exact, Fraction(0))
+    if total != 1:
+        return f"probabilities sum to {total}, expected 1"
+    return None
 
 
 # ---------------------------------------------------------------------------

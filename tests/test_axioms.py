@@ -776,10 +776,17 @@ def test_a_tallied_scan_builds_a_profile_only_on_a_memo_miss(monkeypatch):
     rule, calls = counting(replace(RD, statistic=CountingTally(RD.statistic.of)))
     rep = exhaustive_scan(rule, 4, 2, "sd-strategyproofness", up_to_anonymity=True)
     assert rep.verdict is Verdict.Holds and rep.profiles_checked == 324
-    # 18 orbit representatives, 12 deviations missed; a profile per deviation made 800
-    assert (len(built), len(calls)) == (30, 14)
-    # a profile's tally is summed once, and a miss evaluates the profile it built
-    assert len(sums) == 18
+    # 18 orbit representatives: (0,) and the 17 pairs (0, k). The 14 misses
+    # are the 14 top-count vectors of one or two voters, each evaluated on
+    # the profile it built: 2 are truthful outcomes, of (0,) and (0, 0), and
+    # 12 are deviations. A representative's own profile is built once, when
+    # it first misses, which 5 do: (0,), (0, 0), and the first pair whose
+    # second top is b, c or d, (0, 6), (0, 14) and (0, 21). So 5 + 12
+    # profiles; one per deviation would have made 800
+    assert (len(built), len(calls)) == (17, 14)
+    # a representative's tally vector is its rankings' tallies summed by
+    # index, and a miss evaluates the profile it built: no sum over runs
+    assert len(sums) == 0
 
 
 def test_an_anonymity_scan_the_check_would_refuse_is_refused_before_its_first_profile():
@@ -832,6 +839,27 @@ def test_orbit_reduced_scans_equal_the_unreduced_scans(rule_name, m, n_max, anon
         want = _scan_or_refusal(unreduced, m, n_max, axiom_name, anonymous)
         got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
         assert got == want, (axiom_name, m, n_max, anonymous)
+
+
+SCAN_SPACES = [(3, 3, True), (3, 2, False), (4, 2, True)]
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_the_scan_kernel_equals_the_per_profile_route(rule_name):
+    # a scan of the memoized rule hands each representative to the check as
+    # its index tuple, its tally vector summed from the rankings' tallies and
+    # its first voters read off the tuple. The same rule with no statistic
+    # has no memo and no reduction, and its check gets a `Profile` for every
+    # tuple, each evaluated on its own, cached by the profile itself
+    rule = memoized(RULES[rule_name])
+    per_profile = replace(_evaluated_per_profile(RULES[rule_name]), statistic=None)
+    for axiom_name in AXIOMS:
+        if axiom_name == "anonymity":
+            continue
+        for m, n_max, anonymous in SCAN_SPACES:
+            want = _scan_or_refusal(per_profile, m, n_max, axiom_name, anonymous)
+            got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
+            assert got == want, (axiom_name, m, n_max, anonymous)
 
 
 @pytest.mark.parametrize(
@@ -905,25 +933,35 @@ def test_an_ordered_reduced_scan_checks_the_anonymous_scans_profiles(monkeypatch
     assert checked[False] == checked[True] and len(checked[True]) == orbits
 
 
-def test_only_the_symmetry_scans_check_every_profile():
+def test_only_the_symmetry_scans_check_every_profile(monkeypatch):
     # they test the declarations the reduction rests on; every other axiom
-    # makes the rule do less work once it is declared neutral
-    calls = []
+    # is handed one representative per orbit once the rule is declared
+    # neutral. What the reduction saves is counted where it acts: profiles
+    # handed to the check, as a `Profile` or as an index tuple. The rule's
+    # own work would not show it, as its tally is summed by index and its
+    # outcomes are memoized by vector in both scans
+    handed = []
 
     def counted(fn):
-        def wrapper(prof):
-            calls.append(prof)
-            return fn(prof)
+        if fn is None:
+            return None
+
+        def wrapper(*args):
+            handed.append(args[-1])
+            return fn(*args)
 
         return wrapper
 
-    rule = replace(RD, evaluate=counted(RD.evaluate), statistic=Tally(counted(RD.statistic.of)))
     for axiom_name in ("anonymity", "neutrality", "sd-strategyproofness"):
+        spec = AXIOMS[axiom_name]
+        monkeypatch.setitem(
+            AXIOMS, axiom_name, replace(spec, check=counted(spec.check), on_edits=counted(spec.on_edits))
+        )
         reports, work = [], []
         for neutral in (True, False):
-            calls.clear()
-            reports.append(exhaustive_scan(replace(rule, neutral=neutral), 3, 2, axiom_name))
-            work.append(len(calls))
+            handed.clear()
+            reports.append(exhaustive_scan(replace(RD, neutral=neutral), 3, 2, axiom_name))
+            work.append(len(handed))
         assert reports[0] == reports[1] and reports[0].verdict is Verdict.Holds, axiom_name
         assert (work[0] < work[1]) == (axiom_name == "sd-strategyproofness"), (axiom_name, work)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,8 +31,11 @@ from pcvote import (
     top_tally,
     weak_condorcet_winners,
 )
+from pcvote.model import _scaled
 from pcvote.profilefmt import format_profile, parse_profile
+from pcvote.rules import get_rule
 from helpers import (
+    reference_lottery_refusal,
     reference_absolute_winner,
     reference_condorcet_winner,
     reference_majority_margin,
@@ -165,6 +169,73 @@ def test_lottery_validation():
         Lottery(alts, (0.5, 0.5, 0.0))  # floats are banned
     with pytest.raises(DomainError):
         Lottery.from_map(alts, {"a": F(1, 2), "z": F(1, 2)})
+
+
+def _grid_entries(m, den):
+    """Every m-tuple of multiples of 1/den from -1/den to 1 + 1/den, summing
+    to 1 or not, in `Fraction`s and, where whole, as ints."""
+    steps = [Fraction(j, den) for j in range(-1, den + 2)]
+    for probs in itertools.product(steps, repeat=m):
+        yield probs
+        if all(p.denominator == 1 for p in probs):
+            yield tuple(int(p) for p in probs)
+
+
+def _refusal(alts, probs):
+    try:
+        Lottery(alts, probs)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("den", [4, 5])
+def test_lottery_validation_in_ints_equals_the_fraction_sum(den):
+    accepted = refused = 0
+    for m in range(1, 5):
+        alts = alternative_set("abcd"[:m])
+        cases = list(_grid_entries(m, den))
+        # floats, other types and wrong lengths, first or later in the entries
+        cases += [(0.5,) + (F(1, 2),) * (m - 1), (F(1), 0.0) + (F(0),) * (m - 2), ("1",) * m]
+        cases += [(F(1, m),) * (m + 1), (F(1, m),) * (m - 1), (F(-1), 2.0) + (F(0),) * m]
+        for probs in cases:
+            want = reference_lottery_refusal(m, probs)
+            assert _refusal(alts, probs) == want, (alts.names, probs)
+            if want is None:
+                lottery = Lottery(alts, probs)
+                mass, scale = _scaled(lottery.probs)
+                assert lottery._mass == (tuple(mass), scale)
+                assert lottery.probs == tuple(map(Fraction, probs))
+                accepted += 1
+            else:
+                refused += 1
+    # the grid's lotteries, C(den + m - 1, m - 1) for each m, and the m
+    # unit vectors again as ints
+    assert accepted == sum(math.comb(den + m - 1, m - 1) + m for m in range(1, 5))
+    assert refused > accepted
+
+
+def test_degenerate_lotteries_are_one_object_per_set_and_alternative():
+    alts = alternative_set("abcd")
+    first = Lottery.degenerate(alts, "c")
+    # one request builds one entry, not the m lotteries of the set
+    assert alts._degenerate == {2: first}
+    assert Lottery.degenerate(alts, "c") is first
+    assert first == Lottery(alts, (F(0), F(0), F(1), F(0))) and first._mass == ((0, 0, 1, 0), 1)
+    for x in alts:
+        assert Lottery.degenerate(alts, x) is Lottery.degenerate(alts, x)
+        assert Lottery.degenerate(alts, x) == Lottery.from_map(alts, {x: F(1)})
+    # an equal set is another object, with lotteries of its own
+    other = alternative_set("abcd")
+    assert Lottery.degenerate(other, "c") == first and Lottery.degenerate(other, "c") is not first
+    for foreign in ("e", "", None, ["a"]):
+        with pytest.raises(UnknownAlternativeError):
+            Lottery.degenerate(alts, foreign)
+    # every rule's Condorcet branch hands out the one object
+    prof = profile("abc", ["abc", "bac", "acb"])
+    winner = Lottery.degenerate(prof.alternatives, "a")
+    for name in ("ml", "f1", "condorcet-uniform"):
+        assert get_rule(name)(prof) is winner, name
 
 
 def test_lottery_relabel():
