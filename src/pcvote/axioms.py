@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -185,6 +185,12 @@ def _voters_to_try(
     return len(first), first.values()
 
 
+# a relabelling π as it acts on a memo: the map of a tally vector v, given
+# as v followed by -v, to its image; π as a permutation of the alternative
+# indices, π[x] being x's image; and π⁻¹
+_Relabelling = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], tuple[int, ...], tuple[int, ...]]
+
+
 class Memo:
     """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
     alternative set and tally vector, the vector being a profile's, summed
@@ -196,6 +202,17 @@ class Memo:
     `_mass`, which hash with no Python call; so a lottery read from the memo
     is the one object for its value, and stays alive as long as the memo.
 
+    With `orbit_keys` (a rule declared `neutral`, see `memoized`) the rule
+    is evaluated once per orbit of vectors under relabelling the
+    alternatives, not once per vector. A vector that misses is keyed by its
+    least image under the m! relabellings (`relabellings`), the orbit's
+    canonical vector. Neutrality gives f(πR) = π·f(R), so the outcome at the
+    missed vector is the canonical vector's pulled back through π, the
+    relabelling that sends it there. When the canonical vector has no
+    outcome yet, the rule is evaluated at the missed vector, and its outcome
+    pushed forward through π is stored at the canonical one. Either way the
+    outcome is then stored at the missed vector.
+
     The rest is the checks' state for one scan, kept by `_Edits`:
     `comparisons` keys the misreport comparisons by the identities of the
     lotteries compared, across vectors with equal outcomes; `clean` holds
@@ -204,14 +221,16 @@ class Memo:
     ranking's tally and the classes of equal tallies.
     """
 
-    def __init__(self, rule: SocialDecisionScheme) -> None:
+    def __init__(self, rule: SocialDecisionScheme, orbit_keys: bool = False) -> None:
         self.rule = rule
+        self.orbit_keys = orbit_keys
         self.outcomes: dict[tuple[tuple[str, ...], tuple[int, ...]], Lottery] = {}
         self.lotteries: dict[tuple, Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
         self.clean: set[tuple] = set()
         self.tallies: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
         self.classes: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
+        self.maps: dict[tuple[str, ...], list[_Relabelling]] = {}
 
     def __call__(self, profile: Profile) -> Lottery:
         return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
@@ -225,30 +244,116 @@ class Memo:
             found = self.tallies[names] = list(map(self.rule.statistic.of, all_rankings(alternatives)))
         return found
 
+    def relabellings(self, alternatives: AlternativeSet) -> list[_Relabelling]:
+        """The relabellings of the alternatives that act on tally vectors,
+        the identity first, kept in `maps`; the first call for an alternative
+        set budgets its relabelling tables (`_tables_to_first`).
+
+        Table t sends ranking q to ranking t[q], so a profile's vector goes
+        to the sum of t[q]'s tallies over its ballots q. When coordinate i of
+        those tallies, taken over every q, is plus or minus coordinate j of
+        the tallies themselves, the image's coordinate i is plus or minus the
+        vector's coordinate j. A tally with some coordinate that no such j
+        gives, under some table, gets the identity alone."""
+        names = alternatives.names
+        found = self.maps.get(names)
+        if found is None:
+            found = self.maps[names] = _signed_maps(alternatives, self.ranking_tallies(alternatives))
+        return found
+
     def outcome(
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
     ) -> Lottery:
         """The cached lottery for this alternative set and tally vector; on a
         miss, the unmemoized rule's on the profile `build()` makes, interned
-        and cached."""
+        and cached, or with `orbit_keys` read off the vector's orbit."""
         # sets are equal by their names, and a tuple of names hashes with no Python call
         key = (alternatives.names, vector)
         found = self.outcomes.get(key)
         if found is None:
-            found = self.rule(build())
-            found = self.lotteries.setdefault((found.alternatives.names, found._mass), found)
+            if self.orbit_keys:
+                found = self._by_orbit(alternatives, vector, build)
+            else:
+                found = self._intern(self.rule(build()))
             self.outcomes[key] = found
         return found
 
+    def _by_orbit(
+        self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
+    ) -> Lottery:
+        """The outcome at a vector the memo has not seen, through its orbit's
+        canonical vector (see the class docstring)."""
+        signed = vector + tuple(-x for x in vector)
+        images = ((image(signed), to, back) for image, to, back in self.relabellings(alternatives))
+        least, pull, push = min(images, key=itemgetter(0))
+        key = (alternatives.names, least)
+        stored = self.outcomes.get(key)
+        if stored is not None:
+            return self._permuted(stored, pull)
+        found = self._intern(self.rule(build()))
+        self.outcomes[key] = self._permuted(found, push)
+        return found
 
-def memoized(rule: SocialDecisionScheme) -> SocialDecisionScheme:
+    def _intern(self, lottery: Lottery) -> Lottery:
+        return self.lotteries.setdefault((lottery.alternatives.names, lottery._mass), lottery)
+
+    def _permuted(self, lottery: Lottery, perm: tuple[int, ...]) -> Lottery:
+        """The interned lottery whose entry x is `lottery`'s entry perm[x];
+        a `Lottery` is built, and validated, only for a mass not interned."""
+        mass, den = lottery._mass
+        names = lottery.alternatives.names
+        found = self.lotteries.get((names, (tuple(map(mass.__getitem__, perm)), den)))
+        if found is None:
+            found = self._intern(Lottery(lottery.alternatives, tuple(map(lottery.probs.__getitem__, perm))))
+        return found
+
+
+def _signed_maps(alternatives: AlternativeSet, tallies: list[tuple[int, ...]]) -> list[_Relabelling]:
+    """`Memo.relabellings` of a tally: one per table of `_tables_to_first`."""
+    d = len(tallies[0])
+    # each coordinate's column over the rankings, then its negation, by
+    # where it sits in v followed by -v
+    columns = list(zip(*tallies))
+    where: dict[tuple[int, ...], int] = {}
+    for j, column in enumerate(columns):
+        where.setdefault(column, j)
+    for j, column in enumerate(columns):
+        where.setdefault(tuple(-x for x in column), d + j)
+    rankings = alternatives._rankings
+    first = rankings[0].indices
+    found: list[_Relabelling] = []
+    for ranking, table in zip(rankings, _tables_to_first(alternatives)):
+        picks = [where.get(column) for column in zip(*map(tallies.__getitem__, table))]
+        if None in picks:
+            return found[:1]
+        perm, inverse = [0] * len(first), [0] * len(first)
+        for x, y in zip(ranking.indices, first):  # the table's relabelling sends ranking to first
+            perm[x], inverse[y] = y, x
+        found.append((_picker(picks), tuple(perm), tuple(inverse)))
+    return found
+
+
+def _picker(picks: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map of a sequence to the tuple of its entries at `picks`."""
+    if len(picks) < 2:  # `itemgetter` needs an index, and returns one entry bare
+        return lambda signed: tuple(map(signed.__getitem__, picks))
+    return itemgetter(*picks)
+
+
+def memoized(rule: SocialDecisionScheme, orbits: bool = False) -> SocialDecisionScheme:
     """The rule with a `Memo` of it as its `evaluate`, or, if it declares
     no statistic or is memoized already, the rule as it is. The memo lives
     as long as the returned rule and its copies, one entry per vector seen.
+
+    It keys outcomes by the raw vector unless `orbits` is asked for and the
+    rule is declared `neutral`: then the rule is evaluated once per
+    relabelling orbit of vectors (`Memo`), which trusts the declaration. A
+    scan asks for it exactly when it checks one profile per orbit
+    (`exhaustive_scan`), which trusts the same declaration.
     """
     if rule.statistic is None or isinstance(rule.evaluate, Memo):
         return rule
-    return replace(rule, evaluate=Memo(rule))
+    return replace(rule, evaluate=Memo(rule, orbits and rule.neutral))
 
 
 class _Edits:
@@ -706,7 +811,15 @@ def _ballot_indices(m: int, n: int, up_to_anonymity: bool) -> Iterator[tuple[int
     return itertools.product(indices, repeat=n)
 
 
+# the scans' sets of the first m of a, b, c, d, one per m, so a process
+# builds each one's rankings and relabelling tables once
+_DEFAULT_ALTERNATIVES = {m: AlternativeSet(("a", "b", "c", "d")[:m]) for m in range(1, 5)}
+
+
 def _alternatives(m: int, names: Optional[Sequence[str]] = None) -> AlternativeSet:
+    """The set of these names, or the shared set of the first m of a, b, c, d."""
+    if names is None and m in _DEFAULT_ALTERNATIVES:
+        return _DEFAULT_ALTERNATIVES[m]
     alts = AlternativeSet(tuple(names) if names is not None else ("a", "b", "c", "d")[:m])
     if len(alts) != m:
         raise DomainError(f"{len(alts)} names supplied for m={m}")
@@ -856,9 +969,11 @@ def exhaustive_scan(
     check's own message.
 
     A rule that declares a statistic is memoized for the scan alone
-    (`memoized`), except under `anonymity`, which the memo assumes.
-    So the rule is evaluated, and an edited `Profile` built (`_Edits`), once
-    per alternative set and distinct tally vector, and for a witness. A
+    (`memoized`), except under `anonymity`, which the memo assumes, and
+    except when it is memoized already. So the rule is evaluated, and an
+    edited `Profile` built (`_Edits`), once per alternative set and distinct
+    tally vector, and for a witness; in a reduced scan (below), once per
+    relabelling orbit of tally vectors, as the memo is keyed by orbit. A
     check that reads only the rule's outcomes (`AxiomSpec.on_edits`) is
     handed the profile as its index tuple, whose tally vector is the sum of
     its rankings' tallies, and its `Profile` is built only on a memo miss
@@ -876,10 +991,17 @@ def exhaustive_scan(
     profile is checked exactly as without the reduction. The skipped
     profiles count as checked, so the verdict, the witness and
     `profiles_checked` are those of the unreduced scan, ordered or not.
+    The memo's orbit keys rest on the same declaration; the `neutrality`
+    scan, which tests it, keys its memo by the raw vector.
     """
     spec = axiom(axiom_name)
+    reduced = (
+        rule.statistic is not None
+        and rule.neutral
+        and axiom_name not in ("anonymity", "neutrality")
+    )
     if axiom_name != "anonymity":
-        rule = memoized(rule)
+        rule = memoized(rule, orbits=reduced)
     lo = max(spec.min_voters, n_min if n_min is not None else 1)
     if n_max < lo:
         raise DomainError(f"n_max={n_max} below the smallest applicable size {lo}")
@@ -890,11 +1012,6 @@ def exhaustive_scan(
         _check_voter_orders(max(lo, ANONYMITY_VOTER_LIMIT))
     alts = _alternatives(m)
     rankings = all_rankings(alts)
-    reduced = (
-        rule.statistic is not None
-        and rule.neutral
-        and axiom_name not in ("anonymity", "neutrality")
-    )
     to_first = _tables_to_first(alts) if reduced else None
     on_edits = spec.on_edits if isinstance(rule.evaluate, Memo) else None
     checked = 0

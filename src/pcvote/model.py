@@ -98,6 +98,13 @@ class AlternativeSet:
         return {}
 
     @cached_property
+    def _uniform(self) -> "Lottery":
+        """The uniform lottery over the whole set, built on the first
+        request by `Lottery.uniform`."""
+        share = Fraction(1, len(self.names))
+        return Lottery(self, (share,) * len(self.names))
+
+    @cached_property
     def _to_first(self) -> tuple[tuple[int, ...], ...]:
         """For each ranking's index in `_rankings`, the index of every
         ranking's image under the one relabelling of the alternatives that
@@ -396,16 +403,16 @@ class Lottery:
     def uniform(
         cls, alternatives: Iterable[str] | AlternativeSet, over: Optional[Iterable[str]] = None
     ) -> "Lottery":
-        """Uniform over the whole set, or over a non-empty subset."""
+        """Uniform over the whole set, one object per alternative set, or
+        over a non-empty subset."""
         alts = alternative_set(alternatives)
         if over is None:
-            chosen = set(alts.names)
-        else:
-            chosen = set(over)
-            if not chosen:
-                raise DomainError("uniform lottery needs a non-empty carrier")
-            for x in chosen:
-                alts.index(x)  # raises UnknownAlternativeError for a foreign label
+            return alts._uniform
+        chosen = set(over)
+        if not chosen:
+            raise DomainError("uniform lottery needs a non-empty carrier")
+        for x in chosen:
+            alts.index(x)  # raises UnknownAlternativeError for a foreign label
         share = Fraction(1, len(chosen))
         return cls(alts, tuple(share if x in chosen else Fraction(0) for x in alts))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from .model import (
@@ -31,6 +32,7 @@ from .model import (
     MarginMatrix,
     Profile,
     Tally,
+    _scaled,
     condorcet_winner,
     margin_matrix,
     margin_tally,
@@ -56,7 +58,10 @@ class SocialDecisionScheme:
 
     `neutral` declares that relabelling the alternatives of a profile
     relabels the output the same way. With a statistic it lets a scan
-    check one profile per relabelling orbit (`axioms.exhaustive_scan`).
+    check one profile per relabelling orbit (`axioms.exhaustive_scan`), and
+    evaluate the rule once per relabelling orbit of tally vectors: the
+    outcome at one vector of an orbit is another's, relabelled
+    (`axioms.Memo`).
     """
 
     name: str
@@ -158,8 +163,11 @@ def _margin_rows(margins: MarginMatrix, pad: int = 0) -> list[Constraint]:
 
 
 def _beats_or_ties_every_alternative(margins: MarginMatrix, probs: tuple[Fraction, ...]) -> bool:
-    """(G p)_x <= 0 for every alternative x: no alternative beats p in expectation."""
-    return all(sum(g * p for g, p in zip(row, probs)) <= 0 for row in margins.rows)
+    """(G p)_x <= 0 for every alternative x: no alternative beats p in
+    expectation. Checked in ints, on p times the lcm of its denominators
+    (`_scaled`), a positive factor that keeps each inequality."""
+    mass, _ = _scaled(probs)
+    return all(sum(map(mul, row, mass)) <= 0 for row in margins.rows)
 
 
 def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:

@@ -199,6 +199,13 @@ def optimal_set_rows(margins: MarginMatrix) -> tuple[Constraint, ...]:
     return rows + (Constraint((1,) * m, EQ, 1),)
 
 
+def reference_beats_or_ties_every_alternative(margins: MarginMatrix, probs) -> bool:
+    """(G p)_x <= 0 for every alternative x, each sum taken in `Fraction`s."""
+    return all(
+        sum((g * Fraction(p) for g, p in zip(row, probs)), Fraction(0)) <= 0 for row in margins.rows
+    )
+
+
 def maximal_lottery_is_unique(prof: Profile) -> bool:
     """Is the optimal set of the margin game a single point? Every
     coordinate's maximum over the set must equal its minimum."""

@@ -50,6 +50,7 @@ from pcvote import (
     top_counts,
     top_tally,
 )
+from pcvote import axioms as axioms_module
 from pcvote.axioms import (
     DEFAULT_ENUMERATION_BUDGET,
     RULE_EVALUATION_BUDGET,
@@ -776,14 +777,16 @@ def test_a_tallied_scan_builds_a_profile_only_on_a_memo_miss(monkeypatch):
     rule, calls = counting(replace(RD, statistic=CountingTally(RD.statistic.of)))
     rep = exhaustive_scan(rule, 4, 2, "sd-strategyproofness", up_to_anonymity=True)
     assert rep.verdict is Verdict.Holds and rep.profiles_checked == 324
-    # 18 orbit representatives: (0,) and the 17 pairs (0, k). The 14 misses
-    # are the 14 top-count vectors of one or two voters, each evaluated on
-    # the profile it built: 2 are truthful outcomes, of (0,) and (0, 0), and
-    # 12 are deviations. A representative's own profile is built once, when
-    # it first misses, which 5 do: (0,), (0, 0), and the first pair whose
-    # second top is b, c or d, (0, 6), (0, 14) and (0, 21). So 5 + 12
-    # profiles; one per deviation would have made 800
-    assert (len(built), len(calls)) == (17, 14)
+    # 18 orbit representatives: (0,) and the 17 pairs (0, k). The rule is
+    # neutral, so its memo evaluates it once per relabelling orbit of the 14
+    # top-count vectors of one or two voters: (1,0,0,0), (2,0,0,0) and
+    # (1,1,0,0). Each evaluation builds its profile: those of (0,) and
+    # (0, 0), then (0, 0) with voter 1's ballot swapped for b > a > c > d,
+    # the first misreport that moves the top. Every other vector is a
+    # relabelling of one of these, its outcome pulled back with no profile
+    # built. So 3 profiles and 3 evaluations; one per deviation would have
+    # made 800 profiles, and one per vector 14 evaluations
+    assert (len(built), len(calls)) == (3, 3)
     # a representative's tally vector is its rankings' tallies summed by
     # index, and a miss evaluates the profile it built: no sum over runs
     assert len(sums) == 0
@@ -832,9 +835,10 @@ REDUCED_AXIOMS = [name for name in AXIOMS if name not in ("anonymity", "neutrali
 @pytest.mark.parametrize("anonymous", [False, True], ids=["ordered", "anonymous"])
 def test_orbit_reduced_scans_equal_the_unreduced_scans(rule_name, m, n_max, anonymous):
     assert RULES[rule_name].neutral and RULES[rule_name].statistic is not None
-    # one memo across all the scans, so each outcome is computed once
-    rule = memoized(RULES[rule_name])
-    unreduced = replace(rule, neutral=False)
+    # each reduced scan memoizes the rule by the orbits of its tally vectors;
+    # one memo by the raw vector across the unreduced scans
+    rule = RULES[rule_name]
+    unreduced = memoized(replace(rule, neutral=False))
     for axiom_name in REDUCED_AXIOMS:
         want = _scan_or_refusal(unreduced, m, n_max, axiom_name, anonymous)
         got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
@@ -842,21 +846,26 @@ def test_orbit_reduced_scans_equal_the_unreduced_scans(rule_name, m, n_max, anon
 
 
 SCAN_SPACES = [(3, 3, True), (3, 2, False), (4, 2, True)]
+# the checks that evaluate the rule at edits of the profile; their scans
+# also run over up to four voters
+EDIT_AXIOMS = [name for name in AXIOMS if name.endswith(("strategyproofness", "participation"))]
 
 
 @pytest.mark.parametrize("rule_name", sorted(RULES))
 def test_the_scan_kernel_equals_the_per_profile_route(rule_name):
-    # a scan of the memoized rule hands each representative to the check as
-    # its index tuple, its tally vector summed from the rankings' tallies and
-    # its first voters read off the tuple. The same rule with no statistic
-    # has no memo and no reduction, and its check gets a `Profile` for every
-    # tuple, each evaluated on its own, cached by the profile itself
-    rule = memoized(RULES[rule_name])
-    per_profile = replace(_evaluated_per_profile(RULES[rule_name]), statistic=None)
+    # a scan memoizes the rule, keyed by the relabelling orbit of its tally
+    # vector when the scan is reduced, and hands each representative to the
+    # check as its index tuple, its tally vector summed from the rankings'
+    # tallies and its first voters read off the tuple. The same rule with no
+    # statistic has no memo and no reduction, and its check gets a `Profile`
+    # for every tuple, each evaluated on its own, cached by the profile itself
+    rule = RULES[rule_name]
+    per_profile = replace(_evaluated_per_profile(rule), statistic=None)
     for axiom_name in AXIOMS:
         if axiom_name == "anonymity":
             continue
-        for m, n_max, anonymous in SCAN_SPACES:
+        spaces = SCAN_SPACES + [(3, 4, True)] * (axiom_name in EDIT_AXIOMS)
+        for m, n_max, anonymous in spaces:
             want = _scan_or_refusal(per_profile, m, n_max, axiom_name, anonymous)
             got = _scan_or_refusal(rule, m, n_max, axiom_name, anonymous)
             assert got == want, (axiom_name, m, n_max, anonymous)
@@ -1000,6 +1009,117 @@ def test_a_false_neutral_declaration_fails_the_neutrality_scan_and_moves_a_reduc
     assert unreduced.verdict is Verdict.Violated and unreduced.profiles_checked == 3
     reduced = exhaustive_scan(false, 3, 2, "unanimity")
     assert reduced != unreduced
+
+
+# ---------------------------------------------------------------------------
+# one rule evaluation per relabelling orbit of tally vectors
+# ---------------------------------------------------------------------------
+
+def _orbit_memo(rule):
+    memo = memoized(rule, orbits=True).evaluate
+    assert memo.orbit_keys
+    return memo
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 3), (2, 3), (3, 3), (4, 2)])
+def test_each_relabelling_sends_a_tally_to_the_relabelled_profiles(m, n_max):
+    alts = alternative_set("abcd"[:m])
+    identity = tuple(range(m))
+    images = {}
+    for name, tally in TALLIES.items():
+        maps = _orbit_memo(SocialDecisionScheme(name, rd, statistic=tally, neutral=True)).relabellings(alts)
+        # every relabelling acts, the identity first, each with its inverse
+        assert sorted(perm for _, perm, _ in maps) == list(itertools.permutations(identity)), name
+        assert maps[0][1] == identity
+        assert all(tuple(perm[x] for x in inverse) == identity for _, perm, inverse in maps)
+        images[name] = {perm: image for image, perm, _ in maps}
+    for n in range(1, n_max + 1):
+        for prof in enumerate_profiles(m, n):
+            for perm in itertools.permutations(identity):
+                mapping = {alts.names[x]: alts.names[perm[x]] for x in identity}
+                relabelled = relabel(prof, alt_perm=mapping)
+                for name, tally in TALLIES.items():
+                    vector = tally(prof)
+                    signed = vector + tuple(-x for x in vector)
+                    assert images[name][perm](signed) == tally(relabelled), (name, prof, perm)
+
+
+def test_a_tally_no_relabelling_acts_on_is_keyed_by_the_raw_vector():
+    # pos(a) * pos(b) is plus or minus no coordinate once c takes a's place
+    products = Tally(lambda r: (r.positions[0] * r.positions[1],))
+
+    def by_product(prof):
+        return Lottery.degenerate(prof.alternatives, prof.alternatives.names[products(prof)[0] % prof.m])
+
+    # declared neutral, which it is not: the memo finds no relabelling to trust it with
+    rule, calls = counting(SocialDecisionScheme("by-product", by_product, statistic=products, neutral=True))
+    memo = _orbit_memo(rule)
+    assert [perm for _, perm, _ in memo.relabellings(alternative_set("abc"))] == [(0, 1, 2)]
+    vectors = set()
+    for n in range(1, 4):
+        for prof in enumerate_profiles(3, n):
+            assert memo(prof) == by_product(prof), prof
+            vectors.add(products(prof))
+    assert len(calls) == len(vectors)
+
+
+def _one_profile_per_vector(tally, m, n_max):
+    """A profile of each tally vector of up to n_max voters, in enumeration
+    order, and the number of the vectors' orbits under relabelling the
+    alternatives, found by relabelling the profiles."""
+    first = {}
+    for n in range(1, n_max + 1):
+        for prof in enumerate_profiles(m, n, up_to_anonymity=True):
+            first.setdefault(tally(prof), prof)
+    names = all_rankings(alternative_set("abcd"[:m]))[0].order
+    orbits = {
+        min(tally(relabel(prof, alt_perm=dict(zip(names, image.order)))) for image in all_rankings(prof.alternatives))
+        for prof in first.values()
+    }
+    return list(first.values()), len(orbits)
+
+
+@pytest.mark.parametrize(
+    "rule_name, m, n_max",
+    [(name, 3, 4) for name in sorted(RULES)] + [(name, 4, 3) for name in ("condorcet-uniform", "ml", "rd")],
+)
+def test_an_orbit_keyed_memo_equals_the_rule_on_every_tally_vector(rule_name, m, n_max):
+    rule = RULES[rule_name]
+    profiles, orbits = _one_profile_per_vector(rule.statistic, m, n_max)
+    want = [rule(prof) for prof in profiles]
+    assert orbits < len(profiles)
+    # forward and back, so that each orbit is first evaluated at another member
+    for order in (1, -1):
+        counted, calls = counting(rule)
+        memo = _orbit_memo(counted)
+        assert [memo(prof) for prof in profiles[::order]] == want[::order], order
+        assert len(calls) == orbits
+
+
+def test_only_a_reduced_scan_keys_its_memo_by_orbit(monkeypatch):
+    # the symmetry scans test the declarations the orbit keys trust
+    memos = []
+    init = axioms_module.Memo.__init__
+
+    def recording_init(memo, *args):
+        memos.append(memo)
+        init(memo, *args)
+
+    monkeypatch.setattr(axioms_module.Memo, "__init__", recording_init)
+    for axiom_name, neutral, keyed in [
+        ("sd-strategyproofness", True, True),
+        ("sd-strategyproofness", False, False),
+        ("neutrality", True, False),
+        ("anonymity", True, None),
+    ]:
+        memos.clear()
+        exhaustive_scan(replace(RD, neutral=neutral), 3, 2, axiom_name)
+        assert [memo.orbit_keys for memo in memos] == ([] if keyed is None else [keyed]), axiom_name
+    # a rule memoized already keeps its memo, keyed by the raw vector
+    rule = memoized(RD)
+    memos.clear()
+    assert exhaustive_scan(rule, 3, 2, "sd-strategyproofness").verdict is Verdict.Holds
+    assert memos == [] and not rule.evaluate.orbit_keys
 
 
 # ---------------------------------------------------------------------------

@@ -42,19 +42,30 @@ def test_the_ml_rule_is_registered_for_tracing():
     assert callable(rules.RULES["ml"].evaluate)
 
 
-# `ratlp.lp_solve.calls` of one pass at seed 90210, as `benchmarks/run.py --trace 1` counts them
-LP_SOLVES = {"scan-ml": 19, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
-# `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis
-PIVOTS = {"scan-ml": 112, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
-# `axioms.Memo.outcome` lookups, the misses among them (each one rule evaluation)
-# and `extensions.compare` calls of the same pass. The scans look an outcome
-# up once per distinct (tally vector, ballot class) and compare once per
-# distinct (ballot, truthful lottery, deviated lottery).
+# `ratlp.lp_solve.calls` of one pass at seed 90210, as `benchmarks/run.py --trace 1` counts them.
+# scan-ml checks ml on the 36 ordered 2-voter profiles over 3 alternatives. Its memo evaluates
+# ml once per relabelling orbit of the margin vectors it meets, at the first member met:
+# (2, 2, 2) and (2, 2, 0) have a Condorcet winner (0 LPs); (0, 2, 2) and (0, 0, 2) take two
+# leximin rounds, and (0, 0, 0) one. So 0 + 0 + 2 + 2 + 1 = 5 LPs
+LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
+# `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis.
+# scan-ml: 12 for each two-round orbit, 4 for the all-zero one, 12 + 12 + 4 = 28
+PIVOTS = {"scan-ml": 28, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
+# `axioms.Memo.outcome` lookups, the misses among them, the rule evaluations, and
+# `extensions.compare` calls of the same pass. The scans look an outcome up once per
+# distinct (tally vector, ballot class) and compare once per distinct (ballot, truthful
+# lottery, deviated lottery). A miss is a lookup of a vector not stored yet; a vector is
+# stored at its first lookup, and so is its orbit's least image, with the outcome pushed
+# forward. scan-ml meets 18 vectors, 4 of them stored as an orbit's least image before their
+# first lookup: 14 misses. scan-nolp meets 14 + 113 + 22 vectors in its three scans, 18 of
+# them stored early: 131 misses. Each scan's memo evaluates its rule once per orbit of the
+# vectors it meets: scan-ml 5 (above); scan-nolp 3 (rd: the top counts (1, 0, 0, 0),
+# (2, 0, 0, 0) and (1, 1, 0, 0)) + 42 (f1, pc, n <= 5) + 6 (f1, sd, until its witness) = 51
 MEMO_WORK = {
-    "scan-ml": (50, 18, 26),
-    "scan-nolp": (988, 149, 183),
-    "corpus": (0, 0, 33),
-    "electorate": (0, 0, 0),
+    "scan-ml": (50, 14, 5, 26),
+    "scan-nolp": (988, 131, 51, 183),
+    "corpus": (0, 0, 0, 33),
+    "electorate": (0, 0, 0, 0),
 }
 
 
@@ -83,11 +94,16 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
         return pivot(*args)
 
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
-    outcome, looked_up = axioms.Memo.outcome, []
+    outcome, looked_up, evaluated = axioms.Memo.outcome, [], []
 
     def counting_outcome(memo, alternatives, vector, build):
         looked_up.append((alternatives.names, vector) not in memo.outcomes)
-        return outcome(memo, alternatives, vector, build)
+
+        def counting_build():  # the memo builds a profile only to evaluate the rule on it
+            evaluated.append(None)
+            return build()
+
+        return outcome(memo, alternatives, vector, counting_build)
 
     monkeypatch.setattr(axioms.Memo, "outcome", counting_outcome)
     home, attr, bound_in, _ = _load_spans().TARGETS["extensions.compare"]
@@ -99,18 +115,19 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
 
     for owner in (home, *bound_in):
         monkeypatch.setattr(owner, attr, counting_compare)
-    lps = pivots = lookups = misses = comparisons = 0
+    lps = pivots = lookups = misses = evaluations = comparisons = 0
     for op in module.WORKLOADS[workload](seed).ops:
         output = op.run()
         lps += len(solves)
         pivots += len(pivoted)
         lookups += len(looked_up)
         misses += sum(looked_up)
+        evaluations += len(evaluated)
         comparisons += len(compared)
         assert op.check(output) is None, op.label
         # the checks' own work is not the pass's, as in the tracer
-        for counted in (solves, pivoted, looked_up, compared):
+        for counted in (solves, pivoted, looked_up, evaluated, compared):
             counted.clear()
     assert lps == LP_SOLVES[workload]
     assert pivots == PIVOTS[workload]
-    assert (lookups, misses, comparisons) == MEMO_WORK[workload]
+    assert (lookups, misses, evaluations, comparisons) == MEMO_WORK[workload]

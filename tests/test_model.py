@@ -238,6 +238,24 @@ def test_degenerate_lotteries_are_one_object_per_set_and_alternative():
         assert get_rule(name)(prof) is winner, name
 
 
+def test_the_uniform_lottery_over_a_whole_set_is_one_object_per_set():
+    for m in range(1, 5):
+        alts = alternative_set("abcd"[:m])
+        whole = Lottery.uniform(alts)
+        assert Lottery.uniform(alts) is whole
+        assert whole == Lottery(alts, tuple(F(1, m) for _ in range(m)))
+        assert whole._mass == ((1,) * m, m)
+        # a subset, even the whole one named, builds its own
+        assert Lottery.uniform(alts, over=alts.names) == whole
+        assert Lottery.uniform(alts, over=alts.names) is not whole
+        other = alternative_set("abcd"[:m])
+        assert Lottery.uniform(other) == whole and Lottery.uniform(other) is not whole
+    # the rules' no-winner branches hand out the one object
+    prof = profile("abc", ["abc", "bca", "cab"])
+    for name in ("f1", "condorcet-uniform"):
+        assert get_rule(name)(prof) is Lottery.uniform(prof.alternatives), name
+
+
 def test_lottery_relabel():
     alts = alternative_set("abc")
     p = Lottery(alts, (F(1, 2), F(1, 3), F(1, 6)))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -36,9 +37,11 @@ from pcvote.profilefmt import parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
 from helpers import (
     maximal_lottery_is_unique,
+    reference_beats_or_ties_every_alternative,
     random_profile,
     reference_ml_leximin,
     solve_margin_game,
+    unit,
 )
 
 F = Fraction
@@ -171,6 +174,32 @@ def test_is_maximal_lottery():
     assert not is_maximal_lottery(prof, Lottery.degenerate(prof.alternatives, "b"))
     with pytest.raises(DomainError):
         is_maximal_lottery(prof, Lottery.uniform(alternative_set("xy")))
+
+
+def _quarter_grid(m):
+    """Every lottery over m alternatives on the 1/4 grid, then the unit
+    vectors as ints, which `maximal_lottery`'s Condorcet branch checks."""
+    for counts in itertools.product(range(5), repeat=m):
+        if sum(counts) == 4:
+            yield tuple(F(c, 4) for c in counts)
+    for j in range(m):
+        yield unit(m, j)
+
+
+def test_the_maximality_check_in_ints_equals_the_fraction_sum():
+    checked = maximal = 0
+    for m in range(1, 5):
+        grid = list(_quarter_grid(m))
+        matrices = {
+            margin_matrix(prof) for n in range(1, 4) for prof in enumerate_profiles(m, n, up_to_anonymity=True)
+        }
+        for margins in matrices:
+            for probs in grid:
+                got = rules._beats_or_ties_every_alternative(margins, probs)
+                assert got == reference_beats_or_ties_every_alternative(margins, probs), (margins, probs)
+                maximal += got
+                checked += 1
+    assert 0 < maximal < checked
 
 
 def test_ml_output_is_always_maximal_and_deterministic():
