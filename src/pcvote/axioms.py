@@ -217,8 +217,11 @@ class Memo:
     `comparisons` keys the misreport comparisons by the identities of the
     lotteries compared, across vectors with equal outcomes; `clean` holds
     the keys of the per-ballot checks that found no violation at a vector;
-    `tallies` and `classes` hold, per alternative set (by its names), each
-    ranking's tally and the classes of equal tallies.
+    `classes` holds, per alternative set (by its names), the classes of
+    equal ranking tallies. Each ranking's tally and the relabellings are
+    kept on the alternative set, once per tally (`ranking_tallies`,
+    `relabellings`), so they are built once per process for the shared
+    default sets.
     """
 
     def __init__(self, rule: SocialDecisionScheme, orbit_keys: bool = False) -> None:
@@ -228,26 +231,26 @@ class Memo:
         self.lotteries: dict[tuple, Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
         self.clean: set[tuple] = set()
-        self.tallies: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
         self.classes: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
-        self.maps: dict[tuple[str, ...], list[_Relabelling]] = {}
 
     def __call__(self, profile: Profile) -> Lottery:
         return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
 
     def ranking_tallies(self, alternatives: AlternativeSet) -> list[tuple[int, ...]]:
-        """Each ranking's tally, by its index in `all_rankings`, kept in
-        `tallies`; the first call for an alternative set budgets its rankings."""
-        names = alternatives.names
-        found = self.tallies.get(names)
+        """Each ranking's tally, by its index in `all_rankings`, kept on the
+        alternative set per tally; the first call for a set and a tally
+        budgets its rankings."""
+        tally = self.rule.statistic
+        found = alternatives._ranking_tallies.get(tally)
         if found is None:
-            found = self.tallies[names] = list(map(self.rule.statistic.of, all_rankings(alternatives)))
+            found = alternatives._ranking_tallies[tally] = list(map(tally.of, all_rankings(alternatives)))
         return found
 
     def relabellings(self, alternatives: AlternativeSet) -> list[_Relabelling]:
         """The relabellings of the alternatives that act on tally vectors,
-        the identity first, kept in `maps`; the first call for an alternative
-        set budgets its relabelling tables (`_tables_to_first`).
+        the identity first, kept on the alternative set per tally; the first
+        call for a set and a tally budgets its relabelling tables
+        (`_tables_to_first`).
 
         Table t sends ranking q to ranking t[q], so a profile's vector goes
         to the sum of t[q]'s tallies over its ballots q. When coordinate i of
@@ -255,10 +258,11 @@ class Memo:
         the tallies themselves, the image's coordinate i is plus or minus the
         vector's coordinate j. A tally with some coordinate that no such j
         gives, under some table, gets the identity alone."""
-        names = alternatives.names
-        found = self.maps.get(names)
+        tally = self.rule.statistic
+        found = alternatives._relabellings.get(tally)
         if found is None:
-            found = self.maps[names] = _signed_maps(alternatives, self.ranking_tallies(alternatives))
+            tallies = self.ranking_tallies(alternatives)
+            found = alternatives._relabellings[tally] = _signed_maps(alternatives, tallies)
         return found
 
     def outcome(

@@ -118,6 +118,18 @@ class AlternativeSet:
             tables.append(tuple(index[tuple(mapping[x] for x in r.order)] for r in self._rankings))
         return tuple(tables)
 
+    @cached_property
+    def _ranking_tallies(self) -> dict["Tally", list[tuple[int, ...]]]:
+        """Each ranking's tally under each `Tally` asked for so far, by the
+        ranking's index in `_rankings`; filled by `axioms`, which budgets it."""
+        return {}
+
+    @cached_property
+    def _relabellings(self) -> dict["Tally", list]:
+        """The relabellings that act on each `Tally`'s vectors, as a scan's
+        memo uses them; filled by `axioms`, which budgets them."""
+        return {}
+
     def __len__(self) -> int:
         return len(self.names)
 

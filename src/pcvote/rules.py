@@ -211,10 +211,11 @@ def _ml_max_min(
     return floor, outcome.solution[:m], proven
 
 
-def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
+def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction, ...]:
     """The leximin point of the optimal set, by iterated max-min: raise the
     smallest coordinate as far as the optimal set allows, pin every
-    coordinate that cannot go higher, repeat on the rest.
+    coordinate that cannot go higher, repeat on the rest. The coordinates in
+    `zeros`, 0 at every optimal point, are pinned to 0 from the start.
 
     One LP per round. Its tableau proves some floor rows tight: t has
     objective 1 and appears only in the floor rows, each with a -1, so the
@@ -224,8 +225,8 @@ def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     m = len(margins.alternatives)
     # variables: p_0..p_{m-1}, then t
     optimal_set = _margin_rows(margins, pad=1)
-    fixed: dict[int, Fraction] = {}
-    free = list(range(m))
+    fixed: dict[int, Fraction] = {j: Fraction(0) for j in zeros}
+    free = [j for j in range(m) if j not in fixed]
     while len(free) > 1:
         floor, point, proven = _ml_max_min(optimal_set, fixed, free)
         stuck = free if all(point[j] == floor for j in free) else proven
@@ -239,14 +240,50 @@ def _ml_leximin(margins: MarginMatrix) -> tuple[Fraction, ...]:
     return tuple(fixed[j] for j in range(m))
 
 
-def _ml_unique_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
-    """Any point of the optimal set, found by one LP with a zero objective;
-    only canonical when the optimal set is a single point."""
+def _ml_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
+    """Some point of the optimal set, found by one LP with a zero objective."""
     m = len(margins.alternatives)
     outcome = lp_solve(LinearProgram((0,) * m, tuple(_margin_rows(margins))))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None:
         raise InternalError(f"the margin game's optimal set came out {outcome.status.name}")
     return outcome.solution
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """The rank of an int matrix, by fraction-free (Bareiss) elimination:
+    after k pivots every entry below them is a (k+1)-minor of the matrix, so
+    dividing by the previous pivot, a k-minor, is exact."""
+    a = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for row in a[rank + 1:]:
+            lead = row[col]
+            for j in range(col + 1, len(top)):
+                row[j] = (top[col] * row[j] - lead * top[j]) // previous
+            row[col] = 0
+        previous = top[col]
+        rank += 1
+    return rank
+
+
+def _ml_certificate(
+    margins: MarginMatrix, point: tuple[Fraction, ...]
+) -> tuple[bool, tuple[int, ...]]:
+    """Is `point` the whole optimal set? And Z, the alternatives x with
+    (G p)_x < 0, which get 0 at every optimal point (see `maximal_lottery`).
+    Decided in ints, on the point times the lcm of its denominators."""
+    mass, _ = _scaled(point)
+    support = [x for x, w in enumerate(mass) if w]
+    zeros = tuple(x for x, row in enumerate(margins.rows) if sum(map(mul, row, mass)) < 0)
+    if len(support) + len(zeros) < len(mass):  # disjoint, since p_x (Gp)_x = 0 for every x
+        return False, zeros
+    block = [[margins.rows[x][y] for y in support] for x in support]
+    return _rank(block) == len(support) - 1, zeros
 
 
 def maximal_lottery(margins: MarginMatrix) -> Lottery:
@@ -255,27 +292,50 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
     The leximin point of a non-empty convex polytope is unique, so the
     output is deterministic and inherits anonymity and neutrality from the
     margin game itself; ties inside the optimal set resolve toward the
-    most balanced strategy. Three cases, cheapest first:
+    most balanced strategy. With G the margin matrix, the optimal set is
+    O = {p >= 0, sum p = 1, G p <= 0}. Four steps, cheapest first:
 
     * a Condorcet winner (a row positive off the diagonal) is the whole
       optimal set, so the lottery is degenerate on it, with no LP: the one
       `Lottery.degenerate` of the alternative set;
-    * when every off-diagonal margin is odd the optimal strategy is unique
-      (Laffond, Laslier & Le Breton 1997), so one LP finds it;
-    * otherwise the leximin point is computed by iterated max-min.
+    * when every row of G sums to 0 the uniform lottery is in O, and it is
+      the leximin point, the one point of the simplex whose least entry is
+      1/m: `Lottery.uniform`, with no LP;
+    * otherwise one LP with a zero objective finds some p in O. Let S be its
+      support and Z the alternatives x with (G p)_x < 0. Lemma: every q in
+      O has q_x = 0 on Z and (G q)_x = 0 on S. Proof: q.G p <= 0 and
+      p.G q <= 0, and the two sum to 0 as G is skew-symmetric, so both are
+      0, and each is a sum of terms of one sign. So O = {p} when S and Z
+      cover every alternative and G restricted to S x S has rank |S| - 1
+      (`_rank`, in ints): every q in O lives on S, in the kernel of that
+      block, which p spans, and sums to 1. Conversely, if O = {p}, strict
+      complementarity (Goldman & Tucker 1956) gives the cover, and a second
+      kernel direction would give a second optimal point. The LP's point is
+      a vertex of O, where the cover alone already rules out a second point;
+      the rank keeps the certificate sound at any point of O. When every
+      off-diagonal margin is odd, O is a point (Laffond, Laslier & Le Breton
+      1997), so this case always ends here;
+    * otherwise the leximin point is computed by iterated max-min, with the
+      coordinates in Z pinned to 0 from the start, which by the lemma
+      leaves O as it is.
     """
     alts = margins.alternatives
     winner = margins.condorcet_index()
+    uniform = winner is None and not any(map(sum, margins.rows))
     if winner is not None:
         probs = _unit(len(alts), winner)
-    elif all(g % 2 for i, row in enumerate(margins.rows) for j, g in enumerate(row) if j != i):
-        probs = _ml_unique_point(margins)
+    elif uniform:
+        probs = Lottery.uniform(alts).probs
     else:
-        probs = _ml_leximin(margins)
+        point = _ml_point(margins)
+        unique, zeros = _ml_certificate(margins, point)
+        probs = point if unique else _ml_leximin(margins, zeros)
     if not _beats_or_ties_every_alternative(margins, probs):
         raise InternalError(f"ml produced a non-maximal lottery {probs}")
     if winner is not None:
         return Lottery.degenerate(alts, alts.names[winner])
+    if uniform:
+        return Lottery.uniform(alts)
     return Lottery(alts, probs)
 
 

@@ -84,6 +84,11 @@ def _row_reduce(rows: list[list[Fraction]], rhs: list[Fraction]):
     return r
 
 
+def reference_rank(rows) -> int:
+    """The rank of a matrix, by Gaussian elimination in `Fraction`s."""
+    return _row_reduce([[Fraction(v) for v in row] for row in rows], [Fraction(0)] * len(rows))
+
+
 def _basic_solutions(rows, rhs, ncols, rank):
     """Every basic solution of `rows · x = rhs, x >= 0`: pick `rank`
     columns, solve the square system, keep nonnegative solutions."""

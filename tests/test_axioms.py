@@ -1063,6 +1063,40 @@ def test_a_tally_no_relabelling_acts_on_is_keyed_by_the_raw_vector():
     assert len(calls) == len(vectors)
 
 
+def test_ranking_tallies_and_relabellings_are_built_once_per_set_and_tally(monkeypatch):
+    built = []
+    signed_maps = axioms_module._signed_maps
+
+    def counting(alternatives, tallies):
+        built.append((alternatives.names, len(tallies[0])))
+        return signed_maps(alternatives, tallies)
+
+    monkeypatch.setattr(axioms_module, "_signed_maps", counting)
+    alts = alternative_set("xyz")
+    margins = [_orbit_memo(get_rule(name)) for name in ("ml", "ml", "condorcet-uniform")]
+    tops = _orbit_memo(get_rule("rd"))
+    for memo in margins + [tops]:
+        memo.relabellings(alts)
+    # the three margin memos share one list of each; rd's tally gets its own
+    assert len({id(memo.ranking_tallies(alts)) for memo in margins}) == 1
+    assert len({id(memo.relabellings(alts)) for memo in margins}) == 1
+    assert tops.ranking_tallies(alts) is not margins[0].ranking_tallies(alts)
+    assert built == [(("x", "y", "z"), 3), (("x", "y", "z"), 3)]
+    # a scan on a shared default set builds them at most once per process
+    exhaustive_scan(get_rule("ml"), 3, 2, "pc-strategyproofness")
+    built.clear()
+    exhaustive_scan(get_rule("ml"), 3, 2, "pc-strategyproofness")
+    assert built == []
+    # the first call for a set and a tally still budgets the rankings and the tables
+    ten, seven = alternative_set("abcdefghij"), alternative_set("abcdefg")
+    with pytest.raises(EnumerationBudgetError, match="10! rankings"):
+        margins[0].ranking_tallies(ten)
+    with pytest.raises(EnumerationBudgetError, match="25401600 relabelling table entries"):
+        margins[0].relabellings(seven)
+    assert "_rankings" not in ten.__dict__ and "_to_first" not in seven.__dict__
+    assert not ten._ranking_tallies and not seven._relabellings
+
+
 def _one_profile_per_vector(tally, m, n_max):
     """A profile of each tally vector of up to n_max voters, in enumeration
     order, and the number of the vectors' orbits under relabelling the

@@ -45,12 +45,20 @@ def test_the_ml_rule_is_registered_for_tracing():
 # `ratlp.lp_solve.calls` of one pass at seed 90210, as `benchmarks/run.py --trace 1` counts them.
 # scan-ml checks ml on the 36 ordered 2-voter profiles over 3 alternatives. Its memo evaluates
 # ml once per relabelling orbit of the margin vectors it meets, at the first member met:
-# (2, 2, 2) and (2, 2, 0) have a Condorcet winner (0 LPs); (0, 2, 2) and (0, 0, 2) take two
-# leximin rounds, and (0, 0, 0) one. So 0 + 0 + 2 + 2 + 1 = 5 LPs
-LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 1906, "electorate": 4}
+# (2, 2, 2) and (2, 2, 0) have a Condorcet winner, and (0, 0, 0) zero row sums (0 LPs each);
+# (0, 2, 2) takes the point LP, which proves c 0, then one max-min round over a and b; (0, 0, 2)
+# takes the point LP, which proves nothing, then two rounds. So 0 + 0 + 0 + 2 + 3 = 5 LPs.
+# electorate: ml's point LP, which the certificate proves the whole optimal set (a 3-cycle over
+# a, b, c, with d proven 0), and the 201-voter dominator LP: 2.
+# corpus: 1669 dominator LPs and 216 of ml. Of its 557 ml calls, 397 have a Condorcet winner and
+# 46 zero row sums (0 LPs), 41 all-odd margins (1 LP each, certified), and the other 73 take
+# 175: the point LP each and 102 max-min rounds. 1669 + 41 + 175 = 1885
+LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 1885, "electorate": 2}
 # `ratlp._pivot` calls of the same pass; the dominator LPs start on their all-slack basis.
-# scan-ml: 12 for each two-round orbit, 4 for the all-zero one, 12 + 12 + 4 = 28
-PIVOTS = {"scan-ml": 28, "scan-nolp": 0, "corpus": 2544, "electorate": 43}
+# scan-ml: 6 for the (0, 2, 2) orbit's two LPs, 13 for the (0, 0, 2) orbit's three, 6 + 13 = 19.
+# electorate: 3 for ml's point LP and 2 for the dominator LP, 3 + 2 = 5.
+# corpus: 1282 in the dominator LPs and 906 in ml's, 1282 + 906 = 2188
+PIVOTS = {"scan-ml": 19, "scan-nolp": 0, "corpus": 2188, "electorate": 5}
 # `axioms.Memo.outcome` lookups, the misses among them, the rule evaluations, and
 # `extensions.compare` calls of the same pass. The scans look an outcome up once per
 # distinct (tally vector, ballot class) and compare once per distinct (ballot, truthful

@@ -392,11 +392,13 @@ def test_failed_witness_revalidation_raises_internal_error(monkeypatch):
 
 
 def test_lp_status_guards_in_ratlp_and_ml_raise_internal_error(monkeypatch):
-    tied = profile("abc", [("a", "b", "c"), ("c", "b", "a")])
+    # a and b tie and beat c: the optimal set is a segment, not a point,
+    # and the row sums are not all 0, so `ml` solves an LP
+    segment = profile("abc", [("a", "b", "c"), ("b", "a", "c")])
     with monkeypatch.context() as patch:
         patch.setattr(rules, "lp_solve", _infeasible)
         with pytest.raises(InternalError):
-            rules.ml(tied)
+            rules.ml(segment)
     prof = fixture_profile("rd_example")
     monkeypatch.setattr(ratlp, "_run_simplex", lambda *args, **kwargs: "unbounded")
     with pytest.raises(InternalError):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -33,13 +34,13 @@ from pcvote import (
     relabel,
 )
 from pcvote import rules
-from pcvote.profilefmt import parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
 from helpers import (
     maximal_lottery_is_unique,
     reference_beats_or_ties_every_alternative,
     random_profile,
     reference_ml_leximin,
+    reference_rank,
     solve_margin_game,
     unit,
 )
@@ -254,12 +255,14 @@ def leximin_results():
 def forced_leximin(monkeypatch, leximin_results):
     """The leximin loop as a function of the margins, run at most once per
     matrix in this module: `ml`'s own calls into the loop share the
-    results, so a matrix that takes the loop anyway is not solved twice."""
+    results, so a matrix that takes the loop anyway is not solved twice.
+    `ml` pins the coordinates its first LP proves 0; they are 0 at every
+    optimal point, so the loop's result does not depend on them."""
     loop = rules._ml_leximin
 
-    def leximin(margins):
+    def leximin(margins, zeros=()):
         if margins not in leximin_results:
-            leximin_results[margins] = loop(margins)
+            leximin_results[margins] = loop(margins, zeros)
         return leximin_results[margins]
 
     monkeypatch.setattr(rules, "_ml_leximin", leximin)
@@ -274,10 +277,11 @@ def _floor_rows(lp):
 def test_ml_leximin_equals_the_reference_on_every_margin_matrix_up_to_four_by_three(
     monkeypatch, leximin_results
 ):
-    # Every matrix through the one-LP-per-round loop, whatever case `ml`
-    # would take, against the loop that proves each stuck coordinate by its
-    # own LP. Each max-min tableau proves at least one floor row tight. The
-    # results fill the module's cache for the tests below.
+    # Every matrix through the one-LP-per-round loop, with no coordinate
+    # pinned, whatever case `ml` would take, against the loop that proves
+    # each stuck coordinate by its own LP. Each max-min tableau proves at
+    # least one floor row tight. The results fill the module's cache for the
+    # tests below.
     outcomes = []
 
     def recording(lp):
@@ -290,7 +294,7 @@ def test_ml_leximin_equals_the_reference_on_every_margin_matrix_up_to_four_by_th
     assert len(firsts) == 1426
     for mm in firsts:
         outcomes.clear()
-        got = leximin_results[mm] = rules._ml_leximin(mm)
+        got = leximin_results[mm] = rules._ml_leximin(mm, ())
         assert got == reference_ml_leximin(mm), mm.rows
         assert len(outcomes) < len(mm.alternatives), mm.rows
         for lp, outcome in outcomes:
@@ -312,7 +316,7 @@ def _tie_heavy_profile(rng):
 
 
 def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
-    solves = {"loop": 0, "reference": 0}
+    solves = {"point": 0, "loop": 0, "reference": 0}
 
     def counting(key):
         def solve(lp):
@@ -320,14 +324,91 @@ def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
             return lp_solve(lp)
         return solve
 
-    monkeypatch.setattr(rules, "lp_solve", counting("loop"))
     reference = counting("reference")
     rng = random.Random(1515)
     for k in range(600):
         mm = margin_matrix(_tie_heavy_profile(rng))
-        assert rules._ml_leximin(mm) == reference_ml_leximin(mm, reference), (k, mm.rows)
-    # the loop's one LP per round against one per round and per coordinate at the floor
-    assert solves == {"loop": 703, "reference": 3841}
+        # the loop starts from the zeros `ml`'s first LP proves, as in `ml`
+        monkeypatch.setattr(rules, "lp_solve", counting("point"))
+        _, zeros = rules._ml_certificate(mm, rules._ml_point(mm))
+        monkeypatch.setattr(rules, "lp_solve", counting("loop"))
+        assert rules._ml_leximin(mm, zeros) == reference_ml_leximin(mm, reference), (k, mm.rows)
+    # One point LP per matrix. The loop takes one LP per round, against the
+    # reference's one per round and per coordinate at the floor. Of the 600
+    # matrices, 321 have a Condorcet winner, whose point proves every other
+    # coordinate 0, so the loop runs no round; 191 have zero row sums and take
+    # one round, with every coordinate at the floor 1/m; the other 88 take
+    # 131 rounds (191 with no coordinate pinned). 0 + 191 + 131 = 322, where
+    # the loop with nothing pinned took 321 + 191 + 191 = 703
+    assert solves == {"point": 600, "loop": 322, "reference": 3841}
+
+
+def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypatch):
+    # every distinct margin matrix with m <= 4, n <= 4, then tie-heavy ones
+    # up to m = 6, whose even margins and ties leave optimal sets that are
+    # not points
+    firsts = _distinct_margin_profiles([(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3, 4)])
+    rng = random.Random(2323)
+    for _ in range(300):
+        prof = _tie_heavy_profile(rng)
+        firsts.setdefault(margin_matrix(prof), prof)
+    solves = _counting_solves(monkeypatch)
+    seen = collections.Counter()
+    for mm, prof in firsts.items():
+        if mm.condorcet_index() is not None:
+            continue
+        solves.clear()
+        got = ml(prof)
+        lps = len(solves)
+        if not any(map(sum, mm.rows)):
+            assert got is Lottery.uniform(prof.alternatives) and lps == 0, mm.rows
+            seen["uniform"] += 1
+            continue
+        unique, zeros = rules._ml_certificate(mm, rules._ml_point(mm))
+        assert unique == maximal_lottery_is_unique(prof), mm.rows
+        # The LP's point is a vertex of the optimal set, where the cover
+        # alone rules out a second point; the rank decides at any other
+        # point, such as the leximin point `ml` returns
+        assert rules._ml_certificate(mm, got.probs)[0] == unique, mm.rows
+        # the certificate path is the point LP alone; the loop adds a round
+        assert (lps == 1) == unique, mm.rows
+        if all(g % 2 for i, row in enumerate(mm.rows) for j, g in enumerate(row) if j != i):
+            assert unique, mm.rows
+            seen["all odd"] += 1
+        if zeros:
+            reference = reference_ml_leximin(mm)
+            assert all(reference[x] == 0 for x in zeros), mm.rows
+        seen["point" if unique else "not a point"] += 1
+        seen["zeros"] += bool(zeros)
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def test_the_bareiss_rank_equals_the_fraction_rank():
+    rng = random.Random(6006)
+    shapes = [(k, k) for k in range(1, 7)] + [(2, 5), (5, 2), (3, 6), (6, 4)]
+    checked = collections.Counter()
+    for _ in range(60):
+        for rows, cols in shapes:
+            size = rng.choice((1, 3, 600000))
+            full = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
+            # rank at most r: a product of a rows x r and an r x cols factor
+            r = rng.randint(0, min(rows, cols))
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(r)]
+            low = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            matrices = [full, low]
+            if rows == cols:
+                # skew-symmetric, as a block of a margin matrix: odd sizes are singular
+                skew = [[0] * rows for _ in range(rows)]
+                for i, j in itertools.combinations(range(rows), 2):
+                    skew[i][j] = rng.choice((0, rng.randint(-size, size)))
+                    skew[j][i] = -skew[i][j]
+                matrices.append(skew)
+            for matrix in matrices:
+                want = reference_rank(matrix)
+                assert rules._rank(matrix) == want, matrix
+                checked[want < min(rows, cols), rows == cols and rows % 2] += 1
+    assert len(checked) == 4, checked
 
 
 def test_ml_equals_the_leximin_loop_on_small_spaces(forced_leximin):
@@ -348,10 +429,10 @@ def test_ml_equals_the_leximin_loop_on_the_criterion_08_corpus(forced_leximin):
 
 def test_ml_outputs_pinned_on_every_margin_matrix_up_to_four_by_three(forced_leximin):
     # The digest was computed with the leximin-loop-only `ml` (every matrix
-    # through the iterated max-min), before the Condorcet and odd-margin
-    # cases existed. There are 1426 matrices: 1 for m=1, 7 for m=2, 63 for
-    # m=3 and 1355 for m=4. `forced_leximin` only lets the matrices that
-    # take the loop reuse the gate tests' results.
+    # through the iterated max-min), before the Condorcet, uniform and
+    # certificate cases existed. There are 1426 matrices: 1 for m=1, 7 for
+    # m=2, 63 for m=3 and 1355 for m=4. `forced_leximin` only lets the
+    # matrices that take the loop reuse the gate tests' results.
     regions = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3)]
     firsts = _distinct_margin_profiles(regions)
     assert len(firsts) == 1426
@@ -401,7 +482,23 @@ def test_every_rule_is_a_function_of_its_declared_statistic():
         assert outputs and all(len(lotteries) == 1 for lotteries in outputs.values()), name
 
 
-def test_ml_case_selection_counts_lps(monkeypatch):
+# No Condorcet winner and row sums not all 0, and the optimal set is the
+# triangle p_c = 0, p_b >= p_a + p_d, not a point. The zero-objective LP
+# finds (1/2, 1/2, 0, 0), where G p = 0 proves no coordinate 0, so the
+# leximin loop runs with nothing pinned. Its first max-min point (0, 1, 0, 0)
+# lifts b above the floor 0, so only the tableau's proof pins c there.
+TRIANGLE = profile(
+    "abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "d", "a", "b"), ("d", "b", "c", "a")]
+)
+# even margins, no Condorcet winner: the optimal set is the one point
+# (1/3, 1/3, 1/3, 0), which the certificate proves after one LP
+DOUBLED_CYCLE = profile("abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "a", "b", "d")] * 2)
+# a and b tie and beat c and d, and c beats d: the optimal set is the segment
+# p_a + p_b = 1, and the first LP's point proves c and d 0
+TIED_PAIR = profile("abcd", [("a", "b", "c", "d"), ("b", "a", "c", "d")])
+
+
+def _counting_solves(monkeypatch):
     solves = []
 
     def counting(lp):
@@ -409,90 +506,113 @@ def test_ml_case_selection_counts_lps(monkeypatch):
         return lp_solve(lp)
 
     monkeypatch.setattr(rules, "lp_solve", counting)
-    for name, lps in (("rd_example", 0), ("ml_manipulation_R", 1)):
+    return solves
+
+
+def test_ml_case_selection_counts_lps(monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    cases = (
+        ("a Condorcet winner", fixture_profile("rd_example"), 0),
+        # all margins 0, so every row sums to 0: the uniform lottery
+        ("zero row sums", profile("abc", [("a", "b", "c"), ("c", "b", "a")]), 0),
+        # an odd cycle: the point LP, and the certificate holds
+        ("odd margins", fixture_profile("ml_manipulation_R"), 1),
+        # even margins, a 3-cycle over a, b, c above d: the optimal set is the
+        # point (1/3, 1/3, 1/3, 0), certified after the point LP
+        ("a certified point", DOUBLED_CYCLE, 1),
+        # the point LP, then one max-min round over a and b alone, whose
+        # point has both at the floor 1/2; with c and d free it takes two
+        ("pinned zeros", TIED_PAIR, 2),
+        # the point LP, then two max-min rounds
+        ("the loop", TRIANGLE, 3),
+    )
+    for name, prof, lps in cases:
         solves.clear()
-        ml(fixture_profile(name))
+        ml(prof)
         assert len(solves) == lps, name
-    solves.clear()
-    # all margins 0: the loop, whose one max-min point has every coordinate
-    # at the floor, so all are stuck
-    ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
-    assert len(solves) == 1
+    assert ml(TIED_PAIR).probs == (F(1, 2), F(1, 2), F(0), F(0))
 
 
 def test_ml_skips_the_coordinates_the_max_min_point_lifts(monkeypatch):
-    # three cyclic ballots with even margins, so the leximin loop runs. Its
-    # rounds pin d, then b, then a, each proven stuck by its max-min LP's
-    # tableau, and c is what is left: 3 LPs, where trying every free
-    # coordinate by its own LP takes 4 + (4 + 3 + 2 + 1) = 14.
-    prof = parse_profile(
-        "alternatives: a b c d\n"
-        "200001: a > b > c > d\n199999: b > c > a > d\n200000: c > a > b > d\n"
-    )
-    solves = []
+    # The optimal set is not a point, so the leximin loop runs, with no
+    # coordinate proven 0 by the first LP. Its rounds pin c at 0, then a and
+    # d at 1/4, each proven stuck by its max-min LP's tableau, and b is what
+    # is left: 1 + 2 = 3 LPs. The reference tries each free coordinate at
+    # the floor by an LP of its own: round one's point (0, 1, 0, 0) has a, c
+    # and d at 0, round two's (1/4, 1/2, 1/4) has a and d at 1/4, and b
+    # takes a round of its own: (1 + 3) + (1 + 2) + (1 + 1) = 9.
+    solves = _counting_solves(monkeypatch)
+    assert ml(TRIANGLE).probs == (F(1, 4), F(1, 2), F(0), F(1, 4))
+    assert len(solves) == 3
+    reference = []
 
     def counting(lp):
-        solves.append(lp)
+        reference.append(lp)
         return lp_solve(lp)
 
-    monkeypatch.setattr(rules, "lp_solve", counting)
-    n = prof.n
-    assert ml(prof).probs == (F(200000, n), F(199998, n), F(200002, n), F(0))
-    assert len(solves) == 3
+    assert reference_ml_leximin(margin_matrix(TRIANGLE), counting) == ml(TRIANGLE).probs
+    assert len(reference) == 9
 
 
 def test_internal_error_is_not_a_domain_error():
     assert not issubclass(InternalError, DomainError)
 
 
+def _pointless_max_min(lp):
+    """The zero-objective LP as it is; every max-min LP optimal with no point."""
+    return lp_solve(lp) if not any(lp.objective) else LpOutcome(LpStatus.Optimal, None, F(0))
+
+
 def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
-    monkeypatch.setattr(rules, "lp_solve", lambda lp: LpOutcome(LpStatus.Optimal, None, F(0)))
-    with pytest.raises(InternalError):
-        ml(profile("abc", [("a", "b", "c"), ("c", "b", "a")]))
-
-
-# even margins, no Condorcet winner: the first max-min point puts 1/3 on a,
-# b and c and 0 on d, so only the tableau's proof can pin a coordinate
-DOUBLED_CYCLE = profile("abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "a", "b", "d")] * 2)
+    monkeypatch.setattr(rules, "lp_solve", _pointless_max_min)
+    with pytest.raises(InternalError, match="max-min LP of ml came out optimal with no solution"):
+        ml(TRIANGLE)
 
 
 def test_ml_raises_when_a_max_min_round_pins_nothing(monkeypatch):
-    assert ml(DOUBLED_CYCLE).probs == (F(1, 3), F(1, 3), F(1, 3), F(0))
+    assert ml(TRIANGLE).probs == (F(1, 4), F(1, 2), F(0), F(1, 4))
     monkeypatch.setattr(rules, "lp_solve", lambda lp: replace(lp_solve(lp), tight=frozenset()))
-    with pytest.raises(InternalError):
-        ml(DOUBLED_CYCLE)
+    assert ml(DOUBLED_CYCLE).probs == (F(1, 3), F(1, 3), F(1, 3), F(0))  # no max-min round
+    with pytest.raises(InternalError, match="pinned no coordinate"):
+        ml(TRIANGLE)
 
 
 def test_ml_raises_on_a_non_maximal_result(monkeypatch):
-    monkeypatch.setattr(rules, "_ml_unique_point", lambda margins: (F(1), F(0), F(0)))
-    with pytest.raises(InternalError):
-        ml(fixture_profile("ml_manipulation_R"))
+    # c beats a, so the degenerate lottery on a is not maximal
+    monkeypatch.setattr(rules, "_ml_leximin", lambda margins, zeros: (F(1), F(0), F(0), F(0)))
+    with pytest.raises(InternalError, match="non-maximal"):
+        ml(TRIANGLE)
 
 
 _OPTIMIZED_GUARDS = """
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pcvote import InternalError, fixture_profile, ml, profile, rules
+from pcvote import InternalError, ml, profile, rules
+from pcvote.ratlp import LpOutcome, LpStatus
 
 assert False, "asserts must be stripped here"
-cycle = profile("abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "a", "b", "d")] * 2)
+triangle = profile(
+    "abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "d", "a", "b"), ("d", "b", "c", "a")]
+)
 solve = rules.lp_solve
-rules.lp_solve = lambda lp: replace(solve(lp), tight=frozenset())
-try:
-    ml(cycle)
-except InternalError:
-    pass
-else:
-    sys.exit("the max-min guard did not fire")
-rules.lp_solve = solve
-rules._ml_unique_point = lambda margins: (Fraction(1), Fraction(0), Fraction(0))
-try:
-    ml(fixture_profile("ml_manipulation_R"))
-except InternalError:
-    pass
-else:
-    sys.exit("the maximality guard did not fire")
+pointless = LpOutcome(LpStatus.Optimal, None, Fraction(0))
+guards = (
+    ("no solution", "lp_solve", lambda lp: solve(lp) if not any(lp.objective) else pointless),
+    ("pinned no coordinate", "lp_solve", lambda lp: replace(solve(lp), tight=frozenset())),
+    ("non-maximal", "_ml_leximin", lambda margins, zeros: (1, 0, 0, 0)),
+)
+for message, attr, patch in guards:
+    original = getattr(rules, attr)
+    setattr(rules, attr, patch)
+    try:
+        ml(triangle)
+    except InternalError as error:
+        if message not in str(error):
+            sys.exit(f"the {message!r} guard raised {error}")
+    else:
+        sys.exit(f"the {message!r} guard did not fire")
+    setattr(rules, attr, original)
 print("guards held")
 """
 
