@@ -159,32 +159,6 @@ def _check_rule_evaluations(count: int, what: str) -> None:
         )
 
 
-def _voters_to_try(
-    rule: SocialDecisionScheme, profile: Profile, voters: Optional[Sequence[int]] = None
-) -> tuple[int, Iterable[tuple[int, Ranking]]]:
-    """How many voters a per-voter check tries, and those voters with their
-    ballots, in order: the listed ones or all n, but for a rule that declares
-    a statistic, and so is anonymous, only the first with each distinct
-    ballot, read off the runs when none are listed. Each voter of a rule
-    without a statistic is walked lazily, so counting n of them costs
-    nothing."""
-    if getattr(rule, "statistic", None) is None:
-        tried = voters if voters is not None else range(1, profile.n + 1)
-        return len(tried), ((i, profile.ballot(i)) for i in tried)
-    # keyed by order, which hashes with no Python call; all range over one set
-    first: dict[tuple[str, ...], tuple[int, Ranking]] = {}
-    if voters is None:
-        i = 1
-        for ballot, count in profile.runs:
-            first.setdefault(ballot.order, (i, ballot))
-            i += count
-    else:
-        for i in voters:
-            ballot = profile.ballot(i)
-            first.setdefault(ballot.order, (i, ballot))
-    return len(first), first.values()
-
-
 # a relabelling π as it acts on a memo: the map of a tally vector v, given
 # as v followed by -v, to its image; π as a permutation of the alternative
 # indices, π[x] being x's image; and π⁻¹
@@ -363,21 +337,20 @@ def memoized(rule: SocialDecisionScheme, orbits: bool = False) -> SocialDecision
 class _Edits:
     """A rule's outcomes on one profile and on its edits: one ballot taken
     out, one swapped, or two put in. Ballots are named by their index in
-    `all_rankings`.
+    `all_rankings`. Every axiom check (`AxiomSpec.check`) takes one.
 
     The profile is given, or named by `indices`, its ballots' indices in
-    voter order; then its `Profile` is built only when asked for (`profile`),
-    and only a memoized rule may be given, whose voters `voters` reads off
-    the indices.
+    voter order, as a scan hands over its representatives; then its
+    `Profile` is built only when asked for (`profile`).
 
     For a memoized rule (`memoized`) an edit's outcome is one memo lookup by
-    its tally vector: the profile's (`base`, the sum of its ballots'
-    tallies), minus the tally of the ballot taken out, plus those of the
-    ballots put in. Its `Profile` is made by `build` only on a miss.
-    Misreport comparisons are memoized too, keyed by the identities of the
-    memo's lotteries, and so is every clean answer of a check (`settled`).
-    Any other rule, or a bare function, is evaluated on the built profile,
-    as the per-voter reference.
+    its tally vector: the profile's (`base`: the statistic of the profile
+    given, or the ballots' tallies summed by index), minus the tally of the
+    ballot taken out, plus those of the ballots put in. Its `Profile` is
+    made by `build` only on a miss. Misreport comparisons are memoized too,
+    keyed by the identities of the memo's lotteries, and so is every clean
+    answer of a check (`settled`). Any other rule, or a bare function, is
+    evaluated on the built profile, as the per-voter reference.
     """
 
     def __init__(
@@ -391,51 +364,56 @@ class _Edits:
         memo = getattr(rule, "evaluate", None)
         self.memo = memo if isinstance(memo, Memo) else None
         self.indices = indices
-        if profile is None:  # a scan's representative, whose rankings the scan has budgeted
-            self.alternatives = alternatives
+        self._profile = profile
+        self.alternatives = alternatives if profile is None else profile.alternatives
+        if self.memo is not None and profile is not None:
+            self.base = self.memo.rule.statistic(profile)
+        elif self.memo is not None:  # a scan's representative, whose rankings the scan has budgeted
             self.tallies = tallies = self.memo.ranking_tallies(alternatives)
             self.base = tuple(map(sum, zip(*map(tallies.__getitem__, indices))))
-        else:
-            self.alternatives = profile.alternatives
-            self.profile = profile
 
-    @cached_property
+    @property
     def profile(self) -> Profile:
-        """The profile the indices name, built on first use."""
-        rankings = self.alternatives._rankings
-        return Profile.from_ballots(self.alternatives, [rankings[k] for k in self.indices])
+        """The profile given, or the one the indices name, built on first use."""
+        if self._profile is None:
+            rankings = self.alternatives._rankings
+            self._profile = Profile.from_ballots(self.alternatives, [rankings[k] for k in self.indices])
+        return self._profile
 
     @cached_property
     def tallies(self) -> list[tuple[int, ...]]:
         """Each ranking's tally, by index (`Memo.ranking_tallies`)."""
         return self.memo.ranking_tallies(self.alternatives)
 
-    @cached_property
-    def base(self) -> tuple[int, ...]:
-        """The profile's tally vector: its ballots' tallies summed, over the
-        runs of the profile given, by count; when indices name the profile,
-        summed over them at once, in `__init__`."""
-        tallies, index = self.tallies, self.alternatives._ranking_index
-        vectors = [
-            tallies[index[ballot.order]] if count == 1
-            else [count * v for v in tallies[index[ballot.order]]]
-            for ballot, count in self.profile.runs
-        ]
-        return tuple(map(sum, zip(*vectors)))
-
     def voters(
         self, listed: Optional[Sequence[int]] = None
     ) -> tuple[int, Iterable[tuple[int, Ranking]]]:
-        """`_voters_to_try` on the profile; when the indices name it, each
-        distinct index at its first voter, in voter order (a scan lists no
-        voters)."""
-        if self.indices is None:
-            return _voters_to_try(self.rule, self.profile, listed)
-        rankings = self.alternatives._rankings
-        first: dict[int, tuple[int, Ranking]] = {}
-        for i, k in enumerate(self.indices, 1):
-            if k not in first:
-                first[k] = (i, rankings[k])
+        """How many voters a per-voter check tries, and those voters with
+        their ballots, in voter order: the listed ones or all n, but for a
+        rule that declares a statistic, and so is anonymous, only the first
+        with each distinct ballot, read off the indices or the runs when
+        none are listed. Each voter of a rule without a statistic is walked
+        lazily, so counting n of them costs nothing."""
+        anonymous = getattr(self.rule, "statistic", None) is not None
+        first: dict[object, tuple[int, Ranking]] = {}
+        if anonymous and listed is None and self.indices is not None:
+            rankings = self.alternatives._rankings
+            for i, k in enumerate(self.indices, 1):  # each distinct index at its first voter
+                if k not in first:
+                    first[k] = (i, rankings[k])
+            return len(first), first.values()
+        if anonymous and listed is None:  # a ballot first appears at the start of a run
+            runs = self.profile.runs
+            walk = ((end - c + 1, b) for (b, c), end in zip(runs, self.profile._ends))
+        else:
+            tried = listed if listed is not None else range(1, self.profile.n + 1)
+            ballot_of = self.profile.ballot
+            walk = ((i, ballot_of(i)) for i in tried)
+            if not anonymous:
+                return len(tried), walk
+        # keyed by order, which hashes with no Python call; all range over one set
+        for i, ballot in walk:
+            first.setdefault(ballot.order, (i, ballot))
         return len(first), first.values()
 
     def ballot(self, ranking: Ranking) -> Optional[int]:
@@ -489,9 +467,7 @@ class _Edits:
 
     def own(self) -> Lottery:
         """The rule's outcome on the profile itself."""
-        if self.memo is None:
-            return self.rule(self.profile)
-        return self.memo.outcome(self.alternatives, self.base, lambda: self.profile)
+        return self.outcome(None, (), lambda: self.profile)
 
     def judge(
         self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
@@ -533,7 +509,7 @@ def find_manipulation(
     preferred to (incomparability included); weak mode flags one whose
     outcome the voter strictly prefers.
 
-    The voters tried are those of `_voters_to_try`, and the (m! - 1)
+    The voters tried are those of `_Edits.voters`, and the (m! - 1)
     misreports of each are budgeted up front. For a memoized rule a
     misreport's outcome is looked up by its tally vector (`_Edits`), and a
     `Profile` is built only on a memo miss and for the witness, once.
@@ -607,7 +583,7 @@ def check_participation(
     extension: Extension,
     strict: bool = False,
 ) -> Optional[ParticipationWitness]:
-    """Does any voter of `_voters_to_try` weakly regret showing up — or, in
+    """Does any voter of `_Edits.voters` weakly regret showing up — or, in
     strict mode, fail to strictly gain although a strict gain was available?"""
     if profile.n < 2:
         raise DomainError("participation needs at least two voters to compare against")
@@ -716,6 +692,14 @@ def check_decisiveness(
 ) -> Optional[DecisivenessWitness]:
     """When the profile has the relevant kind of clear winner, the rule
     must put probability one on it. No trigger, nothing to check."""
+    return _decisiveness(profile, level, lambda: rule(profile))
+
+
+def _decisiveness(
+    profile: Profile, level: Decisiveness, outcome_of: Callable[[], Lottery]
+) -> Optional[DecisivenessWitness]:
+    """`check_decisiveness`, with the rule's outcome on the profile from
+    `outcome_of()`, called only when the profile has the winner."""
     target: Optional[str] = None
     if level is Decisiveness.Unanimity:
         tops = zip(profile.alternatives, top_counts(profile))
@@ -728,7 +712,7 @@ def check_decisiveness(
         raise DomainError(f"unknown decisiveness level {level!r}")
     if target is None:
         return None
-    outcome = rule(profile)
+    outcome = outcome_of()
     if outcome.prob(target) != 1:
         return DecisivenessWitness(profile, level, target, outcome)
     return None
@@ -738,7 +722,13 @@ def check_efficiency(
     rule: SocialDecisionScheme, profile: Profile, notion: EfficiencyNotion
 ) -> Optional[EfficiencyWitness]:
     """Is the rule's outcome on this profile efficient under the notion?"""
-    outcome = rule(profile)
+    return _efficiency(profile, rule(profile), notion)
+
+
+def _efficiency(
+    profile: Profile, outcome: Lottery, notion: EfficiencyNotion
+) -> Optional[EfficiencyWitness]:
+    """`check_efficiency` of this outcome on the profile."""
     if notion is EfficiencyNotion.ExPost:
         if is_efficient(profile, outcome, notion):
             return None
@@ -885,49 +875,34 @@ def _least_in_orbit(indices: tuple[int, ...], to_first: tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class AxiomSpec:
-    """A named axiom: a checker plus the smallest profile it applies to,
-    and, for a check that reads only the rule's outcomes on the profile's
-    edits, the same check on an `_Edits`, which a scan of a memoized rule
-    runs on the representative's indices."""
+    """A named axiom: its check of the rule on the profile an `_Edits`
+    holds, given or named by a scan's index tuple, and the smallest profile
+    it applies to."""
 
     name: str
-    check: Callable[[SocialDecisionScheme, Profile], Optional[object]]
+    check: Callable[[_Edits], Optional[object]]
     min_voters: int = 1
-    on_edits: Optional[Callable[[_Edits], Optional[object]]] = None
 
 
 def _spec_entries() -> dict[str, AxiomSpec]:
     entries: dict[str, AxiomSpec] = {}
 
-    def add(
-        name: str, check: Callable, min_voters: int = 1, on_edits: Optional[Callable] = None
-    ) -> None:
-        entries[name] = AxiomSpec(name, check, min_voters, on_edits)
+    def add(name: str, check: Callable[[_Edits], Optional[object]], min_voters: int = 1) -> None:
+        entries[name] = AxiomSpec(name, check, min_voters)
 
-    add("anonymity", lambda rule, p: check_symmetry(rule, p, "anonymity"))
-    add("neutrality", lambda rule, p: check_symmetry(rule, p, "neutrality"))
-    add("cancellation", check_cancellation, on_edits=_reversals)
+    add("anonymity", lambda e: check_symmetry(e.rule, e.profile, "anonymity"))
+    add("neutrality", lambda e: check_symmetry(e.rule, e.profile, "neutrality"))
+    add("cancellation", _reversals)
     for level in Decisiveness:
-        add(level.value, lambda rule, p, lv=level: check_decisiveness(rule, p, lv))
+        add(level.value, lambda e, lv=level: _decisiveness(e.profile, lv, e.own))
     for ext in Extension:
         for mode, prefix in ((Mode.Strong, ""), (Mode.Weak, "weak-")):
-            add(
-                f"{prefix}{ext.value}-strategyproofness",
-                lambda rule, p, e=ext, md=mode: find_manipulation(rule, p, e, md),
-                on_edits=lambda edits, e=ext, md=mode: _misreports(edits, e, md),
-            )
+            add(f"{prefix}{ext.value}-strategyproofness", lambda e, x=ext, md=mode: _misreports(e, x, md))
         for strict, prefix in ((False, ""), (True, "strict-")):
-            add(
-                f"{prefix}{ext.value}-participation",
-                lambda rule, p, e=ext, st=strict: check_participation(rule, p, e, st),
-                min_voters=2,
-                on_edits=lambda edits, e=ext, st=strict: _abstentions(edits, e, st),
-            )
+            name = f"{prefix}{ext.value}-participation"
+            add(name, lambda e, x=ext, st=strict: _abstentions(e, x, st), min_voters=2)
     for notion in EfficiencyNotion:
-        add(
-            f"{notion.value}-efficiency",
-            lambda rule, p, nt=notion: check_efficiency(rule, p, nt),
-        )
+        add(f"{notion.value}-efficiency", lambda e, nt=notion: _efficiency(e.profile, e.own(), nt))
     return entries
 
 
@@ -946,12 +921,14 @@ def axiom(name: str) -> AxiomSpec:
 def check_axiom_on_profile(
     rule: SocialDecisionScheme, profile: Profile, axiom_name: str
 ) -> AxiomReport:
+    """The named axiom's check on this one profile, of at least its
+    `min_voters` voters, through the same entry a scan uses."""
     spec = axiom(axiom_name)
     if profile.n < spec.min_voters:
         raise DomainError(
             f"axiom {axiom_name!r} needs at least {spec.min_voters} voters, got {profile.n}"
         )
-    witness = spec.check(rule, profile)
+    witness = spec.check(_Edits(rule, profile))
     verdict = Verdict.Holds if witness is None else Verdict.Violated
     return AxiomReport(axiom_name, rule.name, verdict, witness, 1)
 
@@ -977,11 +954,11 @@ def exhaustive_scan(
     except when it is memoized already. So the rule is evaluated, and an
     edited `Profile` built (`_Edits`), once per alternative set and distinct
     tally vector, and for a witness; in a reduced scan (below), once per
-    relabelling orbit of tally vectors, as the memo is keyed by orbit. A
-    check that reads only the rule's outcomes (`AxiomSpec.on_edits`) is
-    handed the profile as its index tuple, whose tally vector is the sum of
-    its rankings' tallies, and its `Profile` is built only on a memo miss
-    or for a witness.
+    relabelling orbit of tally vectors, as the memo is keyed by orbit.
+    Every profile is handed to the check as its index tuple (`_Edits`),
+    whose tally vector is its rankings' tallies summed. A misreport,
+    participation or cancellation check builds its `Profile` only on a memo
+    miss or for a witness; the other checks, or a rule with no memo, once.
 
     A rule that declares a statistic and `neutral` is checked on one
     profile per orbit under the m! relabellings of the alternatives and
@@ -1015,20 +992,15 @@ def exhaustive_scan(
         # every n >= 2 has a profile with two distinct ballots
         _check_voter_orders(max(lo, ANONYMITY_VOTER_LIMIT))
     alts = _alternatives(m)
-    rankings = all_rankings(alts)
+    all_rankings(alts)  # budgeted before `_Edits` reads them
     to_first = _tables_to_first(alts) if reduced else None
-    on_edits = spec.on_edits if isinstance(rule.evaluate, Memo) else None
     checked = 0
     for n in range(lo, n_max + 1):
         for indices in _ballot_indices(m, n, up_to_anonymity):
             checked += 1
             if to_first is not None and not _least_in_orbit(indices, to_first):
                 continue
-            if on_edits is not None:
-                witness = on_edits(_Edits(rule, None, alts, indices))
-            else:
-                profile = Profile.from_ballots(alts, [rankings[i] for i in indices])
-                witness = spec.check(rule, profile)
+            witness = spec.check(_Edits(rule, None, alts, indices))
             if witness is not None:
                 return AxiomReport(axiom_name, rule.name, Verdict.Violated, witness, checked)
     return AxiomReport(axiom_name, rule.name, Verdict.Holds, None, checked)

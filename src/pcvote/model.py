@@ -334,7 +334,7 @@ class Profile:
         return Profile(self.alternatives, head + middle + tail)
 
     def _check_voter(self, i: int) -> None:
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:  # a bool is no voter index
             raise DomainError(f"voter index {i!r} out of range 1..{self.n}")
 
     @cached_property
@@ -583,7 +583,7 @@ def relabel(
     labels and is applied elementwise inside every ballot.
     """
     if voter_perm is not None:
-        if sorted(voter_perm) != list(range(1, p.n + 1)):
+        if any(type(j) is not int for j in voter_perm) or sorted(voter_perm) != list(range(1, p.n + 1)):
             raise DomainError(
                 f"voter permutation must rearrange 1..{p.n}, got {list(voter_perm)!r}"
             )

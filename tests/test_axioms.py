@@ -59,7 +59,6 @@ from pcvote.axioms import (
     _Edits,
     _least_in_orbit,
     _tables_to_first,
-    _voters_to_try,
     exists_strict_improvement,
     memoized,
 )
@@ -571,32 +570,55 @@ def test_scan_respects_min_voters():
         exhaustive_scan(RD, 3, 1, "sd-participation")
 
 
-def _plain_manipulation_scan(rule, m, n_min, n_max, extension, mode, anonymous):
-    """`exhaustive_scan` spelled out as a loop of the per-voter reference
-    search on the rule as given, with no memo."""
+def _plain_scan(reference, m, n_min, n_max, anonymous):
+    """`exhaustive_scan` spelled out as a loop of a reference check, such as
+    the per-voter `reference_find_manipulation`, over `enumerate_profiles`,
+    on the rule as given, with no memo, no orbit reduction and no index
+    tuples."""
     checked = 0
     for n in range(n_min, n_max + 1):
         for prof in enumerate_profiles(m, n, anonymous):
             checked += 1
-            witness = reference_find_manipulation(rule, prof, extension, mode)
+            witness = reference(prof)
             if witness is not None:
                 return Verdict.Violated, witness, checked
     return Verdict.Holds, None, checked
 
 
+def _reference_check(rule, axiom_name):
+    """The reference check of a strategyproofness or participation axiom."""
+    *prefix, extension, kind = axiom_name.split("-")
+    extension = Extension(extension)
+    if kind == "participation":
+        return lambda prof: reference_check_participation(rule, prof, extension, prefix == ["strict"])
+    mode = Mode.Weak if prefix == ["weak"] else Mode.Strong
+    return lambda prof: reference_find_manipulation(rule, prof, extension, mode)
+
+
 @pytest.mark.parametrize(
-    "axiom_name, m, n_min, n_max, anonymous, verdict",
+    "axiom_name, m, n_min, n_max, anonymous, verdict, rule_name",
     [
-        ("pc-strategyproofness", 3, 2, 2, False, Verdict.Holds),
-        ("weak-pc-strategyproofness", 3, 4, 4, True, Verdict.Violated),
-        ("sd-strategyproofness", 3, 1, 2, False, Verdict.Violated),
+        ("pc-strategyproofness", 3, 2, 2, False, Verdict.Holds, "ml"),
+        ("weak-pc-strategyproofness", 3, 4, 4, True, Verdict.Violated, "ml"),
+        ("sd-strategyproofness", 3, 1, 2, False, Verdict.Violated, "ml"),
+        ("pc-participation", 3, 2, 3, False, Verdict.Holds, "ml"),
+        ("pc-participation", 3, 2, 5, True, Verdict.Holds, "ml"),
+        ("strict-pc-participation", 3, 2, 3, False, Verdict.Violated, "ml"),
+        ("strict-pc-participation", 4, 2, 3, True, Verdict.Violated, "ml"),
+        ("strict-sd-participation", 3, 2, 5, True, Verdict.Violated, "ml"),
+        ("strict-sd-participation", 4, 2, 3, True, Verdict.Holds, "rd"),
+        ("strict-sd-participation", 3, 2, 3, False, Verdict.Holds, "rd-no-statistic"),
+        ("strict-pc-participation", 3, 2, 3, True, Verdict.Violated, "ml-no-statistic"),
     ],
 )
-def test_margin_memo_leaves_scan_reports_unchanged(axiom_name, m, n_min, n_max, anonymous, verdict):
-    extension = {"pc": Extension.PC, "sd": Extension.SD}[axiom_name.split("-")[-2]]
-    mode = Mode.Weak if axiom_name.startswith("weak-") else Mode.Strong
-    rep = exhaustive_scan(ML, m, n_max, axiom_name, up_to_anonymity=anonymous, n_min=n_min)
-    plain = _plain_manipulation_scan(ML, m, n_min, n_max, extension, mode, anonymous)
+def test_margin_memo_leaves_scan_reports_unchanged(axiom_name, m, n_min, n_max, anonymous, verdict, rule_name):
+    # a rule with no statistic has no memo and no orbit reduction, but its
+    # scan still hands the check each profile as an index tuple
+    rule = RULES[rule_name.removesuffix("-no-statistic")]
+    if rule_name.endswith("-no-statistic"):
+        rule = replace(rule, statistic=None)
+    rep = exhaustive_scan(rule, m, n_max, axiom_name, up_to_anonymity=anonymous, n_min=n_min)
+    plain = _plain_scan(_reference_check(rule, axiom_name), m, n_min, n_max, anonymous)
     assert rep.verdict is verdict
     assert (rep.verdict, rep.witness, rep.profiles_checked) == plain
 
@@ -715,9 +737,13 @@ def _profile_with_a_ballot_in_two_runs(rng):
 
 
 def test_the_voter_walk_pairs_each_voter_with_its_ballot_in_order():
+    # the walk is the same whether the profile is given, with its runs, or
+    # named by its `all_rankings` index tuple, as a scan names it
     rng = random.Random(19)
     for _ in range(40):
         prof = _profile_with_a_ballot_in_two_runs(rng)
+        rankings = all_rankings(prof.alternatives)
+        indices = tuple(map(rankings.index, prof.ballots))
         listed = sorted(rng.sample(range(1, prof.n + 1), rng.randint(1, prof.n)))
         for voters in (None, listed):
             tried = range(1, prof.n + 1) if voters is None else voters
@@ -727,12 +753,13 @@ def test_the_voter_walk_pairs_each_voter_with_its_ballot_in_order():
                 if ballot not in seen:
                     seen.add(ballot)
                     firsts.append((i, ballot))
-            for rule, expected in ((RD, firsts), (replace(RD, statistic=None), every)):
-                count, pairs = _voters_to_try(rule, prof, voters)
-                pairs = list(pairs)
-                assert pairs == expected and count == len(pairs), (prof, voters, rule.statistic)
-                assert all(prof.ballot(i) == ballot for i, ballot in pairs)
-                assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
+            for rule, expected in ((RD, firsts), (memoized(RD), firsts), (replace(RD, statistic=None), every)):
+                for edits in (_Edits(rule, prof), _Edits(rule, None, prof.alternatives, indices)):
+                    count, pairs = edits.voters(voters)
+                    pairs = list(pairs)
+                    assert pairs == expected and count == len(pairs), (prof, voters, rule.statistic)
+                    assert all(prof.ballot(i) == ballot for i, ballot in pairs)
+                    assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
 
 
 @pytest.mark.parametrize("m, n_max, edits", [(3, 3, 6624), (4, 2, 43776)])
@@ -911,7 +938,7 @@ def test_the_tables_to_the_first_ranking_are_built_once_and_budgeted():
 @pytest.mark.parametrize("m, n, anonymous", [(3, 3, False), (3, 4, True), (4, 2, False), (4, 2, True)])
 def test_a_reduced_scan_checks_the_first_profile_of_each_orbit(monkeypatch, m, n, anonymous):
     checked = []
-    monkeypatch.setitem(AXIOMS, "unanimity", AxiomSpec("unanimity", lambda rule, p: checked.append(p)))
+    monkeypatch.setitem(AXIOMS, "unanimity", AxiomSpec("unanimity", lambda e: checked.append(e.profile)))
     rep = exhaustive_scan(RD, m, n, "unanimity", up_to_anonymity=anonymous, n_min=n)
     assert rep.verdict is Verdict.Holds and rep.profiles_checked == count_profiles(m, n, anonymous)
 
@@ -935,7 +962,7 @@ def test_an_ordered_reduced_scan_checks_the_anonymous_scans_profiles(monkeypatch
     # checks only sorted profiles: the multisets the anonymous scan checks
     checked = {False: [], True: []}
     for anonymous in (False, True):
-        spec = AxiomSpec("unanimity", lambda rule, p, seen=checked[anonymous]: seen.append(p))
+        spec = AxiomSpec("unanimity", lambda e, seen=checked[anonymous]: seen.append(e.profile))
         monkeypatch.setitem(AXIOMS, "unanimity", spec)
         rep = exhaustive_scan(RD, m, n, "unanimity", up_to_anonymity=anonymous, n_min=n)
         assert rep.verdict is Verdict.Holds and rep.profiles_checked == count_profiles(m, n, anonymous)
@@ -946,26 +973,21 @@ def test_only_the_symmetry_scans_check_every_profile(monkeypatch):
     # they test the declarations the reduction rests on; every other axiom
     # is handed one representative per orbit once the rule is declared
     # neutral. What the reduction saves is counted where it acts: profiles
-    # handed to the check, as a `Profile` or as an index tuple. The rule's
-    # own work would not show it, as its tally is summed by index and its
-    # outcomes are memoized by vector in both scans
+    # handed to the check, each as an index tuple. The rule's own work would
+    # not show it, as its tally is summed by index and its outcomes are
+    # memoized by vector in both scans
     handed = []
 
-    def counted(fn):
-        if fn is None:
-            return None
-
-        def wrapper(*args):
-            handed.append(args[-1])
-            return fn(*args)
+    def counted(check):
+        def wrapper(edits):
+            handed.append(edits)
+            return check(edits)
 
         return wrapper
 
     for axiom_name in ("anonymity", "neutrality", "sd-strategyproofness"):
         spec = AXIOMS[axiom_name]
-        monkeypatch.setitem(
-            AXIOMS, axiom_name, replace(spec, check=counted(spec.check), on_edits=counted(spec.on_edits))
-        )
+        monkeypatch.setitem(AXIOMS, axiom_name, replace(spec, check=counted(spec.check)))
         reports, work = [], []
         for neutral in (True, False):
             handed.clear()

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from pcvote import (
     AlternativeSet,
     DomainError,
+    Extension,
     Lottery,
+    Mode,
     Profile,
     Ranking,
     UnknownAlternativeError,
     absolute_winner,
     alternative_set,
     condorcet_winner,
+    find_manipulation,
     majority_margin,
     margin_matrix,
     margin_tally,
@@ -349,6 +352,24 @@ def test_relabel_voters():
         relabel(prof, voter_perm=(1, 1, 2, 3, 4))
     with pytest.raises(DomainError):
         relabel(prof, voter_perm=(1, 2, 3))
+
+
+def test_a_bool_is_no_voter_index():
+    # True == 1, but it names no voter, as it is no run count either
+    prof = five_voter_example()
+    rd = get_rule("rd")
+    calls = [
+        lambda: prof.ballot(True),
+        lambda: remove_voter(prof, True),
+        lambda: prof.replace_ballot(True, prof.ballot(4)),
+        lambda: relabel(prof, voter_perm=(True, 2, 3, 4, 5)),
+        lambda: relabel(prof, voter_perm=(2, 1.0, 3, 4, 5)),
+        lambda: find_manipulation(rd, prof, Extension.SD, Mode.Strong, voters=(True,)),
+        lambda: find_manipulation(rd, prof, Extension.SD, Mode.Strong, voters=(2, False)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="voter"):
+            call()
 
 
 def test_relabel_alternatives():
