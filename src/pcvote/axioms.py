@@ -345,12 +345,12 @@ class _Edits:
 
     For a memoized rule (`memoized`) an edit's outcome is one memo lookup by
     its tally vector: the profile's (`base`: the statistic of the profile
-    given, or the ballots' tallies summed by index), minus the tally of the
-    ballot taken out, plus those of the ballots put in. Its `Profile` is
-    made by `build` only on a miss. Misreport comparisons are memoized too,
-    keyed by the identities of the memo's lotteries, and so is every clean
-    answer of a check (`settled`). Any other rule, or a bare function, is
-    evaluated on the built profile, as the per-voter reference.
+    given, or the ballots' tallies summed by index when first read), minus
+    the tally of the ballot taken out, plus those of the ballots put in. Its
+    `Profile` is made by `build` only on a miss. Misreport comparisons are
+    memoized too, keyed by the identities of the memo's lotteries, and so
+    is every clean answer of a check (`settled`). Any other rule, or a bare
+    function, is evaluated on the built profile, as the per-voter reference.
     """
 
     def __init__(
@@ -366,11 +366,7 @@ class _Edits:
         self.indices = indices
         self._profile = profile
         self.alternatives = alternatives if profile is None else profile.alternatives
-        if self.memo is not None and profile is not None:
-            self.base = self.memo.rule.statistic(profile)
-        elif self.memo is not None:  # a scan's representative, whose rankings the scan has budgeted
-            self.tallies = tallies = self.memo.ranking_tallies(alternatives)
-            self.base = tuple(map(sum, zip(*map(tallies.__getitem__, indices))))
+        self.base = None if self.memo is None or profile is None else self.memo.rule.statistic(profile)
 
     @property
     def profile(self) -> Profile:
@@ -441,16 +437,20 @@ class _Edits:
         names are strings, ints and bools, which hash with no Python call."""
         if self.memo is None:
             return False
-        return (check, self.alternatives.names, self.base) in self.memo.clean
+        base = self.base if self.base is not None else self.vector(None)
+        return (check, self.alternatives.names, base) in self.memo.clean
 
     def settle(self, *check: object) -> None:
-        """Remember that the check `check` names found no violation here."""
+        """Remember that the check `check` names (`settled` first) found no violation here."""
         if self.memo is not None:
             self.memo.clean.add((check, self.alternatives.names, self.base))
 
     def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
         """The tally vector of the profile with `taken` out and `put` in."""
         vector: Iterable[int] = self.base
+        if vector is None:  # a scan's representative, whose rankings the scan has budgeted
+            self.tallies = tallies = self.memo.ranking_tallies(self.alternatives)
+            vector = self.base = tuple(map(sum, zip(*map(tallies.__getitem__, self.indices))))
         if taken is not None:
             vector = map(sub, vector, self.tallies[taken])
         for k in put:
@@ -594,6 +594,8 @@ def _abstentions(
     edits: _Edits, extension: Extension, strict: bool
 ) -> Optional[ParticipationWitness]:
     """`check_participation` on the profile of `edits`, of two or more voters."""
+    if edits.memo is not None:  # `_Edits.ballot` reads the rankings' index
+        _check_ranking_count(len(edits.alternatives))
     count, leaving = edits.voters()
     _check_rule_evaluations(count, "the participation check")
     check = ("participation", extension.value, strict)

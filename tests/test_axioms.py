@@ -997,6 +997,27 @@ def test_only_the_symmetry_scans_check_every_profile(monkeypatch):
         assert (work[0] < work[1]) == (axiom_name == "sd-strategyproofness"), (axiom_name, work)
 
 
+def test_a_representative_sums_its_vector_only_when_its_check_reads_an_outcome():
+    # a scan hands each representative over as an index tuple; a memoized
+    # rule's vector is summed when first read, and equals the statistic
+    rule = memoized(get_rule("ml"))
+    cycle, winner = profile("abc", ["abc", "bca", "cab"]), profile("abc", ["abc", "bca", "acb"])
+    for prof, axiom_name, summed in [
+        (cycle, "condorcet-consistency", False),
+        (winner, "condorcet-consistency", True),
+        (cycle, "neutrality", False),
+        (cycle, "anonymity", False),
+        (cycle, "pc-efficiency", True),
+        (winner, "sd-strategyproofness", True),
+    ]:
+        indices = tuple(all_rankings(prof.alternatives).index(b) for b in prof.ballots)
+        edits = _Edits(rule, None, prof.alternatives, indices)
+        assert AXIOMS[axiom_name].check(edits) is None, axiom_name
+        assert (edits.base is not None) == summed, axiom_name
+        if summed:
+            assert edits.base == margin_tally(prof), axiom_name
+
+
 @pytest.mark.parametrize("rule_name", sorted(RULES))
 def test_every_rule_declared_neutral_is_neutral_on_small_spaces(rule_name):
     rule = RULES[rule_name]
@@ -1229,6 +1250,25 @@ def test_checks_that_walk_no_rankings_run_over_ten_alternatives(check):
     assert check(prof) is None
     assert time.perf_counter() - start < 1
     assert "_rankings" not in prof.alternatives.__dict__
+
+
+@pytest.mark.parametrize("check", [
+    lambda r, p: find_manipulation(r, p, Extension.PC, Mode.Strong),
+    lambda r, p: check_participation(r, p, Extension.SD, strict=True),
+    lambda r, p: check_cancellation(r, p),
+], ids=["misreports", "participation", "cancellation"])
+@pytest.mark.parametrize("name", ["rd", "ml"])
+def test_memoized_edit_checks_refuse_ten_alternatives_before_any_ranking(check, name, monkeypatch):
+    # a memoized rule names each edited ballot by its index among the 10! rankings
+    names = "abcdefghij"
+    prof = profile(names, [names, names[::-1]])
+
+    def built(alternatives):
+        raise AssertionError("the rankings were built")
+
+    monkeypatch.setattr(type(prof.alternatives), "_rankings", property(built))
+    with pytest.raises(EnumerationBudgetError, match="10! rankings"):
+        check(memoized(get_rule(name)), prof)
 
 
 @pytest.mark.parametrize("name", ["rd", "ml"])
