@@ -47,7 +47,7 @@ from .extensions import (
     pc_weights,
     sd_compare,
 )
-from .ratlp import Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
+from .ratlp import Constraint, IntRowProgram, LinearProgram, LpOutcome, LpStatus, lp_solve
 from .rules import (
     RULES,
     SocialDecisionScheme,

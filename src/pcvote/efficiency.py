@@ -40,7 +40,7 @@ from .extensions import (
     pc_form,
     sd_form,
 )
-from .ratlp import LE, Constraint, LinearProgram, LpStatus, Rational, lp_solve, require_rational
+from .ratlp import IntRowProgram, LpStatus, Rational, lp_solve, require_rational
 
 
 class EfficiencyNotion(Enum):
@@ -88,25 +88,25 @@ def _certificate(
     return DominanceCertificate(extension, p, q, outcomes)
 
 
-def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
+def _pc_rows(ballot: Ranking, p: Lottery) -> tuple[tuple[int, ...], ...]:
     """The voter must not PC-prefer p: pc_weights(ballot, p) · q >= 0, times
     p's denominator (`pc_form`), written as −pc_form · q <= 0. The row is
     homogeneous in q and holds with equality at p."""
     weights, _ = pc_form(ballot, p)
-    return (Constraint(tuple(-w for w in weights), LE, 0),)
+    return (tuple(-w for w in weights),)
 
 
-def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[Constraint, ...]:
+def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[tuple[int, ...], ...]:
     """Every proper prefix of the ballot gets at least p's mass under q,
     times p's denominator (`sd_form`): den · indicator · q >= prefix.
     Homogenized by Σq = 1, that is (prefix − den · indicator) · q <= 0,
     which holds with equality at p; on lotteries the two forms agree."""
     prefixes, den = sd_form(ballot, p)
-    rows: list[Constraint] = []
+    rows: list[tuple[int, ...]] = []
     inside = [False] * len(p.alternatives)
     for k, prefix in zip(ballot.indices, prefixes):
         inside[k] = True
-        rows.append(Constraint(tuple(prefix - den if i else prefix for i in inside), LE, 0))
+        rows.append(tuple(prefix - den if i else prefix for i in inside))
     return tuple(rows)
 
 
@@ -114,38 +114,39 @@ _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 
 
 def _dominator_lp(
-    profile: Profile, p: Lottery, extension: Extension, weights: Optional[Sequence[Rational]]
+    profile: Profile, p: Lottery, extension: Extension, totals: list[tuple[Ranking, Rational]]
 ) -> Optional[Lottery]:
     """A lottery q that satisfies every ballot type's rows and maximizes
     their weighted total slack, if that total is positive; None when it is
     0, that is, when p is efficient.
 
     Every row reads a · q <= 0, so the rows cut out a cone that holds p,
-    and the program closes it with Σq <= 1. Each row has rhs 0 and the
-    closing row rhs 1, so the all-slack basis (q = 0) is feasible and the
-    simplex starts there, with no phase one. The objective, −Σ weight · a,
-    is homogeneous and 0 at p. On a lottery q, −a · q is how far q clears
-    the row's `>=` form, so a positive value means q dominates p. The
-    optimum is 0 exactly when no lottery does, and a positive optimum lies
-    on Σq = 1, since scaling q up would raise it: the vertex returned is a
-    lottery.
+    and the program closes it with Σq <= 1. The rows are ints with rhs 0
+    and the closing row has rhs 1: an `IntRowProgram`, which the simplex
+    starts on its all-slack basis (q = 0), with no phase one. The
+    objective, −Σ weight · a, is homogeneous and 0 at p. On a lottery q,
+    −a · q is how far q clears the row's `>=` form, so a positive value
+    means q dominates p. The optimum is 0 exactly when no lottery does,
+    and a positive optimum lies on Σq = 1, since scaling q up would raise
+    it: the vertex returned is a lottery.
 
-    Each ranking in the profile contributes one block of rows, in
-    `all_rankings` order (sorted label tuples), weighted in the objective
-    by the total weight of its voters. The program, and so the witness, is
-    a function of the ballot multiset and those totals alone. The rows are
-    in ints over p's denominator, and so is the value: only whether it is
-    0 is read."""
+    Each ranking in `totals` (`_ballot_weights`: `all_rankings` order,
+    sorted label tuples) contributes one block of rows, weighted in the
+    objective by its total weight. The program, and so the witness, is a
+    function of the ballot multiset and those totals alone. The rows are
+    over p's denominator, and so is the value: only whether it is 0 is
+    read."""
     ballot_rows = _DOMINATOR_ROWS[extension]
-    rows: list[Constraint] = []
+    rows: list[tuple[int, ...]] = []
     objective: list[Rational] = [0] * profile.m
-    for ballot, weight in _ballot_weights(profile, weights):
+    for ballot, weight in totals:
         for row in ballot_rows(ballot, p):
             rows.append(row)
-            for j, c in enumerate(row.coeffs):
+            for j, c in enumerate(row):
                 objective[j] -= weight * c
-    rows.append(Constraint((1,) * profile.m, LE, 1))
-    outcome = lp_solve(LinearProgram(tuple(objective), tuple(rows)))
+    rows.append((1,) * profile.m)
+    rhs = (0,) * (len(rows) - 1) + (1,)
+    outcome = lp_solve(IntRowProgram(tuple(objective), tuple(rows), rhs))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None or outcome.value is None:
         raise InternalError(f"a dominator LP came out {outcome.status.name}, though q = 0 is feasible")
     if outcome.value == 0:
@@ -191,7 +192,7 @@ def find_dominator(
         raise DomainError("lottery must range over the profile's alternatives")
     if extension not in _DOMINATOR_ROWS:
         raise DomainError("find_dominator solves PC and SD; use pc1_find_dominator for PC1")
-    q = _dominator_lp(profile, p, extension, weights)
+    q = _dominator_lp(profile, p, extension, _ballot_weights(profile, weights))
     return None if q is None else _certificate(profile, extension, p, q)
 
 
@@ -336,25 +337,32 @@ def improvement_path(
     or `max_steps` improvements have been taken (MaxSteps).
 
     `mode="canonical"` uses the all-ones dominator objective each step;
-    `mode="random"` draws fresh strictly positive voter weights from a
-    seeded generator each step, which explores different witnesses while
-    staying sound.
+    `mode="random"` draws, from a seeded generator, a fresh weight in
+    1..1000 for each distinct ranking each step, in `all_rankings` order.
+    The dominator LP reads only each ranking's total weight, so a step
+    costs a draw per ranking, not per voter. Any positive weights keep the
+    oracle sound; different ones explore different witnesses.
     """
     if max_steps < 1:
         raise DomainError(f"max_steps must be at least 1, got {max_steps}")
     if mode not in ("canonical", "random"):
         raise DomainError(f"mode must be 'canonical' or 'random', got {mode!r}")
+    if start.alternatives != profile.alternatives:
+        raise DomainError("lottery must range over the profile's alternatives")
     rng = random.Random(seed)
+    rankings = [ballot for ballot, _ in _ballot_weights(profile, None)]
     lotteries = [start]
     steps: list[str] = []
     seen = {start}
     current = start
     termination = PathTermination.MaxSteps
     for step_index in range(max_steps):
-        weights = None
         if mode == "random":
-            weights = tuple(rng.randint(1, 1000) for _ in range(profile.n))
-        cert = find_dominator(profile, current, Extension.PC, weights=weights)
+            totals = [(ballot, rng.randint(1, 1000)) for ballot in rankings]
+            q = _dominator_lp(profile, current, Extension.PC, totals)
+            cert = None if q is None else _certificate(profile, Extension.PC, current, q)
+        else:
+            cert = find_dominator(profile, current, Extension.PC)
         if cert is None:
             termination = PathTermination.ReachedEfficient
             break

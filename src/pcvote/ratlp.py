@@ -1,6 +1,6 @@
 """A small, exact linear-programming kernel.
 
-Dense two-phase simplex with Bland's anti-cycling pivot rule. Program
+Dense simplex with Bland's anti-cycling pivot rule. Program
 entries may be ints or `fractions.Fraction`s and are stored as given;
 solutions and values are `Fraction`s. Inside, each tableau row is a list
 of ints that stands for itself divided by its basis entry, so a pivot is
@@ -18,6 +18,19 @@ and returns the same vertex: callers may clear denominators themselves.
 
 Conventions: objectives are maximized; every variable is bounded below by
 0 and unbounded above.
+
+Programs come in two forms. A `LinearProgram` holds `Constraint`s of any
+relation and rhs sign; `_standardize` brings it to equality form with
+slack, surplus and artificial columns, and phase one finds a feasible
+basis. An `IntRowProgram` is A x <= b with A and b in ints and b >= 0:
+its tableau is the rows, an identity block of slack columns and the rhs,
+with the slacks as the basis. x = 0 is feasible, so there is no
+artificial column and no phase one. That is the tableau `_standardize`
+builds from the same rows as `<=` `Constraint`s: an all-int row has scale
+1, a rhs >= 0 keeps the row's relation, and the slack columns follow row
+order. So the two forms take the same pivots and return the same
+solution, value and `tight` rows; the int-row form skips the packaging.
+The simplex run and the read-off are one code for both.
 
 An optimal outcome also reports, in `tight`, inequality rows that are
 tight at every optimal point, not only at the vertex returned. The final
@@ -91,6 +104,19 @@ class LinearProgram:
                 raise DomainError(
                     f"constraint has {len(c.coeffs)} coefficients for {n} variables"
                 )
+
+
+@dataclass(frozen=True)
+class IntRowProgram:
+    """maximize objective · x  subject to  A x <= rhs  and  x >= 0, where
+    `constraints` are the rows of A: every entry of A and of rhs an int,
+    and rhs >= 0. x = 0 is then feasible, and `lp_solve` starts from the
+    all-slack basis with no phase one. `lp_solve` checks the form, and
+    refuses anything else with `DomainError`."""
+
+    objective: tuple[Rational, ...]
+    constraints: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
 
 
 class LpStatus(Enum):
@@ -235,12 +261,46 @@ def _standardize(
     return rows, basis, frozenset(art_cols)
 
 
-def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly by two-phase simplex. Deterministic: identical input,
-    identical outcome."""
+def _slack_tableau(lp: IntRowProgram) -> list[list[int]]:
+    """`lp`'s tableau on its all-slack basis: each row, a 1 in its own slack
+    column, its rhs. The slack columns n, n + 1, ... follow row order, as
+    `_standardize` gives them. Refuses, in one pass over the rows, any row
+    that is not ints of the objective's length with an int rhs >= 0."""
+    n, k = len(lp.objective), len(lp.constraints)
+    if n == 0:
+        raise DomainError("a linear program needs at least one variable")
+    if len(lp.rhs) != k:
+        raise DomainError(f"{len(lp.rhs)} rhs values for {k} rows")
+    rows: list[list[int]] = []
+    zeros = [0] * k
+    for i, (row, b) in enumerate(zip(lp.constraints, lp.rhs)):
+        if len(row) != n:
+            raise DomainError(f"row {i} has {len(row)} coefficients for {n} variables")
+        if type(b) is not int or b < 0:
+            raise DomainError(f"row {i} needs an int rhs >= 0, got {b!r}")
+        if set(map(type, row)) - {int}:
+            raise DomainError(f"row {i} needs int coefficients, got {tuple(row)!r}")
+        full = [*row, *zeros, b]
+        full[n + i] = 1
+        rows.append(full)
+    return rows
+
+
+def lp_solve(lp: LinearProgram | IntRowProgram) -> LpOutcome:
+    """Solve exactly by simplex: two-phase for a `LinearProgram`, phase two
+    alone from the all-slack basis for an `IntRowProgram`. Deterministic:
+    identical input, identical outcome."""
     objective = lp.objective
     n = len(objective)
-    rows, basis, art_cols = _standardize(objective, lp.constraints)
+    if isinstance(lp, IntRowProgram):
+        objective = tuple(require_rational(c, "objective coefficient") for c in objective)
+        rows = _slack_tableau(lp)
+        basis = list(range(n, n + len(rows)))
+        art_cols: frozenset[int] = frozenset()
+        inequalities: Sequence[int] = range(len(rows))
+    else:
+        rows, basis, art_cols = _standardize(objective, lp.constraints)
+        inequalities = [i for i, c in enumerate(lp.constraints) if c.relation != EQ]
     num_cols = len(rows[0]) - 1 if rows else n
 
     if art_cols:
@@ -283,7 +343,6 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                 costed.append((cost[j], row[-1], row[j]))
     den = math.lcm(*(d for _, _, d in costed))
     value = Fraction(sum(c * v * (den // d) for c, v, d in costed), den * scale)
-    # `_standardize` gives the inequality rows, in order, the columns n, n + 1, ...
-    inequalities = [i for i, c in enumerate(lp.constraints) if c.relation != EQ]
+    # the inequality rows have, in order, the slack or surplus columns n, n + 1, ...
     tight = frozenset(i for k, i in enumerate(inequalities) if z[n + k])
     return LpOutcome(LpStatus.Optimal, tuple(x), value, tight)

@@ -42,7 +42,7 @@ from .model import (
     top_tally,
     weak_condorcet_winners,
 )
-from .ratlp import EQ, GE, LE, Constraint, LinearProgram, LpOutcome, LpStatus, lp_solve
+from .ratlp import EQ, GE, LE, Constraint, IntRowProgram, LinearProgram, LpOutcome, LpStatus, lp_solve
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,6 @@ def f2(profile: Profile) -> Lottery:
 # maximal lotteries
 # ---------------------------------------------------------------------------
 
-def _margin_rows(margins: MarginMatrix, pad: int = 0) -> list[Constraint]:
-    """The optimal-strategy polytope: for every alternative x, the margin-
-    weighted mass (G p)_x must be <= 0, and p must live on the simplex.
-    The rows are the margins' own ints, then `pad` zeros for any variables
-    that follow p."""
-    m = len(margins.alternatives)
-    zeros = (0,) * pad
-    rows = [Constraint(row + zeros, LE, 0) for row in margins.rows]
-    rows.append(Constraint((1,) * m + zeros, EQ, 1))
-    return rows
-
-
 def _beats_or_ties_every_alternative(margins: MarginMatrix, probs: tuple[Fraction, ...]) -> bool:
     """(G p)_x <= 0 for every alternative x: no alternative beats p in
     expectation. Checked in ints, on p times the lcm of its denominators
@@ -223,8 +211,9 @@ def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction
     coordinate sits at the floor they are all stuck, since their sum is
     fixed; the last free coordinate is 1 minus the fixed ones."""
     m = len(margins.alternatives)
-    # variables: p_0..p_{m-1}, then t
-    optimal_set = _margin_rows(margins, pad=1)
+    # variables: p_0..p_{m-1}, then t; the optimal set is G p <= 0 on the simplex
+    optimal_set = [Constraint(row + (0,), LE, 0) for row in margins.rows]
+    optimal_set.append(Constraint((1,) * m + (0,), EQ, 1))
     fixed: dict[int, Fraction] = {j: Fraction(0) for j in zeros}
     free = [j for j in range(m) if j not in fixed]
     while len(free) > 1:
@@ -241,9 +230,13 @@ def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction
 
 
 def _ml_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
-    """Some point of the optimal set, found by one LP with a zero objective."""
+    """Some vertex of the optimal set: max Σp subject to G p <= 0 and
+    Σp <= 1, an `IntRowProgram` in the margins' own ints. The optimal set is
+    not empty, so the optimum is 1, and the program's optimal points are
+    the optimal set."""
     m = len(margins.alternatives)
-    outcome = lp_solve(LinearProgram((0,) * m, tuple(_margin_rows(margins))))
+    rows = margins.rows + ((1,) * m,)
+    outcome = lp_solve(IntRowProgram((1,) * m, rows, (0,) * m + (1,)))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None:
         raise InternalError(f"the margin game's optimal set came out {outcome.status.name}")
     return outcome.solution
@@ -301,7 +294,8 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
     * when every row of G sums to 0 the uniform lottery is in O, and it is
       the leximin point, the one point of the simplex whose least entry is
       1/m: `Lottery.uniform`, with no LP;
-    * otherwise one LP with a zero objective finds some p in O. Let S be its
+    * otherwise one LP, max Σp subject to G p <= 0 and Σp <= 1, finds some
+      p in O from its all-slack basis (`_ml_point`). Let S be its
       support and Z the alternatives x with (G p)_x < 0. Lemma: every q in
       O has q_x = 0 on Z and (G q)_x = 0 on S. Proof: q.G p <= 0 and
       p.G q <= 0, and the two sum to 0 as G is skew-symmetric, so both are

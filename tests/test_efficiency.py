@@ -30,6 +30,7 @@ from pcvote import (
     fixture,
     fixture_profile,
     improvement_path,
+    margin_matrix,
     is_efficient,
     m3_efficiency_certificate,
     mass_shift_perturbation,
@@ -253,11 +254,22 @@ def test_verdicts_equal_the_per_voter_lp(region):
     assert verdicts == {True, False}
 
 
+def _dominator_cases():
+    """(profile, lottery, extension) for every dominator program of the
+    gate regions: PC and SD, for rd, ml and the uniform lottery."""
+    ml = rules.get_rule("ml")
+    for region in ("small", "anonymous", "corpus", "repeat-heavy"):
+        for prof in _gate_profiles(region):
+            for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives))):
+                for extension in (Extension.PC, Extension.SD):
+                    yield prof, p, extension
+
+
 def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
-    """Every dominator row reads a · q <= 0 and the closing row Σq <= 1, so
-    `_standardize` makes no artificial column and the simplex has no phase
-    one. q = 0 is then feasible, and an efficient p returns None also when
-    the solver's vertex is q = 0."""
+    """Every dominator program is an `IntRowProgram`: int rows a · q <= 0,
+    then the closing row Σq <= 1, so the simplex starts on the all-slack
+    basis with no phase one. q = 0 is then feasible, and an efficient p
+    returns None also when the solver's vertex is q = 0."""
     solved = []
 
     def recording(lp):
@@ -266,23 +278,85 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
         return outcome
 
     monkeypatch.setattr(efficiency, "lp_solve", recording)
-    ml = rules.get_rule("ml")
     at_zero = 0
-    for region in ("small", "anonymous", "corpus", "repeat-heavy"):
-        for prof in _gate_profiles(region):
-            for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives))):
-                for extension in (Extension.PC, Extension.SD):
-                    solved.clear()
-                    cert = find_dominator(prof, p, extension)
-                    [(lp, outcome)] = solved
-                    assert all(c.relation == ratlp.LE and c.rhs >= 0 for c in lp.constraints)
-                    assert ratlp._standardize(lp.objective, lp.constraints)[2] == frozenset()
-                    assert (cert is None) == (outcome.value == 0), (prof, p, extension)
-                    if cert is None and not any(outcome.solution):
-                        at_zero += 1
+    for prof, p, extension in _dominator_cases():
+        solved.clear()
+        cert = find_dominator(prof, p, extension)
+        [(lp, outcome)] = solved
+        assert isinstance(lp, ratlp.IntRowProgram)
+        assert all(type(v) is int for row in lp.constraints for v in row)
+        assert all(type(b) is int and b >= 0 for b in lp.rhs)
+        assert lp.constraints[-1] == (1,) * prof.m and lp.rhs[-1] == 1
+        assert (cert is None) == (outcome.value == 0), (prof, p, extension)
+        if cert is None and not any(outcome.solution):
+            at_zero += 1
     assert at_zero > 0
 
 
+def _ml_point_programs(monkeypatch):
+    """The point program `ml` solves for every distinct margin matrix with
+    m <= 4 and n <= 4 that has one."""
+    programs = []
+
+    def recording(lp):
+        if isinstance(lp, ratlp.IntRowProgram):
+            programs.append(lp)
+        return lp_solve(lp)
+
+    margins = {
+        margin_matrix(prof)
+        for m in range(1, 5)
+        for n in range(1, 5)
+        for prof in enumerate_profiles(m, n, up_to_anonymity=True)
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(rules, "lp_solve", recording)
+        for matrix in margins:
+            rules.maximal_lottery(matrix)
+    return programs
+
+
+def _dominator_programs(monkeypatch):
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(efficiency, "lp_solve", recording)
+        for prof, p, extension in _dominator_cases():
+            find_dominator(prof, p, extension)
+    return programs
+
+
+@pytest.mark.parametrize("programs", [_dominator_programs, _ml_point_programs])
+def test_int_row_programs_solve_as_their_constraint_form(monkeypatch, programs):
+    """An all-int `<=` row with rhs >= 0 enters `_standardize`'s tableau as
+    it is, with its slack column in row order and no artificial column, so
+    the int-row solve takes the same pivots as the `LinearProgram` of the
+    same rows and returns the same solution, value and tight rows."""
+    lps = programs(monkeypatch)
+    pivot, pivoted = ratlp._pivot, [0]
+
+    def counting_pivot(*args):
+        pivoted[0] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+
+    def solve(lp):
+        pivoted[0] = 0
+        out = lp_solve(lp)
+        return out.status, out.solution, out.value, out.tight, pivoted[0]
+
+    pivots = 0
+    for lp in lps:
+        rows = tuple(ratlp.Constraint(row, ratlp.LE, b) for row, b in zip(lp.constraints, lp.rhs))
+        got = solve(lp)
+        assert got == solve(ratlp.LinearProgram(lp.objective, rows)), lp
+        pivots += got[-1]
+    assert pivots > 0
 @pytest.mark.parametrize("region", ["small", "anonymous", "corpus"])
 def test_pc1_search_equals_the_per_voter_loop(region):
     """PC1 dominators read off the PC forms against the plain loop: every
@@ -370,6 +444,25 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
                 assert sizes == [kinds * r + 1], (prof, extension)
     for extension in (Extension.PC, Extension.SD):
         assert find_dominator(ELECTORATE, rd(ELECTORATE), extension) is None
+
+
+def test_a_random_path_draws_one_weight_per_ranking(monkeypatch):
+    """A random step draws a weight per distinct ranking, not per voter: on
+    600 000 voters with three rankings, three draws per LP."""
+    draws = []
+
+    class Counting(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(efficiency.random, "Random", Counting)
+    kinds = len({ballot for ballot, _ in ELECTORATE.runs})
+    start = Lottery.degenerate(ELECTORATE.alternatives, "d")
+    path = improvement_path(ELECTORATE, start, 3, mode="random", seed=5)
+    lps = len(path.steps) + (path.termination is PathTermination.ReachedEfficient)
+    assert kinds == 3 and len(path.steps) >= 1
+    assert draws == [(1, 1000)] * (kinds * lps)
 
 
 def _infeasible(lp):

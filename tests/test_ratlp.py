@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from pcvote import Constraint, DomainError, LinearProgram, LpStatus, efficiency, lp_solve, ratlp, rules
+from pcvote import (
+    Constraint, DomainError, IntRowProgram, LinearProgram, LpStatus, efficiency, lp_solve, ratlp, rules,
+)
 from pcvote.ratlp import EQ, GE, LE, LpOutcome
 from helpers import bfs_reference_solve, lp_feasible, random_lp
 
@@ -115,6 +117,37 @@ def test_rejects_shape_mismatch():
         LinearProgram((), ())
     with pytest.raises(DomainError):
         Constraint((F(1),), "<", F(1))
+
+
+_REFUSED_INT_ROWS = {
+    "float in a row": ((1, 1), ((1, 0.5),), (1,)),
+    "float rhs": ((1, 1), ((1, 1),), (0.5,)),
+    "Fraction in a row": ((1, 1), ((1, F(1, 2)),), (1,)),
+    "Fraction rhs": ((1, 1), ((1, 1),), (F(1),)),
+    "negative rhs": ((1, 1), ((1, 1), (1, 0)), (1, -1)),
+    "short row": ((1, 1), ((1, 1), (1,)), (1, 1)),
+    "long row": ((1, 1), ((1, 1, 1),), (1,)),
+    "more rhs than rows": ((1, 1), ((1, 1),), (1, 1)),
+    "fewer rhs than rows": ((1, 1), ((1, 1), (1, 0)), (1,)),
+    "float in the objective": ((1, 0.5), ((1, 1),), (1,)),
+    "no variables": ((), (), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_INT_ROWS))
+def test_int_row_programs_refuse_all_but_int_rows_with_rhs_at_least_0(case):
+    objective, rows, rhs = _REFUSED_INT_ROWS[case]
+    with pytest.raises(DomainError):
+        lp_solve(IntRowProgram(objective, rows, rhs))
+
+
+def test_an_int_row_program_solves_from_its_slack_basis():
+    # max x + y st x + 2y <= 4, 3x + y <= 6, as in test_two_variable_optimum
+    out = lp_solve(IntRowProgram((1, 1), ((1, 2), (3, 1)), (4, 6)))
+    assert out.status is LpStatus.Optimal
+    assert out.solution == (F(8, 5), F(6, 5)) and out.value == F(14, 5)
+    assert out.tight == {0, 1}
+    assert lp_solve(IntRowProgram((F(1, 2), 1), ((1, -1),), (0,))).status is LpStatus.Unbounded
 
 
 def test_integers_are_coerced_to_fractions():

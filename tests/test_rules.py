@@ -34,7 +34,7 @@ from pcvote import (
     relabel,
 )
 from pcvote import rules
-from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
+from pcvote.ratlp import IntRowProgram, LpOutcome, LpStatus, lp_solve
 from helpers import (
     maximal_lottery_is_unique,
     reference_beats_or_ties_every_alternative,
@@ -559,8 +559,8 @@ def test_internal_error_is_not_a_domain_error():
 
 
 def _pointless_max_min(lp):
-    """The zero-objective LP as it is; every max-min LP optimal with no point."""
-    return lp_solve(lp) if not any(lp.objective) else LpOutcome(LpStatus.Optimal, None, F(0))
+    """The point LP (an `IntRowProgram`) as it is; every max-min LP optimal with no point."""
+    return lp_solve(lp) if isinstance(lp, IntRowProgram) else LpOutcome(LpStatus.Optimal, None, F(0))
 
 
 def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
@@ -589,7 +589,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pcvote import InternalError, ml, profile, rules
-from pcvote.ratlp import LpOutcome, LpStatus
+from pcvote.ratlp import IntRowProgram, LpOutcome, LpStatus
 
 assert False, "asserts must be stripped here"
 triangle = profile(
@@ -598,7 +598,7 @@ triangle = profile(
 solve = rules.lp_solve
 pointless = LpOutcome(LpStatus.Optimal, None, Fraction(0))
 guards = (
-    ("no solution", "lp_solve", lambda lp: solve(lp) if not any(lp.objective) else pointless),
+    ("no solution", "lp_solve", lambda lp: solve(lp) if isinstance(lp, IntRowProgram) else pointless),
     ("pinned no coordinate", "lp_solve", lambda lp: replace(solve(lp), tight=frozenset())),
     ("non-maximal", "_ml_leximin", lambda margins, zeros: (1, 0, 0, 0)),
 )
