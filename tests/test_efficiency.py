@@ -30,9 +30,9 @@ from pcvote import (
     fixture,
     fixture_profile,
     improvement_path,
-    margin_matrix,
     is_efficient,
     m3_efficiency_certificate,
+    margin_matrix,
     mass_shift_perturbation,
     pc1_find_dominator,
     profile,
@@ -357,6 +357,8 @@ def test_int_row_programs_solve_as_their_constraint_form(monkeypatch, programs):
         assert got == solve(ratlp.LinearProgram(lp.objective, rows)), lp
         pivots += got[-1]
     assert pivots > 0
+
+
 @pytest.mark.parametrize("region", ["small", "anonymous", "corpus"])
 def test_pc1_search_equals_the_per_voter_loop(region):
     """PC1 dominators read off the PC forms against the plain loop: every
