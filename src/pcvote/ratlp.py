@@ -30,7 +30,10 @@ builds from the same rows as `<=` `Constraint`s: an all-int row has scale
 1, a rhs >= 0 keeps the row's relation, and the slack columns follow row
 order. So the two forms take the same pivots and return the same
 solution, value and `tight` rows; the int-row form skips the packaging.
-The simplex run and the read-off are one code for both.
+The simplex run and the read-off are one code for both. The library
+solves only int-row programs (`efficiency`'s dominator LPs, `rules`'
+maximal-lottery LPs); `LinearProgram` is the public general form, which
+acceptance criterion 09 gates.
 
 An optimal outcome also reports, in `tight`, inequality rows that are
 tight at every optimal point, not only at the vertex returned. The final

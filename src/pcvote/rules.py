@@ -42,7 +42,7 @@ from .model import (
     top_tally,
     weak_condorcet_winners,
 )
-from .ratlp import EQ, GE, LE, Constraint, IntRowProgram, LinearProgram, LpOutcome, LpStatus, lp_solve
+from .ratlp import IntRowProgram, LpStatus, lp_solve
 
 
 @dataclass(frozen=True)
@@ -169,34 +169,22 @@ def _unit(m: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(m))
 
 
-def _optimal_value(outcome: LpOutcome) -> Fraction:
-    """The value of an LP over a face of the non-empty optimal set."""
-    if outcome.status is not LpStatus.Optimal or outcome.value is None:
-        raise InternalError(f"an LP over the margin game's optimal set came out {outcome.status.name}")
-    return outcome.value
-
-
-def _ml_max_min(
-    optimal_set: list[Constraint], fixed: dict[int, Fraction], free: list[int]
-) -> tuple[Fraction, tuple[Fraction, ...], list[int]]:
-    """Maximize the smallest free coordinate t over the optimal set (its
-    rows over p and t), with the already-settled coordinates pinned: that
-    floor, the optimal point, and the free coordinates whose floor row the
-    final tableau proves tight, which sit at the floor at every optimal
-    point."""
-    m = len(optimal_set) - 1  # a margin row per alternative, then the simplex row
-    rows = list(optimal_set)
+def _ml_program(margins: MarginMatrix, fixed: dict[int, Fraction], free: list[int]) -> IntRowProgram:
+    """max Σp subject to G p <= 0 and Σp <= 1, in the margins' own ints:
+    `_ml_point`'s program. With free coordinates, a max-min round over
+    (p, t) (see `_ml_leximin`): t joins the objective, each fixed j = num/den
+    adds den·p_j − num·Σp <= 0 and, unless num is 0, its negation, and each
+    free j a floor row t − p_j <= 0. Every rhs is 0 but Σp's 1."""
+    m = len(margins.alternatives)
+    t = (0,) if free else ()
+    rows = [row + t for row in margins.rows] + [(1,) * m + t]
     for j, value in fixed.items():
-        rows.append(Constraint(_unit(m, j) + (0,), EQ, value))
-    first = len(rows)
-    for j in free:
-        rows.append(Constraint(_unit(m, j) + (-1,), GE, 0))
-    outcome = lp_solve(LinearProgram(_unit(m + 1, m), tuple(rows)))
-    floor = _optimal_value(outcome)
-    if outcome.solution is None:
-        raise InternalError("the max-min LP of ml came out optimal with no solution")
-    proven = [j for k, j in enumerate(free) if first + k in outcome.tight]
-    return floor, outcome.solution[:m], proven
+        num, den = value.numerator, value.denominator
+        pin = tuple(den * u - num for u in _unit(m, j)) + t
+        rows += (pin, tuple(-v for v in pin)) if num else (pin,)
+    rows += (tuple(-u for u in _unit(m, j)) + (1,) for j in free)
+    rhs = (0,) * m + (1,) + (0,) * (len(rows) - m - 1)
+    return IntRowProgram((1,) * (m + len(t)), tuple(rows), rhs)
 
 
 def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -205,19 +193,33 @@ def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction
     coordinate that cannot go higher, repeat on the rest. The coordinates in
     `zeros`, 0 at every optimal point, are pinned to 0 from the start.
 
-    One LP per round. Its tableau proves some floor rows tight: t has
-    objective 1 and appears only in the floor rows, each with a -1, so the
-    duals of the floor rows sum to at least 1 and one of them is nonzero. When every free
+    One LP per round, homogenized (Charnes & Cooper 1962) into int rows
+    with rhs >= 0 (`_ml_program`): max Σp + t over (p, t). Let f be the
+    floor of the round on the simplex: max t subject to Σp = 1, G p <= 0,
+    the pins p_j = num/den and t <= p_j for free j. A feasible (p, t) with
+    s = Σp > 0 scales to (p/s, t/s), feasible there, so t <= s·f and
+    Σp + t <= s(1 + f) <= 1 + f; s = 0 forces p = 0 and t = 0. So the two
+    rounds have one optimal set, the (p, f) with p optimal on the simplex,
+    Σp = 1 also at f = 0, and a row tight at all of it is so in either.
+
+    Its tableau proves some floor rows tight: t has objective 1 and appears
+    only in the floor rows, each with a 1, so the duals of the floor rows
+    sum to at least 1 and one of them is nonzero. When every free
     coordinate sits at the floor they are all stuck, since their sum is
     fixed; the last free coordinate is 1 minus the fixed ones."""
     m = len(margins.alternatives)
-    # variables: p_0..p_{m-1}, then t; the optimal set is G p <= 0 on the simplex
-    optimal_set = [Constraint(row + (0,), LE, 0) for row in margins.rows]
-    optimal_set.append(Constraint((1,) * m + (0,), EQ, 1))
     fixed: dict[int, Fraction] = {j: Fraction(0) for j in zeros}
     free = [j for j in range(m) if j not in fixed]
     while len(free) > 1:
-        floor, point, proven = _ml_max_min(optimal_set, fixed, free)
+        program = _ml_program(margins, fixed, free)
+        outcome = lp_solve(program)
+        if outcome.status is not LpStatus.Optimal:
+            raise InternalError(f"an LP over the margin game's optimal set came out {outcome.status.name}")
+        if outcome.solution is None:
+            raise InternalError("the max-min LP of ml came out optimal with no solution")
+        *point, floor = outcome.solution
+        first = len(program.constraints) - len(free)  # the floor rows come last
+        proven = [j for k, j in enumerate(free) if first + k in outcome.tight]
         stuck = free if all(point[j] == floor for j in free) else proven
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")
@@ -230,13 +232,9 @@ def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction
 
 
 def _ml_point(margins: MarginMatrix) -> tuple[Fraction, ...]:
-    """Some vertex of the optimal set: max Σp subject to G p <= 0 and
-    Σp <= 1, an `IntRowProgram` in the margins' own ints. The optimal set is
-    not empty, so the optimum is 1, and the program's optimal points are
-    the optimal set."""
-    m = len(margins.alternatives)
-    rows = margins.rows + ((1,) * m,)
-    outcome = lp_solve(IntRowProgram((1,) * m, rows, (0,) * m + (1,)))
+    """Some vertex of the optimal set: `_ml_program` with nothing fixed or
+    free, whose optimum is 1 and whose optimal points are the optimal set."""
+    outcome = lp_solve(_ml_program(margins, {}, []))
     if outcome.status is not LpStatus.Optimal or outcome.solution is None:
         raise InternalError(f"the margin game's optimal set came out {outcome.status.name}")
     return outcome.solution

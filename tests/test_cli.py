@@ -507,6 +507,14 @@ WITNESS_OUTPUTS = {
         "e770e3bce8ee4920bfe38a6e899ccf7ef7635ee4b5e38f4df6cfb38bf992798c",
         1,
     ),
+    # pins which weights a random path draws: one per distinct ranking, in
+    # `all_rankings` order, takes step 1 to a:3/8,b:3/8,c:1/4, where one per
+    # voter took it to a:2/5,b:3/10,c:3/10
+    "path --profile swap_pair_R --start a:1/4,b:1/4,c:1/4,d:1/4 --max-steps 3 --mode random --seed 7": (
+        "0e3231f30f83c2059aa59aad781fb319e2f457697197cf180f4af46015226b78",
+        "49a53b03ba9357b560f16393d6e7968c99271b43dce02b3cf70a496e37d9eb92",
+        0,
+    ),
 }
 
 

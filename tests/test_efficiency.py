@@ -293,27 +293,38 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
     assert at_zero > 0
 
 
-def _ml_point_programs(monkeypatch):
-    """The point program `ml` solves for every distinct margin matrix with
-    m <= 4 and n <= 4 that has one."""
-    programs = []
+def _ml_programs(monkeypatch, n_max, t):
+    """The programs `ml` solves for every distinct margin matrix with m <= 4
+    and n <= `n_max` that has one, with m + `t` variables: its point
+    programs (t = 0), or its max-min rounds over p and t (t = 1)."""
+    programs, solved = [], []
 
     def recording(lp):
-        if isinstance(lp, ratlp.IntRowProgram):
-            programs.append(lp)
+        solved.append(lp)
         return lp_solve(lp)
 
     margins = {
         margin_matrix(prof)
         for m in range(1, 5)
-        for n in range(1, 5)
+        for n in range(1, n_max + 1)
         for prof in enumerate_profiles(m, n, up_to_anonymity=True)
     }
     with monkeypatch.context() as patch:
         patch.setattr(rules, "lp_solve", recording)
         for matrix in margins:
+            solved.clear()
             rules.maximal_lottery(matrix)
+            programs += [lp for lp in solved if len(lp.objective) == len(matrix.alternatives) + t]
     return programs
+
+
+def _ml_point_programs(monkeypatch):
+    return _ml_programs(monkeypatch, 4, 0)
+
+
+def _ml_round_programs(monkeypatch):
+    """Every max-min round of the 1426 matrices of `ml`'s leximin gate."""
+    return _ml_programs(monkeypatch, 3, 1)
 
 
 def _dominator_programs(monkeypatch):
@@ -330,7 +341,7 @@ def _dominator_programs(monkeypatch):
     return programs
 
 
-@pytest.mark.parametrize("programs", [_dominator_programs, _ml_point_programs])
+@pytest.mark.parametrize("programs", [_dominator_programs, _ml_point_programs, _ml_round_programs])
 def test_int_row_programs_solve_as_their_constraint_form(monkeypatch, programs):
     """An all-int `<=` row with rhs >= 0 enters `_standardize`'s tableau as
     it is, with its slack column in row order and no artificial column, so
@@ -356,7 +367,7 @@ def test_int_row_programs_solve_as_their_constraint_form(monkeypatch, programs):
         got = solve(lp)
         assert got == solve(ratlp.LinearProgram(lp.objective, rows)), lp
         pivots += got[-1]
-    assert pivots > 0
+    assert lps and pivots > 0
 
 
 @pytest.mark.parametrize("region", ["small", "anonymous", "corpus"])

@@ -382,9 +382,9 @@ def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
         lps += [random_lp(rng, max_vars=6, max_constraints=10) for _ in range(larger)]
     fixtures = len(lps)
     lps += _corpus_lps(monkeypatch)
-    # one corpus pass: 1669 dominator LPs and 216 of ml (see `LP_SOLVES` in
+    # one corpus pass: 1669 dominator LPs and 220 of ml (see `LP_SOLVES` in
     # test_benchmark_bindings.py)
-    assert len(lps) - fixtures == 1885
+    assert len(lps) - fixtures == 1889
     optimal = 0
     for k, lp in enumerate(lps):
         out = lp_solve(lp)

@@ -270,8 +270,9 @@ def forced_leximin(monkeypatch, leximin_results):
 
 
 def _floor_rows(lp):
-    """The max-min LP's rows p_j - t >= 0: the ones with t's -1."""
-    return {i for i, c in enumerate(lp.constraints) if c.coeffs[-1] == -1}
+    """A max-min round's rows t - p_j <= 0: the int rows whose last entry,
+    t's, is 1. Every other row of a round has a 0 in t's column."""
+    return {i for i, row in enumerate(lp.constraints) if row[-1] == 1}
 
 
 def test_ml_leximin_equals_the_reference_on_every_margin_matrix_up_to_four_by_three(
@@ -317,11 +318,17 @@ def _tie_heavy_profile(rng):
 
 def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
     solves = {"point": 0, "loop": 0, "reference": 0}
+    rounds = []
 
     def counting(key):
         def solve(lp):
             solves[key] += 1
-            return lp_solve(lp)
+            outcome = lp_solve(lp)
+            if key != "reference":
+                assert isinstance(lp, IntRowProgram), lp
+                if key == "loop":
+                    rounds.append((lp, outcome))
+            return outcome
         return solve
 
     reference = counting("reference")
@@ -332,15 +339,31 @@ def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
         monkeypatch.setattr(rules, "lp_solve", counting("point"))
         _, zeros = rules._ml_certificate(mm, rules._ml_point(mm))
         monkeypatch.setattr(rules, "lp_solve", counting("loop"))
-        assert rules._ml_leximin(mm, zeros) == reference_ml_leximin(mm, reference), (k, mm.rows)
+        rounds.clear()
+        got = rules._ml_leximin(mm, zeros)
+        assert got == reference_ml_leximin(mm, reference), (k, mm.rows)
+        # Every round's point is a lottery, Σp = 1, even at floor 0, that
+        # holds each pinned coordinate at its value, and t is its least free
+        # coordinate, one that a floor row t - p_j <= 0 names
+        for lp, outcome in rounds:
+            *point, t = outcome.solution
+            free = {row.index(-1) for row in (lp.constraints[i] for i in _floor_rows(lp))}
+            assert sum(point) == 1 and t == min(point[j] for j in free), (k, lp)
+            assert all(point[j] == got[j] for j in range(len(got)) if j not in free), (k, lp)
     # One point LP per matrix. The loop takes one LP per round, against the
     # reference's one per round and per coordinate at the floor. Of the 600
     # matrices, 321 have a Condorcet winner, whose point proves every other
     # coordinate 0, so the loop runs no round; 191 have zero row sums and take
     # one round, with every coordinate at the floor 1/m; the other 88 take
-    # 131 rounds (191 with no coordinate pinned). 0 + 191 + 131 = 322, where
-    # the loop with nothing pinned took 321 + 191 + 191 = 703
-    assert solves == {"point": 600, "loop": 322, "reference": 3841}
+    # 158 rounds (299 with no coordinate pinned). 0 + 191 + 158 = 349. Those
+    # 158 rounds are 88 at a positive floor and 70 at floor 0. The rounds of
+    # the old form, max t subject to Σp = 1 and p_j - t >= 0 (a phase-one
+    # `LinearProgram`), were the same 88 and 43 at floor 0: 322 in all. At
+    # floor 0 the row t - p_j <= 0 and the bound p_j >= 0 are both tight at
+    # the optimum, and the dual the homogenized tableau ends on proves fewer
+    # floor rows tight, so 27 more rounds pin the same zeros. The results
+    # are the same
+    assert solves == {"point": 600, "loop": 349, "reference": 3841}
 
 
 def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypatch):
@@ -559,8 +582,12 @@ def test_internal_error_is_not_a_domain_error():
 
 
 def _pointless_max_min(lp):
-    """The point LP (an `IntRowProgram`) as it is; every max-min LP optimal with no point."""
-    return lp_solve(lp) if isinstance(lp, IntRowProgram) else LpOutcome(LpStatus.Optimal, None, F(0))
+    """The point LP as it is; every max-min LP optimal with no point. Both
+    are `IntRowProgram`s, told apart by shape: the point LP has m variables
+    and m + 1 rows (G p <= 0, Σp <= 1), a round m + 1 variables (p and t)
+    and at least m + 3 rows (two or more floor rows)."""
+    point = len(lp.objective) == len(lp.constraints) - 1
+    return lp_solve(lp) if point else LpOutcome(LpStatus.Optimal, None, F(0))
 
 
 def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
@@ -589,7 +616,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pcvote import InternalError, ml, profile, rules
-from pcvote.ratlp import IntRowProgram, LpOutcome, LpStatus
+from pcvote.ratlp import LpOutcome, LpStatus
 
 assert False, "asserts must be stripped here"
 triangle = profile(
@@ -597,8 +624,10 @@ triangle = profile(
 )
 solve = rules.lp_solve
 pointless = LpOutcome(LpStatus.Optimal, None, Fraction(0))
+# the point LP has m variables and m + 1 rows, a round m + 1 variables and more rows
+point = lambda lp: len(lp.objective) == len(lp.constraints) - 1
 guards = (
-    ("no solution", "lp_solve", lambda lp: solve(lp) if isinstance(lp, IntRowProgram) else pointless),
+    ("no solution", "lp_solve", lambda lp: solve(lp) if point(lp) else pointless),
     ("pinned no coordinate", "lp_solve", lambda lp: replace(solve(lp), tight=frozenset())),
     ("non-maximal", "_ml_leximin", lambda margins, zeros: (1, 0, 0, 0)),
 )
