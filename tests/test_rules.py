@@ -326,8 +326,8 @@ def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
             outcome = lp_solve(lp)
             if key != "reference":
                 assert isinstance(lp, IntRowProgram), lp
-                if key == "loop":
-                    rounds.append((lp, outcome))
+            if key == "loop":
+                rounds.append((lp, outcome))
             return outcome
         return solve
 
@@ -506,10 +506,11 @@ def test_every_rule_is_a_function_of_its_declared_statistic():
 
 
 # No Condorcet winner and row sums not all 0, and the optimal set is the
-# triangle p_c = 0, p_b >= p_a + p_d, not a point. The zero-objective LP
-# finds (1/2, 1/2, 0, 0), where G p = 0 proves no coordinate 0, so the
-# leximin loop runs with nothing pinned. Its first max-min point (0, 1, 0, 0)
-# lifts b above the floor 0, so only the tableau's proof pins c there.
+# triangle p_c = 0, p_b >= p_a + p_d, not a point. The point LP finds
+# (1/2, 1/2, 0, 0), where G p = 0 proves no coordinate 0, so the leximin
+# loop runs with nothing pinned. Its first max-min point is the same one: it
+# lifts a and b above the floor 0 and leaves c and d there, and only the
+# tableau's proof pins c.
 TRIANGLE = profile(
     "abcd", [("a", "b", "c", "d"), ("b", "c", "a", "d"), ("c", "d", "a", "b"), ("d", "b", "c", "a")]
 )
