@@ -81,7 +81,7 @@ def _certificate(
 ) -> DominanceCertificate:
     compare_fn = comparator(extension)
     outcomes = tuple(
-        (ballot, voters, compare_fn(ballot, q, p)) for ballot, voters in _ballot_weights(profile, None)
+        (ballot, voters, compare_fn(ballot, q, p)) for ballot, voters in profile._ranking_totals
     )
     if not is_dominance([outcome for _, _, outcome in outcomes]):
         raise InternalError("dominance witness failed re-validation")
@@ -113,12 +113,46 @@ def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[tuple[int, ...], ...]:
 _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 
 
+def _efficient_by_margins(
+    profile: Profile, mass: Sequence[int], beaten: Sequence[int], extension: Extension
+) -> bool:
+    """Does G p <= 0 certify p efficient, with no LP? `beaten` is G · mass
+    (`MarginMatrix.times`), p's int mass over its denominator.
+
+    Write PC_b(q, p) = qᵀ M_b p, with M_b ballot b's skew pairwise matrix;
+    the margin matrix is G = Σ_b n_b M_b, so Σ_b n_b PC_b(q, p) = qᵀ G p,
+    which is <= 0 for every lottery q when G p <= 0. A PC dominator would
+    make every term >= 0 and one > 0, so there is none: the multipliers
+    λ_b = n_b certify PC-efficiency, whatever weights the LP would use.
+
+    SD: PC_b(q, p) = Σ_k c_k (Q_k − P_k), over the ballot's proper prefixes
+    k, with Q_k, P_k the prefix masses of q and p and c_k = p(x_k) +
+    p(x_{k+1}). An SD dominator makes every Q_k − P_k >= 0 and one > 0,
+    so μ_{b,k} = n_b c_k rule it out when every c_k > 0: when no ballot
+    has two adjacent alternatives that p both gives 0. Otherwise the LP
+    decides. The theorem "PC-efficient implies SD-efficient" is not used:
+    each verdict here rests on multipliers the code checks."""
+    if max(beaten) > 0:
+        return False
+    if extension is Extension.PC:
+        return True
+    return not any(
+        mass[a] == 0 == mass[b]
+        for ballot, _ in profile._ranking_totals
+        for a, b in zip(ballot.indices, ballot.indices[1:])
+    )
+
+
 def _dominator_lp(
-    profile: Profile, p: Lottery, extension: Extension, totals: list[tuple[Ranking, Rational]]
+    profile: Profile,
+    p: Lottery,
+    extension: Extension,
+    totals: Optional[Sequence[tuple[Ranking, Rational]]] = None,
 ) -> Optional[Lottery]:
     """A lottery q that satisfies every ballot type's rows and maximizes
     their weighted total slack, if that total is positive; None when it is
-    0, that is, when p is efficient.
+    0, that is, when p is efficient. When G p <= 0 certifies that
+    (`_efficient_by_margins`), no program is built.
 
     Every row reads a · q <= 0, so the rows cut out a cone that holds p,
     and the program closes it with Σq <= 1. The rows are ints with rhs 0
@@ -130,20 +164,32 @@ def _dominator_lp(
     and a positive optimum lies on Σq = 1, since scaling q up would raise
     it: the vertex returned is a lottery.
 
-    Each ranking in `totals` (`_ballot_weights`: `all_rankings` order,
-    sorted label tuples) contributes one block of rows, weighted in the
-    objective by its total weight. The program, and so the witness, is a
+    Each ranking in `totals` (`all_rankings` order, sorted label tuples)
+    contributes one block of rows, weighted in the objective by its total
+    weight; None means each ranking's voter count
+    (`Profile._ranking_totals`). The program, and so the witness, is a
     function of the ballot multiset and those totals alone. The rows are
     over p's denominator, and so is the value: only whether it is 0 is
-    read."""
+    read. With voter counts, the PC objective Σ_r n_r `pc_form(b_r, p)` is
+    G · mass, read off the margins."""
+    mass, _ = p._mass
+    beaten = profile._margins.times(mass)
+    if _efficient_by_margins(profile, mass, beaten, extension):
+        return None
     ballot_rows = _DOMINATOR_ROWS[extension]
     rows: list[tuple[int, ...]] = []
-    objective: list[Rational] = [0] * profile.m
-    for ballot, weight in totals:
-        for row in ballot_rows(ballot, p):
-            rows.append(row)
-            for j, c in enumerate(row):
-                objective[j] -= weight * c
+    objective: Sequence[Rational]
+    if totals is None and extension is Extension.PC:
+        objective = beaten
+        for ballot, _ in profile._ranking_totals:
+            rows += ballot_rows(ballot, p)
+    else:
+        objective = [0] * profile.m
+        for ballot, weight in profile._ranking_totals if totals is None else totals:
+            for row in ballot_rows(ballot, p):
+                rows.append(row)
+                for j, c in enumerate(row):
+                    objective[j] -= weight * c
     rows.append((1,) * profile.m)
     rhs = (0,) * (len(rows) - 1) + (1,)
     outcome = lp_solve(IntRowProgram(tuple(objective), tuple(rows), rhs))
@@ -154,23 +200,18 @@ def _dominator_lp(
     return Lottery(profile.alternatives, outcome.solution)
 
 
-def _ballot_weights(
-    profile: Profile, weights: Optional[Sequence[Rational]]
-) -> list[tuple[Ranking, Rational]]:
-    """Each ranking in `all_rankings` order, with its voters' total weight:
-    their count when no weights are given. Int and Fraction weights are
-    summed as given."""
-    if weights is not None:
-        weights = tuple(require_rational(w, "voter weight") for w in weights)
-        if len(weights) != profile.n:
-            raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
-        if any(w <= 0 for w in weights):
-            raise DomainError("voter weights must be strictly positive")
+def _ballot_weights(profile: Profile, weights: Sequence[Rational]) -> list[tuple[Ranking, Rational]]:
+    """Each ranking in `all_rankings` order, with its voters' total weight.
+    Int and Fraction weights are summed as given."""
+    weights = tuple(require_rational(w, "voter weight") for w in weights)
+    if len(weights) != profile.n:
+        raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
+    if any(w <= 0 for w in weights):
+        raise DomainError("voter weights must be strictly positive")
     totals: dict[Ranking, Rational] = {}
     start = 0
     for ballot, count in profile.runs:
-        share = count if weights is None else sum(weights[start:start + count])
-        totals[ballot] = totals.get(ballot, 0) + share
+        totals[ballot] = totals.get(ballot, 0) + sum(weights[start:start + count])
         start += count
     return sorted(totals.items(), key=lambda item: item[0].order)
 
@@ -183,16 +224,19 @@ def find_dominator(
 ) -> Optional[DominanceCertificate]:
     """A dominating lottery under PC or SD, as an LP witness, or None.
 
-    The LP has one block of rows per ballot type, in sorted order. Optional
-    strictly positive per-voter weights tilt the objective (any choice
-    keeps the oracle sound); the default is all-ones. The witness is a
-    function of the ballot multiset and each ranking's weight total.
+    A lottery the margins certify efficient (`_efficient_by_margins`) gets
+    None with no LP. Otherwise the LP has one block of rows per ballot
+    type, in sorted order. Optional strictly positive per-voter weights
+    tilt the objective (any choice keeps the oracle sound); the default is
+    all-ones. The witness is a function of the ballot multiset and each
+    ranking's weight total.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
     if extension not in _DOMINATOR_ROWS:
         raise DomainError("find_dominator solves PC and SD; use pc1_find_dominator for PC1")
-    q = _dominator_lp(profile, p, extension, _ballot_weights(profile, weights))
+    totals = None if weights is None else _ballot_weights(profile, weights)
+    q = _dominator_lp(profile, p, extension, totals)
     return None if q is None else _certificate(profile, extension, p, q)
 
 
@@ -204,14 +248,14 @@ def pc1_find_dominator(profile: Profile, p: Lottery) -> Optional[DominanceCertif
     exhaustive. PC1 compares a degenerate lottery e_x as PC does, and
     pc_score(ballot, e_x, p) is x's entry of `pc_form(ballot, p)` over p's
     denominator, whether or not p is degenerate. So e_x dominates p
-    exactly when x's column of the runs' PC forms is >= 0 on every run and
-    > 0 on some run; only that candidate is built and checked with
-    `dominates`. A degenerate p is additionally comparable against every
+    exactly when x's column of the distinct rankings' PC forms is >= 0 on
+    every ranking and > 0 on some; only that candidate is built and
+    checked with `dominates`. A degenerate p is additionally comparable against every
     lottery, so the PC dominator LP covers the rest of that case.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    forms = [pc_form(ballot, p)[0] for ballot, _ in profile.runs]
+    forms = [pc_form(ballot, p)[0] for ballot, _ in profile._ranking_totals]
     for x, column in zip(profile.alternatives, zip(*forms)):
         if min(column) >= 0 and max(column) > 0:
             q = Lottery.degenerate(profile.alternatives, x)
@@ -350,7 +394,7 @@ def improvement_path(
     if start.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
     rng = random.Random(seed)
-    rankings = [ballot for ballot, _ in _ballot_weights(profile, None)]
+    rankings = [ballot for ballot, _ in profile._ranking_totals]
     lotteries = [start]
     steps: list[str] = []
     seen = {start}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations, repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -351,6 +351,15 @@ class Profile:
         return MarginMatrix(self.alternatives, tuple(map(tuple, rows)))
 
     @cached_property
+    def _ranking_totals(self) -> tuple[tuple["Ranking", int], ...]:
+        """Each distinct ranking with its voter count, in `all_rankings`
+        order (sorted label tuples)."""
+        totals: dict[Ranking, int] = {}
+        for ballot, count in self.runs:
+            totals[ballot] = totals.get(ballot, 0) + count
+        return tuple(sorted(totals.items(), key=lambda item: item[0].order))
+
+    @cached_property
     def _top_counts(self) -> tuple[int, ...]:
         """First places per alternative, in alternative order."""
         return top_tally(self)
@@ -457,6 +466,12 @@ class MarginMatrix:
 
     def margin(self, x: str, y: str) -> int:
         return self.rows[self.alternatives.index(x)][self.alternatives.index(y)]
+
+    def times(self, mass: Sequence[int]) -> tuple[int, ...]:
+        """G · mass, in ints. On a lottery's mass over its denominator
+        (`Lottery._mass`), entry x is how far x beats the lottery in
+        expectation, times that denominator: Σ_r n_r `pc_form(b_r, p)`."""
+        return tuple(sum(map(mul, row, mass)) for row in self.rows)
 
     def condorcet_index(self) -> Optional[int]:
         """The Condorcet winner's index, the row positive off the diagonal, if any."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Optional
 
 from .model import (
@@ -155,7 +154,7 @@ def _beats_or_ties_every_alternative(margins: MarginMatrix, probs: tuple[Fractio
     expectation. Checked in ints, on p times the lcm of its denominators
     (`_scaled`), a positive factor that keeps each inequality."""
     mass, _ = _scaled(probs)
-    return all(sum(map(mul, row, mass)) <= 0 for row in margins.rows)
+    return max(margins.times(mass)) <= 0
 
 
 def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:
@@ -270,7 +269,7 @@ def _ml_certificate(
     Decided in ints, on the point times the lcm of its denominators."""
     mass, _ = _scaled(point)
     support = [x for x, w in enumerate(mass) if w]
-    zeros = tuple(x for x, row in enumerate(margins.rows) if sum(map(mul, row, mass)) < 0)
+    zeros = tuple(x for x, g in enumerate(margins.times(mass)) if g < 0)
     if len(support) + len(zeros) < len(mass):  # disjoint, since p_x (Gp)_x = 0 for every x
         return False, zeros
     block = [[margins.rows[x][y] for y in support] for x in support]

@@ -39,12 +39,14 @@ from pcvote import (
     rd,
     f1,
 )
+from pcvote.extensions import pc_form
 from pcvote import efficiency, ratlp, rules
 from pcvote.profilefmt import format_lottery, parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
 from helpers import (
     random_lottery,
     random_profile,
+    reference_beats_or_ties_every_alternative,
     reference_dominator_lp,
     reference_m3_certificate,
     reference_pc1_find_dominator,
@@ -234,24 +236,61 @@ def _gate_profiles(region):
     return list(_repeat_heavy_profiles(5, 300))
 
 
+def _settled_by_the_margins(prof, p, extension):
+    """G p <= 0, each sum in Fractions, and for SD no ballot with two
+    adjacent alternatives that p both gives 0: the cases
+    `efficiency._efficient_by_margins` must settle."""
+    if not reference_beats_or_ties_every_alternative(margin_matrix(prof), p.probs):
+        return False
+    return extension is Extension.PC or not any(
+        p.prob(x) == 0 == p.prob(y) for ballot in prof.ballots for x, y in zip(ballot.order, ballot.order[1:])
+    )
+
+
+def _recording_the_certificate(monkeypatch, bypass):
+    """Each `_efficient_by_margins` verdict, in call order; with `bypass`
+    the call answers False, so every case goes on to the LP."""
+    settled = []
+    certify = efficiency._efficient_by_margins
+
+    def recording(*args):
+        settled.append(certify(*args))
+        return settled[-1] and not bypass
+
+    monkeypatch.setattr(efficiency, "_efficient_by_margins", recording)
+    return settled
+
+
 @pytest.mark.parametrize("region", ["small", "anonymous", "corpus", "repeat-heavy"])
-def test_verdicts_equal_the_per_voter_lp(region):
+def test_verdicts_equal_the_per_voter_lp(monkeypatch, region):
     """One row block per ranking keeps the per-voter LP's feasible set and
-    objective, so no verdict moves: PC and SD, all-ones and seeded weights,
-    for rd, ml and the uniform lottery."""
+    objective, and G p <= 0 settles only efficient lotteries, so no verdict
+    moves: PC and SD, all-ones and seeded weights, for rd, ml, the uniform
+    lottery and a seeded one. In every region the certificate settles PC
+    and SD cases, and some SD case with G p <= 0 goes on to the LP, since
+    a ballot puts two alternatives outside supp p next to each other."""
     rng = random.Random(3)
     ml = rules.get_rule("ml")
-    verdicts = set()
+    settled = _recording_the_certificate(monkeypatch, bypass=False)
+    verdicts, seen = set(), Counter()
     for prof in _gate_profiles(region):
         weights = tuple(F(rng.randint(1, 9)) for _ in range(prof.n))
-        for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives))):
+        seeded = random_lottery(rng, prof.alternatives)
+        for p in dict.fromkeys((rd(prof), ml(prof), Lottery.uniform(prof.alternatives), seeded)):
+            maximal = reference_beats_or_ties_every_alternative(margin_matrix(prof), p.probs)
             for extension in (Extension.PC, Extension.SD):
                 for w in (None, weights):
                     value, _ = reference_dominator_lp(prof, p, extension, w)
+                    settled.clear()
                     efficient = find_dominator(prof, p, extension, w) is None
                     assert efficient == (value == 0), (prof, p, extension, w)
+                    assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
                     verdicts.add(efficient)
+                    seen[extension, settled[0], maximal] += 1
     assert verdicts == {True, False}
+    assert seen[Extension.PC, True, True] and seen[Extension.SD, True, True], seen
+    assert seen[Extension.SD, False, True], seen
+    assert not seen[Extension.PC, False, True] and not seen[Extension.PC, True, False], seen
 
 
 def _dominator_cases():
@@ -269,7 +308,10 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
     """Every dominator program is an `IntRowProgram`: int rows a · q <= 0,
     then the closing row Σq <= 1, so the simplex starts on the all-slack
     basis with no phase one. q = 0 is then feasible, and an efficient p
-    returns None also when the solver's vertex is q = 0."""
+    returns None also when the solver's vertex is q = 0. The certificate is
+    bypassed, so every case builds its program, and each case it would
+    settle is one where the LP's value is 0. With voter counts, the PC
+    objective read off the margins, G · mass, is Σ_r n_r `pc_form(b_r, p)`."""
     solved = []
 
     def recording(lp):
@@ -278,9 +320,12 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
         return outcome
 
     monkeypatch.setattr(efficiency, "lp_solve", recording)
+    settled = _recording_the_certificate(monkeypatch, bypass=True)
     at_zero = 0
+    certified = Counter()
     for prof, p, extension in _dominator_cases():
         solved.clear()
+        settled.clear()
         cert = find_dominator(prof, p, extension)
         [(lp, outcome)] = solved
         assert isinstance(lp, ratlp.IntRowProgram)
@@ -290,7 +335,25 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
         assert (cert is None) == (outcome.value == 0), (prof, p, extension)
         if cert is None and not any(outcome.solution):
             at_zero += 1
+        assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
+        if settled[0]:
+            assert outcome.value == 0, (prof, p, extension)
+        certified[extension, settled[0]] += 1
+        if extension is Extension.PC:
+            forms = [(count, pc_form(ballot, p)[0]) for ballot, count in prof.runs]
+            want = tuple(sum(count * form[j] for count, form in forms) for j in range(prof.m))
+            assert lp.objective == want, (prof, p)
     assert at_zero > 0
+    # The gate regions give 4 732 (profile, lottery) cases, each with a PC
+    # and an SD program. G p <= 0 holds in 1 985 of them, which settles those
+    # PC programs and 530 of the SD ones; in the other 1 455 some ballot
+    # puts two alternatives outside supp p next to each other
+    assert certified == {
+        (Extension.PC, True): 1985,
+        (Extension.PC, False): 2747,
+        (Extension.SD, True): 530,
+        (Extension.SD, False): 4202,
+    }
 
 
 def _ml_programs(monkeypatch, n_max, t):
@@ -438,7 +501,10 @@ ELECTORATE = parse_profile(
 
 def test_each_ranking_gives_one_block_of_rows(monkeypatch):
     """(distinct rankings)·r + 1 rows per dominator LP, with r = 1 for PC
-    and m−1 for SD: the simplex row closes the program."""
+    and m−1 for SD: the simplex row closes the program. The certificate is
+    bypassed, so every case builds its program; it would settle exactly
+    the cases with G p <= 0 (and, for SD, no two adjacent zeros on a
+    ballot), none of them on the electorate."""
     sizes = []
 
     def recording(lp):
@@ -446,15 +512,25 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
         return lp_solve(lp)
 
     monkeypatch.setattr(efficiency, "lp_solve", recording)
+    settled = _recording_the_certificate(monkeypatch, bypass=True)
     assert ELECTORATE.n == 600_000
     cases = [ELECTORATE] + list(_repeat_heavy_profiles(5, 40))
+    certified = Counter()
     for prof in cases:
         kinds = len({ballot for ballot, _ in prof.runs})
         for p in (rd(prof), Lottery.uniform(prof.alternatives)):
             for extension, r in ((Extension.PC, 1), (Extension.SD, prof.m - 1)):
                 sizes.clear()
+                settled.clear()
                 find_dominator(prof, p, extension)
                 assert sizes == [kinds * r + 1], (prof, extension)
+                assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
+                certified[extension] += settled[0]
+                if prof is ELECTORATE:
+                    assert settled == [False], (p, extension)
+    # 14 of the 82 (profile, lottery) cases have G p <= 0, 2 of them with
+    # no two adjacent zeros on any ballot
+    assert certified == {Extension.PC: 14, Extension.SD: 2}
     for extension in (Extension.PC, Extension.SD):
         assert find_dominator(ELECTORATE, rd(ELECTORATE), extension) is None
 

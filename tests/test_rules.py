@@ -16,6 +16,7 @@ from pcvote import (
     DomainError,
     InternalError,
     Lottery,
+    MarginMatrix,
     RULES,
     alternative_set,
     condorcet_uniform,
@@ -300,6 +301,45 @@ def test_ml_leximin_equals_the_reference_on_every_margin_matrix_up_to_four_by_th
         assert len(outcomes) < len(mm.alternatives), mm.rows
         for lp, outcome in outcomes:
             assert outcome.tight & _floor_rows(lp), (mm.rows, lp)
+
+
+# Upper triangles (ab, ac, ad, bc, bd, cd) of m = 4 margin matrices, all even, so a profile
+# with an even number of voters has each (McGarvey 1953), with their leximin points. Each
+# optimal set is a segment inside the simplex along which one coordinate stays at the floor
+# of the first max-min round, above 0, so that round pins it alone and the next round runs
+# with a positive pin and three free coordinates. Found among the 7^6 matrices with entries in
+# -6..6, even; none of the 1426 matrices up to m = 4, n = 3 or the tie-heavy profiles is such.
+POSITIVE_PINS = {
+    (-4, -4, 4, 0, -2, -2): (F(1, 5), F(1, 5), F(1, 5), F(2, 5)),
+    (-6, -6, 6, 0, -2, -2): (F(1, 7), F(3, 14), F(3, 14), F(3, 7)),
+    (-6, 2, 2, -4, -4, 0): (F(1, 3), F(1, 6), F(1, 4), F(1, 4)),
+    (-6, 2, 2, -2, -2, 0): (F(1, 5), F(1, 5), F(3, 10), F(3, 10)),
+}
+
+
+def _margins_of_upper_triangle(upper):
+    rows = [[0] * 4 for _ in range(4)]
+    for (i, j), g in zip(itertools.combinations(range(4), 2), upper):
+        rows[i][j], rows[j][i] = g, -g
+    return MarginMatrix(alternative_set("abcd"), tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("upper", sorted(POSITIVE_PINS))
+def test_ml_leximin_equals_the_reference_after_a_positive_pin(monkeypatch, upper):
+    rounds = []
+
+    def recording(lp):
+        rounds.append((lp, lp_solve(lp)))
+        return rounds[-1][1]
+
+    mm = _margins_of_upper_triangle(upper)
+    monkeypatch.setattr(rules, "lp_solve", recording)
+    got = rules._ml_leximin(mm, ())
+    monkeypatch.undo()
+    assert got == reference_ml_leximin(mm) == POSITIVE_PINS[upper]
+    *_, floor = rounds[0][1].solution
+    assert floor > 0 and len(_floor_rows(rounds[1][0])) == 3, rounds
+    assert rules.maximal_lottery(mm).probs == got
 
 
 def _tie_heavy_profile(rng):
