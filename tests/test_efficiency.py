@@ -391,6 +391,8 @@ def _ml_round_programs(monkeypatch):
 
 
 def _dominator_programs(monkeypatch):
+    """Every case's program, also where the margin certificate would
+    settle the case with none."""
     programs = []
 
     def recording(lp):
@@ -399,6 +401,7 @@ def _dominator_programs(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(efficiency, "lp_solve", recording)
+        _recording_the_certificate(patch, bypass=True)
         for prof, p, extension in _dominator_cases():
             find_dominator(prof, p, extension)
     return programs
