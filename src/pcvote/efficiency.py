@@ -2,7 +2,10 @@
 
 A lottery p is inefficient (under a given extension) when some lottery q
 makes every voter weakly better off and at least one strictly better off.
-For PC and SD that existence question is a small exact linear program; for
+For PC and SD that existence question is a small exact linear program,
+built only when no certificate settles it first: under SD a lottery whose
+support is first-ranked alternatives is efficient, and under PC (and SD,
+with a condition on p's zeros) so is one the margins beat or tie; for
 PC1 it reduces to a finite case split because two non-degenerate lotteries
 are never PC1-comparable; ex-post efficiency just reads the Pareto-dominated
 set. The module also provides a calibrated mass-shift perturbation whose
@@ -113,26 +116,40 @@ def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[tuple[int, ...], ...]:
 _DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
 
 
-def _efficient_by_margins(
-    profile: Profile, mass: Sequence[int], beaten: Sequence[int], extension: Extension
-) -> bool:
-    """Does G p <= 0 certify p efficient, with no LP? `beaten` is G · mass
-    (`MarginMatrix.times`), p's int mass over its denominator.
+def _efficient_without_lp(profile: Profile, mass: Sequence[int], extension: Extension) -> bool:
+    """Is p certified efficient with no LP? `mass` is p's int mass over its
+    denominator (`Lottery._mass`). Two clauses, the cheaper first.
 
-    Write PC_b(q, p) = qᵀ M_b p, with M_b ballot b's skew pairwise matrix;
-    the margin matrix is G = Σ_b n_b M_b, so Σ_b n_b PC_b(q, p) = qᵀ G p,
-    which is <= 0 for every lottery q when G p <= 0. A PC dominator would
-    make every term >= 0 and one > 0, so there is none: the multipliers
-    λ_b = n_b certify PC-efficiency, whatever weights the LP would use.
+    The support (SD only): a voter who weakly SD-prefers q to p has
+    q(x) >= p(x) for the alternative x they rank first (the top-1 prefix).
+    When every alternative p gives positive probability is ranked first by
+    some voter (`Profile._top_counts`), a weak SD-dominator q therefore has
+    q(x) >= p(x) on all of supp p, so q(supp p) >= p(supp p) = 1 and q = p:
+    no voter is strictly better off. `rd` puts its mass on exactly the
+    first-ranked alternatives, so this settles every SD call on `rd`.
 
-    SD: PC_b(q, p) = Σ_k c_k (Q_k − P_k), over the ballot's proper prefixes
-    k, with Q_k, P_k the prefix masses of q and p and c_k = p(x_k) +
-    p(x_{k+1}). An SD dominator makes every Q_k − P_k >= 0 and one > 0,
-    so μ_{b,k} = n_b c_k rule it out when every c_k > 0: when no ballot
+    The margins: write PC_b(q, p) = qᵀ M_b p, with M_b ballot b's skew
+    pairwise matrix; the margin matrix is G = Σ_b n_b M_b, so Σ_b n_b
+    PC_b(q, p) = qᵀ G p, which is <= 0 for every lottery q when G p <= 0.
+    A PC dominator would make every term >= 0 and one > 0, so there is
+    none: the multipliers λ_b = n_b certify PC-efficiency, whatever weights
+    the LP would use.
+
+    SD by the margins: PC_b(q, p) = Σ_k c_k (Q_k − P_k), over the ballot's
+    proper prefixes k, with Q_k, P_k the prefix masses of q and p and c_k =
+    p(x_k) + p(x_{k+1}). An SD dominator makes every Q_k − P_k >= 0 and one
+    > 0, so μ_{b,k} = n_b c_k rule it out when every c_k > 0: when no ballot
     has two adjacent alternatives that p both gives 0. Otherwise the LP
     decides. The theorem "PC-efficient implies SD-efficient" is not used:
-    each verdict here rests on multipliers the code checks."""
-    if max(beaten) > 0:
+    each verdict here rests on an argument the code checks.
+
+    Neither notion depends on voter weights, so both clauses hold for
+    weighted calls too."""
+    if extension is Extension.SD:
+        tops = profile._top_counts
+        if all(tops[x] for x, w in enumerate(mass) if w):
+            return True
+    if max(profile._margins.times(mass)) > 0:
         return False
     if extension is Extension.PC:
         return True
@@ -151,8 +168,8 @@ def _dominator_lp(
 ) -> Optional[Lottery]:
     """A lottery q that satisfies every ballot type's rows and maximizes
     their weighted total slack, if that total is positive; None when it is
-    0, that is, when p is efficient. When G p <= 0 certifies that
-    (`_efficient_by_margins`), no program is built.
+    0, that is, when p is efficient. When p's support or G p <= 0
+    certifies that (`_efficient_without_lp`), no program is built.
 
     Every row reads a · q <= 0, so the rows cut out a cone that holds p,
     and the program closes it with Σq <= 1. The rows are ints with rhs 0
@@ -173,14 +190,13 @@ def _dominator_lp(
     read. With voter counts, the PC objective Σ_r n_r `pc_form(b_r, p)` is
     G · mass, read off the margins."""
     mass, _ = p._mass
-    beaten = profile._margins.times(mass)
-    if _efficient_by_margins(profile, mass, beaten, extension):
+    if _efficient_without_lp(profile, mass, extension):
         return None
     ballot_rows = _DOMINATOR_ROWS[extension]
     rows: list[tuple[int, ...]] = []
     objective: Sequence[Rational]
     if totals is None and extension is Extension.PC:
-        objective = beaten
+        objective = profile._margins.times(mass)
         for ballot, _ in profile._ranking_totals:
             rows += ballot_rows(ballot, p)
     else:
@@ -224,9 +240,11 @@ def find_dominator(
 ) -> Optional[DominanceCertificate]:
     """A dominating lottery under PC or SD, as an LP witness, or None.
 
-    A lottery the margins certify efficient (`_efficient_by_margins`) gets
-    None with no LP. Otherwise the LP has one block of rows per ballot
-    type, in sorted order. Optional strictly positive per-voter weights
+    A lottery certified efficient with no LP (`_efficient_without_lp`)
+    gets None: under SD, one whose every outcome is some voter's first
+    choice, such as `rd`'s; under PC or SD, one with G p <= 0 (for SD also
+    with no two adjacent zeros of p on a ballot). Otherwise the LP has one
+    block of rows per ballot type, in sorted order. Optional strictly positive per-voter weights
     tilt the objective (any choice keeps the oracle sound); the default is
     all-ones. The witness is a function of the ballot multiset and each
     ranking's weight total.

@@ -51,24 +51,26 @@ def test_the_ml_rule_is_registered_for_tracing():
 # electorate: ml's point LP, which the certificate proves the whole optimal set (a 3-cycle over
 # a, b, c, with d proven 0), and the 201-voter dominator LP: 2.
 # corpus: 1669 `find_dominator` calls, 220 ml LPs. The calls are 1056 PC (on ml and rd), 508 SD
-# (on rd) and the 105 PC calls of `pc1_find_dominator` on a degenerate rd. G p <= 0 settles 789
-# PC calls with no LP (684 direct, all 105 of PC1's, whose degenerate rd sits on a Condorcet
-# winner) and 110 SD calls; 74 more SD calls have G p <= 0 but a ballot with two adjacent
-# alternatives outside supp p, so the LP decides them. Of its 557 ml calls, 397 have a Condorcet
-# winner and 46 zero row sums (0 LPs), 41 all-odd margins (1 LP each, certified), and the other
-# 73 take 179: the point LP each and 106 max-min rounds, 73 at a positive floor and 33 at floor
-# 0. 1669 − 789 − 110 + 41 + 179 = 990. Before the margin certificate every call solved its LP:
-# 1669 + 220 = 1889.
-LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 990, "electorate": 2}
+# (on rd) and the 105 PC calls of `pc1_find_dominator` on a degenerate rd. `rd` puts its mass on
+# the first-ranked alternatives, so p's support settles all 508 SD calls with no LP (the margins
+# settled 110 of them before the support clause, and the LP decided the other 398). G p <= 0
+# settles 789 PC calls with no LP (684 direct, all 105 of PC1's, whose degenerate rd sits on a
+# Condorcet winner). Of its 557 ml calls, 397 have a Condorcet winner and 46 zero row sums
+# (0 LPs), 41 all-odd margins (1 LP each, certified), and the other 73 take 179: the point LP
+# each and 106 max-min rounds, 73 at a positive floor and 33 at floor 0. 1669 − 789 − 508 + 41 +
+# 179 = 592. With the margin certificate alone, 990 (the 398 SD LPs more); before any
+# certificate every call solved its LP: 1669 + 220 = 1889.
+LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 592, "electorate": 2}
 # `ratlp._pivot` calls of the same pass; every LP starts on its all-slack basis.
 # scan-ml: 4 for the (0, 2, 2) orbit's two LPs (1 in the point LP, 3 in the round), 8 for the
 # (0, 0, 2) orbit's three (1 in the point LP, 7 in the two rounds), 4 + 8 = 12. The old form's
 # rounds took 5 and 12 pivots there, phase one and two: 6 + 13 = 19.
 # electorate: 3 for ml's point LP and 2 for the dominator LP, 3 + 2 = 5.
-# corpus: 1268 in the dominator LPs (668 PC, 600 SD), 239 in ml's point LPs and 427 in its
-# rounds, 1268 + 239 + 427 = 1934. The 789 PC LPs the certificate settles took no pivot, and
-# the 110 SD ones took 14: 1282 in the dominator LPs before it
-PIVOTS = {"scan-ml": 12, "scan-nolp": 0, "corpus": 1934, "electorate": 5}
+# corpus: 668 in the 372 PC dominator LPs, 239 in ml's point LPs and 427 in its rounds, 668 +
+# 239 + 427 = 1334. The 508 SD calls p's support settles take no pivot; their 398 LPs took 600
+# under the margin certificate alone (1934), and the 789 PC LPs and 110 SD LPs the margins settle
+# took 0 and 14 before it (1948)
+PIVOTS = {"scan-ml": 12, "scan-nolp": 0, "corpus": 1334, "electorate": 5}
 # `axioms.Memo.outcome` lookups, the misses among them, the rule evaluations, and
 # `extensions.compare` calls of the same pass. The scans look an outcome up once per
 # distinct (tally vector, ballot class) and compare once per distinct (ballot, truthful

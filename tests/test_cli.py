@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from pcvote import InternalError, fixture_profile, parse_lottery, rules
+from pcvote import InternalError, efficiency, fixture_profile, parse_lottery, rules
 from pcvote.axioms import SymmetryWitness
 from pcvote.cli import _describe_witness, build_parser, main
 
@@ -263,6 +263,23 @@ def test_check_scan_anonymous_and_exact_n(capsys):
     assert code == 0
     assert doc["result"]["profiles_checked"] == 21
     assert doc["inputs"]["scan"]["up_to_anonymity"] is True
+
+
+def test_an_sd_efficiency_scan_of_rd_solves_no_lp(monkeypatch, capsys):
+    """rd puts its mass on first-ranked alternatives, which settles
+    SD-efficiency with no dominator LP: the scan solves none, where the
+    margin certificate alone left 830, and prints the same bytes."""
+    solve, solved = efficiency.lp_solve, []
+    monkeypatch.setattr(efficiency, "lp_solve", lambda lp: solved.append(lp) or solve(lp))
+    argv = "check --axiom sd-efficiency --rule rd --scan m=4,n<=4 --anonymous".split()
+    for sha, extra in (
+        ("9190e7ad0c02d7497d1221cee3dacf3d07c57cb647117e41863ebe2e30016a00", ()),
+        ("6f7b7050ff177b07a48e4aa8a586f85f916efd775d82bf6abf42a4ea95b936be", ("--json",)),
+    ):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha, extra
+    assert solved == []
 
 
 def test_check_scan_witness_payload(capsys):

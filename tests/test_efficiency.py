@@ -236,10 +236,20 @@ def _gate_profiles(region):
     return list(_repeat_heavy_profiles(5, 300))
 
 
-def _settled_by_the_margins(prof, p, extension):
-    """G p <= 0, each sum in Fractions, and for SD no ballot with two
-    adjacent alternatives that p both gives 0: the cases
-    `efficiency._efficient_by_margins` must settle."""
+def _on_first_ranked_alternatives(prof, p):
+    """Every alternative p gives positive probability is some ballot's
+    first, read off the ballots and p's Fractions."""
+    firsts = {ballot.order[0] for ballot in prof.ballots}
+    return all(x in firsts for x in prof.alternatives.names if p.prob(x) > 0)
+
+
+def _settled_without_lp(prof, p, extension):
+    """For SD, p on first-ranked alternatives; else G p <= 0, each sum in
+    Fractions, and for SD no ballot with two adjacent alternatives that p
+    both gives 0: the cases `efficiency._efficient_without_lp` must
+    settle."""
+    if extension is Extension.SD and _on_first_ranked_alternatives(prof, p):
+        return True
     if not reference_beats_or_ties_every_alternative(margin_matrix(prof), p.probs):
         return False
     return extension is Extension.PC or not any(
@@ -248,27 +258,27 @@ def _settled_by_the_margins(prof, p, extension):
 
 
 def _recording_the_certificate(monkeypatch, bypass):
-    """Each `_efficient_by_margins` verdict, in call order; with `bypass`
+    """Each `_efficient_without_lp` verdict, in call order; with `bypass`
     the call answers False, so every case goes on to the LP."""
     settled = []
-    certify = efficiency._efficient_by_margins
+    certify = efficiency._efficient_without_lp
 
     def recording(*args):
         settled.append(certify(*args))
         return settled[-1] and not bypass
 
-    monkeypatch.setattr(efficiency, "_efficient_by_margins", recording)
+    monkeypatch.setattr(efficiency, "_efficient_without_lp", recording)
     return settled
 
 
 @pytest.mark.parametrize("region", ["small", "anonymous", "corpus", "repeat-heavy"])
 def test_verdicts_equal_the_per_voter_lp(monkeypatch, region):
     """One row block per ranking keeps the per-voter LP's feasible set and
-    objective, and G p <= 0 settles only efficient lotteries, so no verdict
-    moves: PC and SD, all-ones and seeded weights, for rd, ml, the uniform
-    lottery and a seeded one. In every region the certificate settles PC
-    and SD cases, and some SD case with G p <= 0 goes on to the LP, since
-    a ballot puts two alternatives outside supp p next to each other."""
+    objective, and the certificate settles only efficient lotteries, so no
+    verdict moves: PC and SD, all-ones and seeded weights, for rd, ml, the
+    uniform lottery and a seeded one. In every region the margins settle
+    PC and SD cases, and p's support settles SD cases where G p has a
+    positive entry (rd's among them)."""
     rng = random.Random(3)
     ml = rules.get_rule("ml")
     settled = _recording_the_certificate(monkeypatch, bypass=False)
@@ -284,13 +294,95 @@ def test_verdicts_equal_the_per_voter_lp(monkeypatch, region):
                     settled.clear()
                     efficient = find_dominator(prof, p, extension, w) is None
                     assert efficient == (value == 0), (prof, p, extension, w)
-                    assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
+                    assert settled == [_settled_without_lp(prof, p, extension)], (prof, p, extension)
                     verdicts.add(efficient)
                     seen[extension, settled[0], maximal] += 1
     assert verdicts == {True, False}
     assert seen[Extension.PC, True, True] and seen[Extension.SD, True, True], seen
-    assert seen[Extension.SD, False, True], seen
+    assert seen[Extension.SD, True, False], seen
     assert not seen[Extension.PC, False, True] and not seen[Extension.PC, True, False], seen
+    # SD cases with G p <= 0 that go on to the LP: p gives probability to an
+    # alternative no voter ranks first, and a ballot puts two alternatives
+    # outside supp p next to each other. Each of the four regions had some
+    # under the margins alone; p's support now settles every one in the
+    # small and repeat-heavy regions
+    assert seen[Extension.SD, False, True] == {"small": 0, "anonymous": 2, "corpus": 10, "repeat-heavy": 0}[region]
+
+
+def _first_ranked_cases(region):
+    """(profile, lottery) for the support gate: rd, each first-ranked
+    alternative's degenerate lottery, a seeded lottery on a random subset
+    of the first-ranked alternatives, and, where some alternative is no
+    voter's first, that lottery with mass on one such alternative too."""
+    rng = random.Random(29)
+    for prof in _gate_profiles(region):
+        alts = prof.alternatives
+        firsts = [x for x in alts.names if x in {ballot.order[0] for ballot in prof.ballots}]
+        yield prof, rd(prof)
+        for x in firsts:
+            yield prof, Lottery.degenerate(alts, x)
+        raw = {x: rng.randint(1, 5) for x in rng.sample(firsts, rng.randint(1, len(firsts)))}
+        yield prof, Lottery.from_map(alts, {x: F(w, sum(raw.values())) for x, w in raw.items()})
+        others = [x for x in alts.names if x not in firsts]
+        if others:
+            raw[rng.choice(others)] = rng.randint(1, 5)
+            yield prof, Lottery.from_map(alts, {x: F(w, sum(raw.values())) for x, w in raw.items()})
+
+
+def _support_gate(monkeypatch, region):
+    """The SD cases of `_first_ranked_cases` that break the gate, and how
+    many cases lie on first-ranked alternatives, how many off them, and
+    how many are SD-dominated. A case breaks it when `find_dominator`'s
+    verdict differs from the per-voter LP's, when the certificate does not
+    settle exactly what `_settled_without_lp` names, or when p lies on
+    first-ranked alternatives and the per-voter LP finds a dominator."""
+    settled = _recording_the_certificate(monkeypatch, bypass=False)
+    broken, seen = [], Counter()
+    for prof, p in _first_ranked_cases(region):
+        value, _ = reference_dominator_lp(prof, p, Extension.SD)
+        on_firsts = _on_first_ranked_alternatives(prof, p)
+        settled.clear()
+        efficient = find_dominator(prof, p, Extension.SD) is None
+        if efficient != (value == 0) or settled != [_settled_without_lp(prof, p, Extension.SD)] or (
+            on_firsts and value != 0
+        ):
+            broken.append((prof, p))
+        seen[on_firsts] += 1
+        seen["dominated"] += value != 0
+    return broken, seen
+
+
+@pytest.mark.parametrize("region", ["small", "anonymous", "corpus", "repeat-heavy"])
+def test_a_lottery_on_first_ranked_alternatives_is_sd_efficient(monkeypatch, region):
+    """A weak SD-dominator q of p keeps at least p's mass on each voter's
+    first alternative, so q >= p on supp p when every alternative in it is
+    some voter's first, and q = p. The per-voter LP agrees on every case of
+    the region, and the certificate settles exactly those."""
+    broken, seen = _support_gate(monkeypatch, region)
+    assert broken == []
+    assert seen[True] and seen[False] and seen["dominated"], seen
+
+
+def test_a_support_clause_that_skips_an_alternative_fails_the_gate(monkeypatch):
+    """Negative control: a support clause that ignores the last alternative
+    p gives probability settles ½a + ½b on the ballot a > b > c, which δ_a
+    SD-dominates, and fails the support gate in every region."""
+    certify = efficiency._efficient_without_lp
+
+    def skipping_one(prof, mass, extension):
+        support = [x for x, w in enumerate(mass) if w][:-1]
+        if extension is Extension.SD and all(prof._top_counts[x] for x in support):
+            return True
+        return certify(prof, mass, extension)
+
+    monkeypatch.setattr(efficiency, "_efficient_without_lp", skipping_one)
+    prof = profile("abc", [("a", "b", "c")])
+    half = Lottery.from_map(prof.alternatives, {"a": F(1, 2), "b": F(1, 2)})
+    assert find_dominator(prof, half, Extension.SD) is None
+    assert dominates(prof, Extension.SD, Lottery.degenerate(prof.alternatives, "a"), half)
+    for region in ("small", "anonymous", "corpus", "repeat-heavy"):
+        broken, _ = _support_gate(monkeypatch, region)
+        assert broken, region
 
 
 def _dominator_cases():
@@ -309,9 +401,10 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
     then the closing row Σq <= 1, so the simplex starts on the all-slack
     basis with no phase one. q = 0 is then feasible, and an efficient p
     returns None also when the solver's vertex is q = 0. The certificate is
-    bypassed, so every case builds its program, and each case it would
-    settle is one where the LP's value is 0. With voter counts, the PC
-    objective read off the margins, G · mass, is Σ_r n_r `pc_form(b_r, p)`."""
+    bypassed, so every case builds its program, and each case either of its
+    clauses would settle is one where the LP's value is 0. With voter
+    counts, the PC objective read off the margins, G · mass, is Σ_r n_r
+    `pc_form(b_r, p)`."""
     solved = []
 
     def recording(lp):
@@ -321,7 +414,7 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
 
     monkeypatch.setattr(efficiency, "lp_solve", recording)
     settled = _recording_the_certificate(monkeypatch, bypass=True)
-    at_zero = 0
+    at_zero = on_firsts = 0
     certified = Counter()
     for prof, p, extension in _dominator_cases():
         solved.clear()
@@ -335,24 +428,31 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
         assert (cert is None) == (outcome.value == 0), (prof, p, extension)
         if cert is None and not any(outcome.solution):
             at_zero += 1
-        assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
+        assert settled == [_settled_without_lp(prof, p, extension)], (prof, p, extension)
         if settled[0]:
             assert outcome.value == 0, (prof, p, extension)
         certified[extension, settled[0]] += 1
-        if extension is Extension.PC:
+        if extension is Extension.SD:
+            on_firsts += _on_first_ranked_alternatives(prof, p)
+        else:
             forms = [(count, pc_form(ballot, p)[0]) for ballot, count in prof.runs]
             want = tuple(sum(count * form[j] for count, form in forms) for j in range(prof.m))
             assert lp.objective == want, (prof, p)
     assert at_zero > 0
     # The gate regions give 4 732 (profile, lottery) cases, each with a PC
     # and an SD program. G p <= 0 holds in 1 985 of them, which settles those
-    # PC programs and 530 of the SD ones; in the other 1 455 some ballot
-    # puts two alternatives outside supp p next to each other
+    # PC programs. p lies on first-ranked alternatives in 3 241 (every rd
+    # case among them, and 1 858 of the 1 985), which settles those SD
+    # programs. Of the other 127 with G p <= 0, the margins settle 122; in
+    # 5 some ballot puts two alternatives outside supp p next to each
+    # other. 3 241 + 122 = 3 363 SD programs settled; the margins alone
+    # settled 530
+    assert on_firsts == 3241
     assert certified == {
         (Extension.PC, True): 1985,
         (Extension.PC, False): 2747,
-        (Extension.SD, True): 530,
-        (Extension.SD, False): 4202,
+        (Extension.SD, True): 3363,
+        (Extension.SD, False): 1369,
     }
 
 
@@ -507,7 +607,8 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
     and m−1 for SD: the simplex row closes the program. The certificate is
     bypassed, so every case builds its program; it would settle exactly
     the cases with G p <= 0 (and, for SD, no two adjacent zeros on a
-    ballot), none of them on the electorate."""
+    ballot) and, for SD, those with p on first-ranked alternatives. On the
+    electorate that is only SD on rd."""
     sizes = []
 
     def recording(lp):
@@ -527,13 +628,16 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
                 settled.clear()
                 find_dominator(prof, p, extension)
                 assert sizes == [kinds * r + 1], (prof, extension)
-                assert settled == [_settled_by_the_margins(prof, p, extension)], (prof, p, extension)
+                assert settled == [_settled_without_lp(prof, p, extension)], (prof, p, extension)
                 certified[extension] += settled[0]
                 if prof is ELECTORATE:
-                    assert settled == [False], (p, extension)
-    # 14 of the 82 (profile, lottery) cases have G p <= 0, 2 of them with
-    # no two adjacent zeros on any ballot
-    assert certified == {Extension.PC: 14, Extension.SD: 2}
+                    assert settled == [extension is Extension.SD and p == rd(prof)], (p, extension)
+    # 14 of the 82 (profile, lottery) cases have G p <= 0, all on rd. p lies
+    # on first-ranked alternatives in 44: the 41 rd cases, and 3 uniform
+    # ones where every alternative is some ballot's first. The margins
+    # settle no SD case off the first-ranked alternatives here; alone, they
+    # settled 2
+    assert certified == {Extension.PC: 14, Extension.SD: 44}
     for extension in (Extension.PC, Extension.SD):
         assert find_dominator(ELECTORATE, rd(ELECTORATE), extension) is None
 
@@ -561,12 +665,19 @@ def _infeasible(lp):
     return LpOutcome(LpStatus.Infeasible, None, None)
 
 
+# c is no voter's first and G p = (2/3, 2/3, −4/3) at the uniform lottery,
+# so neither clause of the certificate settles it: PC and SD reach the LP
+UNSETTLED = profile("abc", [("a", "b", "c"), ("b", "a", "c")])
+
+
 def test_dominator_lp_failure_raises_internal_error(monkeypatch):
-    prof = fixture_profile("rd_example")
-    monkeypatch.setattr(efficiency, "lp_solve", _infeasible)
+    p = Lottery.uniform(UNSETTLED.alternatives)
     for extension in (Extension.PC, Extension.SD):
+        solved = []
+        monkeypatch.setattr(efficiency, "lp_solve", lambda lp: solved.append(lp) or _infeasible(lp))
         with pytest.raises(InternalError):
-            find_dominator(prof, rd(prof), extension)
+            find_dominator(UNSETTLED, p, extension)
+        assert len(solved) == 1, extension
 
 
 def test_failed_witness_revalidation_raises_internal_error(monkeypatch):
@@ -592,20 +703,25 @@ def test_lp_status_guards_in_ratlp_and_ml_raise_internal_error(monkeypatch):
 
 _OPTIMIZED_GUARDS = """
 import sys
-from pcvote import Extension, InternalError, efficiency, fixture_profile, rd
+from pcvote import Extension, InternalError, Lottery, efficiency, fixture_profile, profile, rd
 from pcvote.ratlp import LpOutcome, LpStatus
 
 assert False, "asserts must be stripped here"
 prof = fixture_profile("rd_example")
-solve = efficiency.lp_solve
-efficiency.lp_solve = lambda lp: LpOutcome(LpStatus.Infeasible, None, None)
+# c is no voter's first and the margins beat the uniform lottery: both LPs run
+unsettled = profile("abc", [("a", "b", "c"), ("b", "a", "c")])
+solve, solved = efficiency.lp_solve, []
+efficiency.lp_solve = lambda lp: solved.append(lp) or LpOutcome(LpStatus.Infeasible, None, None)
 for extension in (Extension.PC, Extension.SD):
+    solved.clear()
     try:
-        efficiency.find_dominator(prof, rd(prof), extension)
+        efficiency.find_dominator(unsettled, Lottery.uniform(unsettled.alternatives), extension)
     except InternalError:
         pass
     else:
         sys.exit(f"the {extension.value} dominator LP guard did not fire")
+    if len(solved) != 1:
+        sys.exit(f"the {extension.value} dominator LP was not reached")
 efficiency.lp_solve = solve
 efficiency.is_dominance = lambda outcomes: False
 try:

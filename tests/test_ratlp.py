@@ -383,9 +383,10 @@ def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
     fixtures = len(lps)
     lps += _corpus_lps(monkeypatch)
     # one corpus pass: 1669 dominator calls, of which G p <= 0 settles 789 PC
-    # and 110 SD ones with no LP, and 220 LPs of ml: 1669 - 789 - 110 + 220 =
-    # 990 (see `LP_SOLVES` in test_benchmark_bindings.py)
-    assert len(lps) - fixtures == 990
+    # ones and rd's support all 508 SD ones with no LP, and 220 LPs of ml:
+    # 1669 - 789 - 508 + 220 = 592 (see `LP_SOLVES` in
+    # test_benchmark_bindings.py)
+    assert len(lps) - fixtures == 592
     optimal = corpus_optimal = 0
     for k, lp in enumerate(lps):
         out = lp_solve(lp)
@@ -396,6 +397,7 @@ def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
         want = sum(c * v for c, v in zip(lp.objective, out.solution))
         assert type(out.value) is Fraction and repr(out.value) == repr(want), k
     # 275 of the 1770 random programs have an optimum, and every corpus LP
-    # does (each is feasible at 0 and bounded by its Σ <= 1 row): 275 + 990 =
-    # 1265. Before the margin certificate the corpus gave 1889, 2164 in all
-    assert (optimal, corpus_optimal) == (1265, 990), optimal
+    # does (each is feasible at 0 and bounded by its Σ <= 1 row): 275 + 592 =
+    # 867. With the margin certificate alone the corpus gave 990, 1265 in
+    # all; before any certificate 1889, 2164 in all
+    assert (optimal, corpus_optimal) == (867, 592), optimal
