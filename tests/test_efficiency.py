@@ -317,7 +317,8 @@ def _first_ranked_cases(region):
     rng = random.Random(29)
     for prof in _gate_profiles(region):
         alts = prof.alternatives
-        firsts = [x for x in alts.names if x in {ballot.order[0] for ballot in prof.ballots}]
+        tops = {ballot.order[0] for ballot in prof.ballots}
+        firsts = [x for x in alts.names if x in tops]
         yield prof, rd(prof)
         for x in firsts:
             yield prof, Lottery.degenerate(alts, x)
