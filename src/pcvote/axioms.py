@@ -449,6 +449,10 @@ class _Edits:
         """The tally vector of the profile with `taken` out and `put` in."""
         vector: Iterable[int] = self.base
         if vector is None:  # a scan's representative, whose rankings the scan has budgeted
+            # Assigned, not read through the `tallies` cached property: that
+            # property stores through `__dict__`, which on CPython 3.11 makes
+            # every later attribute read of this object slower, and a scan's
+            # checks read many (measured on the scan-nolp workload, CHANGES.md).
             self.tallies = tallies = self.memo.ranking_tallies(self.alternatives)
             vector = self.base = tuple(map(sum, zip(*map(tallies.__getitem__, self.indices))))
         if taken is not None:
@@ -773,7 +777,15 @@ def _check_voter_orders(n: int) -> None:
     _check_rule_evaluations(math.factorial(k) - 1, f"the anonymity check on {k} of {n} voters")
 
 
+def _require_size(value: object, what: str) -> None:
+    """Refuse an enumeration size that is not a non-negative int; a bool is not one."""
+    if type(value) is not int or value < 0:
+        raise DomainError(f"{what} must be a non-negative int, got {value!r}")
+
+
 def count_profiles(m: int, n: int, up_to_anonymity: bool = False) -> int:
+    _require_size(m, "m")
+    _require_size(n, "n")
     r = math.factorial(m)
     if up_to_anonymity:
         return math.comb(r + n - 1, n)
@@ -784,6 +796,8 @@ def _check_enumerable(m: int, n: int, up_to_anonymity: bool, budget: int) -> Non
     """Raise unless `enumerate_profiles(m, n, ...)` may run: 1 <= m <= 4,
     n >= 1 and at most `budget` profiles. Their number grows with n for
     m >= 2, and is 1 for m = 1."""
+    _require_size(m, "m")
+    _require_size(n, "n")
     if not 1 <= m <= 4:
         raise DomainError(f"enumeration supports 1..4 alternatives, got m={m}")
     if n < 1:
@@ -978,6 +992,9 @@ def exhaustive_scan(
     scan, which tests it, keys its memo by the raw vector.
     """
     spec = axiom(axiom_name)
+    _require_size(n_max, "n_max")
+    if n_min is not None:
+        _require_size(n_min, "n_min")
     reduced = (
         rule.statistic is not None
         and rule.neutral

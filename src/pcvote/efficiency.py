@@ -3,15 +3,17 @@
 A lottery p is inefficient (under a given extension) when some lottery q
 makes every voter weakly better off and at least one strictly better off.
 For PC and SD that existence question is a small exact linear program,
-built only when no certificate settles it first: under SD a lottery whose
-support is first-ranked alternatives is efficient, and under PC (and SD,
-with a condition on p's zeros) so is one the margins beat or tie; for
-PC1 it reduces to a finite case split because two non-degenerate lotteries
-are never PC1-comparable; ex-post efficiency just reads the Pareto-dominated
-set. The module also provides a calibrated mass-shift perturbation whose
-comparison against the original lottery is fully determined by ranking
-shape, a sufficient certificate for PC-efficiency with three alternatives,
-and an iterator that follows chains of dominating lotteries.
+one block of rows per ranking and one objective, each ranking's weight
+times its block's column sums, built only when no certificate settles it
+first: under SD a lottery whose support is first-ranked alternatives is
+efficient, and under PC (and SD, with a condition on p's zeros) so is one
+the margins beat or tie; for PC1 it reduces to a finite case split
+because two non-degenerate lotteries are never PC1-comparable; ex-post
+efficiency just reads the Pareto-dominated set. The module also provides
+a calibrated mass-shift perturbation whose comparison against the
+original lottery is fully determined by ranking shape, a sufficient
+certificate for PC-efficiency with three alternatives, and an iterator
+that follows chains of dominating lotteries.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _dominator_lp(
     profile: Profile,
     p: Lottery,
     extension: Extension,
-    totals: Optional[Sequence[tuple[Ranking, Rational]]] = None,
+    weights: Optional[Sequence[Rational]] = None,
 ) -> Optional[Lottery]:
     """A lottery q that satisfies every ballot type's rows and maximizes
     their weighted total slack, if that total is positive; None when it is
@@ -181,31 +183,28 @@ def _dominator_lp(
     and a positive optimum lies on Σq = 1, since scaling q up would raise
     it: the vertex returned is a lottery.
 
-    Each ranking in `totals` (`all_rankings` order, sorted label tuples)
-    contributes one block of rows, weighted in the objective by its total
-    weight; None means each ranking's voter count
-    (`Profile._ranking_totals`). The program, and so the witness, is a
-    function of the ballot multiset and those totals alone. The rows are
-    over p's denominator, and so is the value: only whether it is 0 is
-    read. With voter counts, the PC objective Σ_r n_r `pc_form(b_r, p)` is
-    G · mass, read off the margins."""
+    Each ranking of `Profile._ranking_totals` (`all_rankings` order,
+    sorted label tuples) contributes one block of rows, and the objective
+    is built one way for PC, SD and weighted calls alike: each ranking's
+    weight times the column sums of its block, negated. `weights` holds one
+    weight per ranking, aligned with `_ranking_totals`; None means each
+    ranking's voter count. The program, and so the witness, is a function
+    of the ballot multiset and those weights alone. The rows are over p's
+    denominator, and so is the value: only whether it is 0 is read."""
     mass, _ = p._mass
     if _efficient_without_lp(profile, mass, extension):
         return None
     ballot_rows = _DOMINATOR_ROWS[extension]
+    totals = profile._ranking_totals
+    if weights is None:
+        weights = [count for _, count in totals]
     rows: list[tuple[int, ...]] = []
-    objective: Sequence[Rational]
-    if totals is None and extension is Extension.PC:
-        objective = profile._margins.times(mass)
-        for ballot, _ in profile._ranking_totals:
-            rows += ballot_rows(ballot, p)
-    else:
-        objective = [0] * profile.m
-        for ballot, weight in profile._ranking_totals if totals is None else totals:
-            for row in ballot_rows(ballot, p):
-                rows.append(row)
-                for j, c in enumerate(row):
-                    objective[j] -= weight * c
+    objective: list[Rational] = [0] * profile.m
+    for (ballot, _), weight in zip(totals, weights):
+        block = ballot_rows(ballot, p)
+        rows += block
+        for j, column in enumerate(zip(*block)):
+            objective[j] -= weight * sum(column)
     rows.append((1,) * profile.m)
     rhs = (0,) * (len(rows) - 1) + (1,)
     outcome = lp_solve(IntRowProgram(tuple(objective), tuple(rows), rhs))
@@ -216,9 +215,9 @@ def _dominator_lp(
     return Lottery(profile.alternatives, outcome.solution)
 
 
-def _ballot_weights(profile: Profile, weights: Sequence[Rational]) -> list[tuple[Ranking, Rational]]:
-    """Each ranking in `all_rankings` order, with its voters' total weight.
-    Int and Fraction weights are summed as given."""
+def _ballot_weights(profile: Profile, weights: Sequence[Rational]) -> list[Rational]:
+    """Each ranking's total voter weight, aligned with
+    `Profile._ranking_totals`. Int and Fraction weights are summed as given."""
     weights = tuple(require_rational(w, "voter weight") for w in weights)
     if len(weights) != profile.n:
         raise DomainError(f"{len(weights)} voter weights for {profile.n} voters")
@@ -229,7 +228,7 @@ def _ballot_weights(profile: Profile, weights: Sequence[Rational]) -> list[tuple
     for ballot, count in profile.runs:
         totals[ballot] = totals.get(ballot, 0) + sum(weights[start:start + count])
         start += count
-    return sorted(totals.items(), key=lambda item: item[0].order)
+    return [totals[ballot] for ballot, _ in profile._ranking_totals]
 
 
 def find_dominator(
@@ -243,11 +242,13 @@ def find_dominator(
     A lottery certified efficient with no LP (`_efficient_without_lp`)
     gets None: under SD, one whose every outcome is some voter's first
     choice, such as `rd`'s; under PC or SD, one with G p <= 0 (for SD also
-    with no two adjacent zeros of p on a ballot). Otherwise the LP has one
-    block of rows per ballot type, in sorted order. Optional strictly positive per-voter weights
-    tilt the objective (any choice keeps the oracle sound); the default is
-    all-ones. The witness is a function of the ballot multiset and each
-    ranking's weight total.
+    with no two adjacent zeros of p on a ballot). Otherwise the LP
+    (`_dominator_lp`) has one block of rows per ballot type, in sorted
+    order. Optional strictly positive per-voter weights are summed per
+    ranking (`_ballot_weights`) and tilt the objective (any choice keeps
+    the oracle sound); the default is all-ones, each ranking weighted by
+    its voter count. The witness is a function of the ballot multiset and
+    each ranking's weight total.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
@@ -268,8 +269,10 @@ def pc1_find_dominator(profile: Profile, p: Lottery) -> Optional[DominanceCertif
     denominator, whether or not p is degenerate. So e_x dominates p
     exactly when x's column of the distinct rankings' PC forms is >= 0 on
     every ranking and > 0 on some; only that candidate is built and
-    checked with `dominates`. A degenerate p is additionally comparable against every
-    lottery, so the PC dominator LP covers the rest of that case.
+    checked with `dominates`. A degenerate p is additionally comparable
+    against every lottery, so one PC dominator LP (`_dominator_lp`) covers
+    the rest of that case, and its vertex is checked once, as a PC1
+    witness.
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
@@ -281,9 +284,9 @@ def pc1_find_dominator(profile: Profile, p: Lottery) -> Optional[DominanceCertif
                 raise InternalError("a PC1 dominator read off the PC forms failed re-validation")
             return _certificate(profile, Extension.PC1, p, q)
     if p.is_degenerate():
-        pc_cert = find_dominator(profile, p, Extension.PC)
-        if pc_cert is not None:
-            return _certificate(profile, Extension.PC1, p, pc_cert.dominator)
+        q = _dominator_lp(profile, p, Extension.PC)
+        if q is not None:
+            return _certificate(profile, Extension.PC1, p, q)
     return None
 
 
@@ -398,47 +401,42 @@ def improvement_path(
     exists (ReachedEfficient), a lottery repeats exactly (CycleDetected),
     or `max_steps` improvements have been taken (MaxSteps).
 
-    `mode="canonical"` uses the all-ones dominator objective each step;
-    `mode="random"` draws, from a seeded generator, a fresh weight in
-    1..1000 for each distinct ranking each step, in `all_rankings` order.
-    The dominator LP reads only each ranking's total weight, so a step
-    costs a draw per ranking, not per voter. Any positive weights keep the
-    oracle sound; different ones explore different witnesses.
+    Each step is one dominator LP (`_dominator_lp`). `mode="canonical"`
+    weights each ranking by its voter count; `mode="random"` draws, from a
+    seeded generator, a fresh weight in 1..1000 for each distinct ranking
+    each step, in `all_rankings` order. The LP reads only each ranking's
+    total weight, so a step costs a draw per ranking, not per voter. Any
+    positive weights keep the oracle sound; different ones explore
+    different witnesses.
     """
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be at least 1, got {max_steps}")
+    if type(max_steps) is not int or max_steps < 1:  # a bool is no step budget
+        raise DomainError(f"max_steps must be an int of at least 1, got {max_steps!r}")
     if mode not in ("canonical", "random"):
         raise DomainError(f"mode must be 'canonical' or 'random', got {mode!r}")
     if start.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
     rng = random.Random(seed)
-    rankings = [ballot for ballot, _ in profile._ranking_totals]
+    rankings = profile._ranking_totals
     lotteries = [start]
     steps: list[str] = []
     seen = {start}
     current = start
     termination = PathTermination.MaxSteps
     for step_index in range(max_steps):
-        if mode == "random":
-            totals = [(ballot, rng.randint(1, 1000)) for ballot in rankings]
-            q = _dominator_lp(profile, current, Extension.PC, totals)
-            cert = None if q is None else _certificate(profile, Extension.PC, current, q)
-        else:
-            cert = find_dominator(profile, current, Extension.PC)
-        if cert is None:
+        weights = [rng.randint(1, 1000) for _ in rankings] if mode == "random" else None
+        q = _dominator_lp(profile, current, Extension.PC, weights)
+        if q is None:
             termination = PathTermination.ReachedEfficient
             break
-        nxt = cert.dominator
-        strict = sum(
-            voters for _, voters, o in cert.outcomes if o is ComparisonOutcome.StrictlyPreferred
-        )
+        outcomes = _certificate(profile, Extension.PC, current, q).outcomes
+        strict = sum(voters for _, voters, o in outcomes if o is ComparisonOutcome.StrictlyPreferred)
         steps.append(
             f"step {step_index + 1}: PC dominator via LP ({strict}/{profile.n} voters strictly better)"
         )
-        lotteries.append(nxt)
-        if nxt in seen:
+        lotteries.append(q)
+        if q in seen:
             termination = PathTermination.CycleDetected
             break
-        seen.add(nxt)
-        current = nxt
+        seen.add(q)
+        current = q
     return ImprovementPath(profile, tuple(lotteries), tuple(steps), termination)

@@ -10,7 +10,8 @@
 * ml                — maximal lotteries: an exact optimal mixed strategy
                       of the symmetric margin game, canonicalized to the
                       leximin point of the optimal set so that the output
-                      is unique, anonymous, and neutral.
+                      is unique, anonymous, and neutral; one `Lottery`
+                      per branch, checked maximal on its int mass.
 
 All rules return exact `Lottery` values. `RULES` registers each with the
 `Tally` its output is a function of and whether it is neutral (see
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .model import (
     ApplicabilityError,
@@ -31,7 +32,6 @@ from .model import (
     MarginMatrix,
     Profile,
     Tally,
-    _scaled,
     condorcet_winner,
     margin_matrix,
     margin_tally,
@@ -149,19 +149,15 @@ def f2(profile: Profile) -> Lottery:
 # maximal lotteries
 # ---------------------------------------------------------------------------
 
-def _beats_or_ties_every_alternative(margins: MarginMatrix, probs: tuple[Fraction, ...]) -> bool:
-    """(G p)_x <= 0 for every alternative x: no alternative beats p in
-    expectation. Checked in ints, on p times the lcm of its denominators
-    (`_scaled`), a positive factor that keeps each inequality."""
-    mass, _ = _scaled(probs)
-    return max(margins.times(mass)) <= 0
-
-
 def is_maximal_lottery(profile: Profile, lottery: Lottery) -> bool:
-    """Does the lottery beat-or-tie every alternative in expectation?"""
+    """Does the lottery beat-or-tie every alternative in expectation?
+    (G p)_x <= 0 for every alternative x, checked in ints on the lottery's
+    mass over its denominator (`Lottery._mass`), a positive factor that
+    keeps each inequality."""
     if lottery.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    return _beats_or_ties_every_alternative(margin_matrix(profile), lottery.probs)
+    mass, _ = lottery._mass
+    return max(margin_matrix(profile).times(mass)) <= 0
 
 
 def _unit(m: int, j: int) -> tuple[int, ...]:
@@ -261,13 +257,10 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _ml_certificate(
-    margins: MarginMatrix, point: tuple[Fraction, ...]
-) -> tuple[bool, tuple[int, ...]]:
-    """Is `point` the whole optimal set? And Z, the alternatives x with
+def _ml_certificate(margins: MarginMatrix, mass: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
+    """Is the point p the whole optimal set? And Z, the alternatives x with
     (G p)_x < 0, which get 0 at every optimal point (see `maximal_lottery`).
-    Decided in ints, on the point times the lcm of its denominators."""
-    mass, _ = _scaled(point)
+    Decided in ints, on p's mass over its denominator (`Lottery._mass`)."""
     support = [x for x, w in enumerate(mass) if w]
     zeros = tuple(x for x, g in enumerate(margins.times(mass)) if g < 0)
     if len(support) + len(zeros) < len(mass):  # disjoint, since p_x (Gp)_x = 0 for every x
@@ -309,25 +302,24 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
     * otherwise the leximin point is computed by iterated max-min, with the
       coordinates in Z pinned to 0 from the start, which by the lemma
       leaves O as it is.
+
+    Each step yields one `Lottery` (the leximin step also reads the point
+    LP's), and a closing guard reads its int mass (`Lottery._mass`): an
+    alternative that beats it, (G p)_x > 0, raises `InternalError`.
     """
     alts = margins.alternatives
     winner = margins.condorcet_index()
-    uniform = winner is None and not any(map(sum, margins.rows))
     if winner is not None:
-        probs = _unit(len(alts), winner)
-    elif uniform:
-        probs = Lottery.uniform(alts).probs
+        lottery = Lottery.degenerate(alts, alts.names[winner])
+    elif not any(map(sum, margins.rows)):
+        lottery = Lottery.uniform(alts)
     else:
-        point = _ml_point(margins)
-        unique, zeros = _ml_certificate(margins, point)
-        probs = point if unique else _ml_leximin(margins, zeros)
-    if not _beats_or_ties_every_alternative(margins, probs):
-        raise InternalError(f"ml produced a non-maximal lottery {probs}")
-    if winner is not None:
-        return Lottery.degenerate(alts, alts.names[winner])
-    if uniform:
-        return Lottery.uniform(alts)
-    return Lottery(alts, probs)
+        point = Lottery(alts, _ml_point(margins))
+        unique, zeros = _ml_certificate(margins, point._mass[0])
+        lottery = point if unique else Lottery(alts, _ml_leximin(margins, zeros))
+    if max(margins.times(lottery._mass[0])) > 0:
+        raise InternalError(f"ml produced a non-maximal lottery {lottery.probs}")
+    return lottery
 
 
 def ml(profile: Profile) -> Lottery:

@@ -443,6 +443,34 @@ def test_profile_counts():
     assert count_profiles(1, 5) == 1
 
 
+# a float, a bool, a negative count and a non-number, which once came out as a
+# float count, as m = 1 or as a TypeError or ValueError from itertools or math
+NOT_SIZES = [2.0, 2.5, True, -1, "2"]
+
+
+@pytest.mark.parametrize("bad", NOT_SIZES)
+def test_profile_counts_refuse_a_size_that_is_not_a_non_negative_int(bad):
+    with pytest.raises(DomainError, match="must be a non-negative int"):
+        count_profiles(bad, 2)
+    with pytest.raises(DomainError, match="must be a non-negative int"):
+        count_profiles(3, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_SIZES)
+def test_enumeration_refuses_a_size_that_is_not_a_non_negative_int(bad):
+    with pytest.raises(DomainError, match="must be a non-negative int"):
+        next(enumerate_profiles(bad, 2))
+    with pytest.raises(DomainError, match="must be a non-negative int"):
+        next(enumerate_profiles(3, bad))
+
+
+@pytest.mark.parametrize("bad", NOT_SIZES)
+def test_scan_refuses_a_size_that_is_not_a_non_negative_int(bad):
+    for m, n_max, n_min in ((bad, 2, None), (3, bad, None), (3, 2, bad)):
+        with pytest.raises(DomainError, match="must be a non-negative int"):
+            exhaustive_scan(RD, m, n_max, "anonymity", n_min=n_min)
+
+
 def test_enumeration_matches_counts_and_is_lexicographic():
     profs = list(enumerate_profiles(3, 2))
     assert len(profs) == 36

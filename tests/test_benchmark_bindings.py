@@ -50,12 +50,14 @@ def test_the_ml_rule_is_registered_for_tracing():
 # takes the point LP, which proves nothing, then two rounds. So 0 + 0 + 0 + 2 + 3 = 5 LPs.
 # electorate: ml's point LP, which the certificate proves the whole optimal set (a 3-cycle over
 # a, b, c, with d proven 0), and the 201-voter dominator LP: 2.
-# corpus: 1669 `find_dominator` calls, 220 ml LPs. The calls are 1056 PC (on ml and rd), 508 SD
-# (on rd) and the 105 PC calls of `pc1_find_dominator` on a degenerate rd. `rd` puts its mass on
-# the first-ranked alternatives, so p's support settles all 508 SD calls with no LP (the margins
-# settled 110 of them before the support clause, and the LP decided the other 398). G p <= 0
-# settles 789 PC calls with no LP (684 direct, all 105 of PC1's, whose degenerate rd sits on a
-# Condorcet winner). Of its 557 ml calls, 397 have a Condorcet winner and 46 zero row sums
+# corpus: 1669 dominator LP builds (`efficiency._dominator_lp`), 220 ml LPs. The builds are 1056
+# PC (on ml and rd, 24 of them canonical improvement-path steps), 508 SD (on rd) and the 105 PC
+# builds of `pc1_find_dominator` on a degenerate rd. The 105 PC1-degenerate builds and the 24
+# path steps no longer pass through `find_dominator`, whose `--trace 1` calls are 1540. `rd` puts
+# its mass on the first-ranked alternatives, so p's support settles all 508 SD builds with no LP
+# (the margins settled 110 of them before the support clause, and the LP decided the other 398).
+# G p <= 0 settles 789 PC builds with no LP (684 direct, all 105 of PC1's, whose degenerate rd
+# sits on a Condorcet winner). Of its 557 ml calls, 397 have a Condorcet winner and 46 zero row sums
 # (0 LPs), 41 all-odd margins (1 LP each, certified), and the other 73 take 179: the point LP
 # each and 106 max-min rounds, 73 at a positive floor and 33 at floor 0. 1669 − 789 − 508 + 41 +
 # 179 = 592. With the margin certificate alone, 990 (the 398 SD LPs more); before any

@@ -968,3 +968,11 @@ def test_path_random_mode_is_seeded_and_sound():
         improvement_path(fx.profile, fx.lottery("p1"), 50, mode="fancy")
     with pytest.raises(DomainError):
         improvement_path(fx.profile, fx.lottery("p1"), 0)
+
+
+@pytest.mark.parametrize("budget", [True, 2.0, "2", None])
+def test_path_refuses_a_step_budget_that_is_not_an_int(budget):
+    # `True` took one step, and 2.0 raised TypeError from `range`
+    fx = fixture("improvement_cycle")
+    with pytest.raises(DomainError, match="max_steps must be an int"):
+        improvement_path(fx.profile, fx.lottery("p1"), budget)

@@ -180,7 +180,8 @@ def test_is_maximal_lottery():
 
 def _quarter_grid(m):
     """Every lottery over m alternatives on the 1/4 grid, then the unit
-    vectors as ints, which `maximal_lottery`'s Condorcet branch checks."""
+    vectors as ints, the degenerate lotteries that `maximal_lottery`'s
+    Condorcet branch checks."""
     for counts in itertools.product(range(5), repeat=m):
         if sum(counts) == 4:
             yield tuple(F(c, 4) for c in counts)
@@ -191,14 +192,12 @@ def _quarter_grid(m):
 def test_the_maximality_check_in_ints_equals_the_fraction_sum():
     checked = maximal = 0
     for m in range(1, 5):
-        grid = list(_quarter_grid(m))
-        matrices = {
-            margin_matrix(prof) for n in range(1, 4) for prof in enumerate_profiles(m, n, up_to_anonymity=True)
-        }
-        for margins in matrices:
-            for probs in grid:
-                got = rules._beats_or_ties_every_alternative(margins, probs)
-                assert got == reference_beats_or_ties_every_alternative(margins, probs), (margins, probs)
+        grid = [Lottery(alternative_set("abcd"[:m]), probs) for probs in _quarter_grid(m)]
+        for margins, prof in _distinct_margin_profiles([(m, n) for n in range(1, 4)]).items():
+            for lottery in grid:
+                got = is_maximal_lottery(prof, lottery)
+                want = reference_beats_or_ties_every_alternative(margins, lottery.probs)
+                assert got == want, (margins, lottery)
                 maximal += got
                 checked += 1
     assert 0 < maximal < checked
@@ -245,6 +244,11 @@ def _distinct_margin_profiles(regions):
         for prof in enumerate_profiles(m, n, up_to_anonymity=True):
             firsts.setdefault(margin_matrix(prof), prof)
     return firsts
+
+
+def _point_mass(mm):
+    """The int mass of the point LP's vertex, which `ml` certifies."""
+    return Lottery(mm.alternatives, rules._ml_point(mm))._mass[0]
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +381,7 @@ def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
         mm = margin_matrix(_tie_heavy_profile(rng))
         # the loop starts from the zeros `ml`'s first LP proves, as in `ml`
         monkeypatch.setattr(rules, "lp_solve", counting("point"))
-        _, zeros = rules._ml_certificate(mm, rules._ml_point(mm))
+        _, zeros = rules._ml_certificate(mm, _point_mass(mm))
         monkeypatch.setattr(rules, "lp_solve", counting("loop"))
         rounds.clear()
         got = rules._ml_leximin(mm, zeros)
@@ -427,12 +431,12 @@ def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypat
             assert got is Lottery.uniform(prof.alternatives) and lps == 0, mm.rows
             seen["uniform"] += 1
             continue
-        unique, zeros = rules._ml_certificate(mm, rules._ml_point(mm))
+        unique, zeros = rules._ml_certificate(mm, _point_mass(mm))
         assert unique == maximal_lottery_is_unique(prof), mm.rows
         # The LP's point is a vertex of the optimal set, where the cover
         # alone rules out a second point; the rank decides at any other
         # point, such as the leximin point `ml` returns
-        assert rules._ml_certificate(mm, got.probs)[0] == unique, mm.rows
+        assert rules._ml_certificate(mm, got._mass[0])[0] == unique, mm.rows
         # the certificate path is the point LP alone; the loop adds a round
         assert (lps == 1) == unique, mm.rows
         if all(g % 2 for i, row in enumerate(mm.rows) for j, g in enumerate(row) if j != i):
