@@ -160,9 +160,9 @@ def _check_rule_evaluations(count: int, what: str) -> None:
 
 
 # a relabelling π as it acts on a memo: the map of a tally vector v, given
-# as v followed by -v, to its image; π as a permutation of the alternative
-# indices, π[x] being x's image; and π⁻¹
-_Relabelling = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], tuple[int, ...], tuple[int, ...]]
+# as v followed by -v, to its image, and π as a permutation of the
+# alternative indices, π[x] being x's image
+_Relabelling = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], tuple[int, ...]]
 
 
 class Memo:
@@ -175,17 +175,21 @@ class Memo:
     outcome is interned in `lotteries`, keyed by its names and its integer
     `_mass`, which hash with no Python call; so a lottery read from the memo
     is the one object for its value, and stays alive as long as the memo.
+    A lookup is one `outcomes.get`, which the misreport search makes in its
+    own loop (`_misreports`); a miss is answered by `_miss`, which stores
+    the outcome at the vector looked up, and there alone.
 
     With `orbit_keys` (a rule declared `neutral`, see `memoized`) the rule
     is evaluated once per orbit of vectors under relabelling the
-    alternatives, not once per vector. A vector that misses is keyed by its
-    least image under the m! relabellings (`relabellings`), the orbit's
-    canonical vector. Neutrality gives f(πR) = π·f(R), so the outcome at the
-    missed vector is the canonical vector's pulled back through π, the
-    relabelling that sends it there. When the canonical vector has no
-    outcome yet, the rule is evaluated at the missed vector, and its outcome
-    pushed forward through π is stored at the canonical one. Either way the
-    outcome is then stored at the missed vector.
+    alternatives, not once per vector: at the first vector of the orbit
+    that is looked up. A missed vector v is relabelled by each relabelling
+    π (`relabellings`) in turn, and the first image πv that is stored
+    answers: neutrality gives f(πR) = π·f(R), so the outcome at v is the
+    one at πv pulled back through π. Every vector met is stored at its own
+    key, and the m! relabellings carry any member of v's orbit onto v, so
+    some image is stored exactly when the orbit was met before. Otherwise
+    the rule is evaluated at v. A tally that gets the identity alone
+    (`relabellings`) is keyed by the raw vector.
 
     The rest is the checks' state for one scan, kept by `_Edits`:
     `comparisons` keys the misreport comparisons by the identities of the
@@ -242,35 +246,39 @@ class Memo:
     def outcome(
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
     ) -> Lottery:
-        """The cached lottery for this alternative set and tally vector; on a
-        miss, the unmemoized rule's on the profile `build()` makes, interned
-        and cached, or with `orbit_keys` read off the vector's orbit."""
+        """The cached lottery for this alternative set and tally vector, or
+        on a miss `_miss`'s."""
         # sets are equal by their names, and a tuple of names hashes with no Python call
-        key = (alternatives.names, vector)
-        found = self.outcomes.get(key)
+        found = self.outcomes.get((alternatives.names, vector))
         if found is None:
-            if self.orbit_keys:
-                found = self._by_orbit(alternatives, vector, build)
-            else:
-                found = self._intern(self.rule(build()))
-            self.outcomes[key] = found
+            found = self._miss(alternatives, vector, build)
         return found
 
-    def _by_orbit(
+    def _miss(
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
     ) -> Lottery:
-        """The outcome at a vector the memo has not seen, through its orbit's
-        canonical vector (see the class docstring)."""
-        signed = vector + tuple(-x for x in vector)
-        images = ((image(signed), to, back) for image, to, back in self.relabellings(alternatives))
-        least, pull, push = min(images, key=itemgetter(0))
-        key = (alternatives.names, least)
-        stored = self.outcomes.get(key)
-        if stored is not None:
-            return self._permuted(stored, pull)
-        found = self._intern(self.rule(build()))
-        self.outcomes[key] = self._permuted(found, push)
+        """The outcome at a vector not stored yet, stored there: read off a
+        stored image (`_pulled_back`), or else the unmemoized rule's on the
+        profile `build()` makes, interned."""
+        found = self._pulled_back(alternatives, vector) if self.orbit_keys else None
+        if found is None:
+            found = self._intern(self.rule(build()))
+        self.outcomes[alternatives.names, vector] = found
         return found
+
+    def _pulled_back(self, alternatives: AlternativeSet, vector: tuple[int, ...]) -> Optional[Lottery]:
+        """The outcome at the first stored image of the vector under a
+        relabelling π, pulled back through π, or None if no image is stored
+        (see the class docstring). The identity's image is the vector, which
+        is not stored."""
+        names = alternatives.names
+        signed = vector + tuple(-x for x in vector)
+        stored = self.outcomes.get
+        for image, to in self.relabellings(alternatives)[1:]:
+            found = stored((names, image(signed)))
+            if found is not None:
+                return self._permuted(found, to)
+        return None
 
     def _intern(self, lottery: Lottery) -> Lottery:
         return self.lotteries.setdefault((lottery.alternatives.names, lottery._mass), lottery)
@@ -304,10 +312,10 @@ def _signed_maps(alternatives: AlternativeSet, tallies: list[tuple[int, ...]]) -
         picks = [where.get(column) for column in zip(*map(tallies.__getitem__, table))]
         if None in picks:
             return found[:1]
-        perm, inverse = [0] * len(first), [0] * len(first)
+        perm = [0] * len(first)
         for x, y in zip(ranking.indices, first):  # the table's relabelling sends ranking to first
-            perm[x], inverse[y] = y, x
-        found.append((_picker(picks), tuple(perm), tuple(inverse)))
+            perm[x] = y
+        found.append((_picker(picks), tuple(perm)))
     return found
 
 
@@ -347,9 +355,10 @@ class _Edits:
     its tally vector: the profile's (`base`: the statistic of the profile
     given, or the ballots' tallies summed by index when first read), minus
     the tally of the ballot taken out, plus those of the ballots put in. Its
-    `Profile` is made by `build` only on a miss. Misreport comparisons are
-    memoized too, keyed by the identities of the memo's lotteries, and so
-    is every clean answer of a check (`settled`). Any other rule, or a bare
+    `Profile` is made by `build` only on a miss. The misreport search makes
+    these lookups in its own loop (`_misreports`), and memoizes its
+    comparisons by the identities of the memo's lotteries. Every clean
+    answer of a check is memoized too (`settled`). Any other rule, or a bare
     function, is evaluated on the built profile, as the per-voter reference.
     """
 
@@ -473,31 +482,6 @@ class _Edits:
         """The rule's outcome on the profile itself."""
         return self.outcome(None, (), lambda: self.profile)
 
-    def judge(
-        self, extension: Extension, mode: Mode, ballot: Ranking, truthful: Lottery
-    ) -> Callable[[Lottery], bool]:
-        """Does a voter with this true ballot gain by the move from `truthful`
-        to a given outcome, in this mode (see `find_manipulation`)? With a
-        memo the answers are kept by the identity of the outcome, which must
-        be one of the memo's lotteries."""
-        def manipulates(outcome: Lottery) -> bool:
-            if mode is Mode.Strong:
-                return not weakly_prefers(compare(extension, ballot, truthful, outcome))
-            return compare(extension, ballot, outcome, truthful) is ComparisonOutcome.StrictlyPreferred
-
-        if self.memo is None:
-            return manipulates
-        key = (extension, mode, self.alternatives._ranking_index[ballot.order], id(truthful))
-        seen = self.memo.comparisons.setdefault(key, {})
-
-        def judged(outcome: Lottery) -> bool:
-            found = seen.get(id(outcome))
-            if found is None:
-                found = seen[id(outcome)] = manipulates(outcome)
-            return found
-
-        return judged
-
 
 def find_manipulation(
     rule: SocialDecisionScheme,
@@ -532,7 +516,17 @@ def find_manipulation(
 def _misreports(
     edits: _Edits, extension: Extension, mode: Mode, voters: Optional[Sequence[int]] = None
 ) -> Optional[ManipulationWitness]:
-    """`find_manipulation` on the profile of `edits`."""
+    """`find_manipulation` on the profile of `edits`.
+
+    For a memoized rule the loop is the scan kernel's: per deviating ballot
+    it takes the residual vector, the profile's minus the true ballot's
+    tally, once, and per misreport class adds the class's tally to it and
+    makes one `Memo.outcomes` lookup, and a miss one `Memo._miss`. Whether
+    the voter gains is read off `Memo.comparisons`, keyed by the check's
+    names (extension and mode by value, strings that hash with no Python
+    call), the true ballot and the truthful outcome's identity, then by the
+    deviated outcome's, and compared only when absent there. Any other rule
+    is evaluated on each deviated profile and compared each time."""
     count, deviators = edits.voters(voters)
     alts = edits.alternatives
     m = len(alts)
@@ -544,29 +538,50 @@ def _misreports(
     check = ("misreport", extension.value, mode.value)
     class_of, leaders = edits.classes(candidates)
     truthful = edits.own()
+    memo = edits.memo
+    if memo is not None:  # read once `own` has summed the base, as `_Edits.vector` leaves them
+        base, tallies, outcomes, names = edits.base, edits.tallies, memo.outcomes, alts.names
+    built: tuple = ()  # (voter, misreport, profile) of the last deviation built
 
-    def build() -> Profile:  # the deviation the loop is at, kept for the witness
-        nonlocal deviated
-        deviated = edits.profile.replace_ballot(i, misreport)
-        return deviated
+    def build() -> Profile:  # the deviation the loop is at, kept for a witness there
+        nonlocal built
+        built = (i, k, edits.profile.replace_ballot(i, candidates[k]))
+        return built[2]
+
+    def manipulates(outcome: Lottery) -> bool:
+        if mode is Mode.Strong:
+            return not weakly_prefers(compare(extension, true_ballot, truthful, outcome))
+        return compare(extension, true_ballot, outcome, truthful) is ComparisonOutcome.StrictlyPreferred
 
     for i, true_ballot in deviators:
         taken = index[true_ballot.order]
         if edits.settled(*check, taken):
             continue
         own = class_of[taken]
-        manipulates = edits.judge(extension, mode, true_ballot, truthful)
+        if memo is not None:
+            residual = tuple(map(sub, base, tallies[taken]))
+            seen = memo.comparisons.setdefault((check, taken, id(truthful)), {})
         for k in leaders:
             if k == own:
                 continue
-            misreport = candidates[k]
-            deviated = None
-            outcome = edits.outcome(taken, (k,), build)
-            if manipulates(outcome):
-                deviated = deviated or build()
-                return ManipulationWitness(
-                    edits.profile, i, misreport, deviated, truthful, outcome, extension, mode
-                )
+            if memo is None:
+                outcome = edits.rule(build())
+                if not manipulates(outcome):
+                    continue
+            else:
+                vector = tuple(map(add, residual, tallies[k]))
+                outcome = outcomes.get((names, vector))
+                if outcome is None:
+                    outcome = memo._miss(alts, vector, build)
+                gains = seen.get(id(outcome))
+                if gains is None:
+                    gains = seen[id(outcome)] = manipulates(outcome)
+                if not gains:
+                    continue
+            deviated = built[2] if built[:2] == (i, k) else build()
+            return ManipulationWitness(
+                edits.profile, i, candidates[k], deviated, truthful, outcome, extension, mode
+            )
         edits.settle(*check, taken)
     return None
 
@@ -970,11 +985,14 @@ def exhaustive_scan(
     except when it is memoized already. So the rule is evaluated, and an
     edited `Profile` built (`_Edits`), once per alternative set and distinct
     tally vector, and for a witness; in a reduced scan (below), once per
-    relabelling orbit of tally vectors, as the memo is keyed by orbit.
-    Every profile is handed to the check as its index tuple (`_Edits`),
-    whose tally vector is its rankings' tallies summed. A misreport,
-    participation or cancellation check builds its `Profile` only on a memo
-    miss or for a witness; the other checks, or a rule with no memo, once.
+    relabelling orbit of the tally vectors met, at the first one met, as
+    the memo answers a later member from a stored one (`Memo`). Every
+    profile is handed to the check as its index tuple (`_Edits`), whose
+    tally vector is its rankings' tallies summed. A misreport search costs
+    one tuple add and one memo lookup per misreport class (`_misreports`).
+    A misreport, participation or cancellation check builds its `Profile`
+    only on a memo miss that evaluates the rule or for a witness; the
+    other checks, or a rule with no memo, once.
 
     A rule that declares a statistic and `neutral` is checked on one
     profile per orbit under the m! relabellings of the alternatives and

@@ -45,9 +45,13 @@ def _check_label(label: str, line: int | None) -> str:
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse a profile document; raises ParseError with a line number."""
+    """Parse a profile document; raises ParseError with a line number.
+    Lines with equal orders share one `Ranking`, built on the first, so
+    its cached statistics are computed once per distinct ballot."""
     alternatives: AlternativeSet | None = None
     runs: list[tuple[Ranking, int]] = []
+    # this document's own, so it holds no more entries than the document has lines
+    rankings: dict[tuple[str, ...], Ranking] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -77,21 +81,24 @@ def parse_profile(text: str) -> Profile:
         if count < 1:
             raise ParseError(f"ballot multiplicity must be positive, got {count}", lineno)
         order = tuple(part.strip() for part in tail.split(">"))
-        if any(not part for part in order):
-            raise ParseError("empty entry in ranking", lineno)
-        seen = set()
-        for x in order:
-            if x not in alternatives:
-                raise ParseError(
-                    f"unknown alternative {x!r}; declared: {' '.join(alternatives.names)}", lineno
-                )
-            if x in seen:
-                raise ParseError(f"ranking repeats alternative {x!r}", lineno)
-            seen.add(x)
-        if len(order) != len(alternatives):
-            missing = [x for x in alternatives.names if x not in seen]
-            raise ParseError(f"ranking does not mention: {', '.join(missing)}", lineno)
-        runs.append((Ranking(alternatives, order), count))
+        ballot = rankings.get(order)
+        if ballot is None:  # an order seen before passed these checks on its first line
+            if any(not part for part in order):
+                raise ParseError("empty entry in ranking", lineno)
+            seen = set()
+            for x in order:
+                if x not in alternatives:
+                    raise ParseError(
+                        f"unknown alternative {x!r}; declared: {' '.join(alternatives.names)}", lineno
+                    )
+                if x in seen:
+                    raise ParseError(f"ranking repeats alternative {x!r}", lineno)
+                seen.add(x)
+            if len(order) != len(alternatives):
+                missing = [x for x in alternatives.names if x not in seen]
+                raise ParseError(f"ranking does not mention: {', '.join(missing)}", lineno)
+            ballot = rankings[order] = Ranking(alternatives, order)
+        runs.append((ballot, count))
     if alternatives is None:
         raise ParseError("empty document: no alternatives header found")
     if not runs:

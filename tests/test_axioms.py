@@ -1099,11 +1099,10 @@ def test_each_relabelling_sends_a_tally_to_the_relabelled_profiles(m, n_max):
     images = {}
     for name, tally in TALLIES.items():
         maps = _orbit_memo(SocialDecisionScheme(name, rd, statistic=tally, neutral=True)).relabellings(alts)
-        # every relabelling acts, the identity first, each with its inverse
-        assert sorted(perm for _, perm, _ in maps) == list(itertools.permutations(identity)), name
+        # every relabelling acts, the identity first
+        assert sorted(perm for _, perm in maps) == list(itertools.permutations(identity)), name
         assert maps[0][1] == identity
-        assert all(tuple(perm[x] for x in inverse) == identity for _, perm, inverse in maps)
-        images[name] = {perm: image for image, perm, _ in maps}
+        images[name] = {perm: image for image, perm in maps}
     for n in range(1, n_max + 1):
         for prof in enumerate_profiles(m, n):
             for perm in itertools.permutations(identity):
@@ -1125,7 +1124,7 @@ def test_a_tally_no_relabelling_acts_on_is_keyed_by_the_raw_vector():
     # declared neutral, which it is not: the memo finds no relabelling to trust it with
     rule, calls = counting(SocialDecisionScheme("by-product", by_product, statistic=products, neutral=True))
     memo = _orbit_memo(rule)
-    assert [perm for _, perm, _ in memo.relabellings(alternative_set("abc"))] == [(0, 1, 2)]
+    assert [perm for _, perm in memo.relabellings(alternative_set("abc"))] == [(0, 1, 2)]
     vectors = set()
     for n in range(1, 4):
         for prof in enumerate_profiles(3, n):
@@ -1199,6 +1198,43 @@ def test_an_orbit_keyed_memo_equals_the_rule_on_every_tally_vector(rule_name, m,
         memo = _orbit_memo(counted)
         assert [memo(prof) for prof in profiles[::order]] == want[::order], order
         assert len(calls) == orbits
+
+
+@pytest.mark.parametrize(
+    "rule_name, axiom_name, m, n_max", [("f1", "pc-strategyproofness", 3, 5), ("ml", "pc-efficiency", 4, 3)]
+)
+def test_an_orbit_keyed_memo_holds_one_entry_per_vector_met(monkeypatch, rule_name, axiom_name, m, n_max):
+    # a miss stores its outcome at the vector looked up, not at every image of its orbit
+    memos, met, probing = [], set(), []
+    init, miss = axioms_module.Memo.__init__, axioms_module.Memo._miss
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            if not probing:
+                met.add(key)
+            return dict.get(self, key, default)
+
+    def recording_init(memo, *args):
+        init(memo, *args)
+        memo.outcomes = Recording()
+        memos.append(memo)
+
+    def probing_miss(memo, *args):
+        probing.append(None)
+        try:
+            return miss(memo, *args)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(axioms_module.Memo, "__init__", recording_init)
+    monkeypatch.setattr(axioms_module.Memo, "_miss", probing_miss)
+    rule, calls = counting(get_rule(rule_name))
+    exhaustive_scan(rule, m, n_max, axiom_name, up_to_anonymity=True)
+    [memo] = memos
+    assert memo.orbit_keys
+    assert len(memo.outcomes) == len(met)
+    # and the rule was evaluated once per orbit, on fewer vectors than were met
+    assert len(calls) < len(met)
 
 
 def test_only_a_reduced_scan_keys_its_memo_by_orbit(monkeypatch):

@@ -4,8 +4,8 @@ module that no longer does. These checks keep a refactor from dropping a
 binding unnoticed. The benchmark's workloads check their own outputs;
 one pass of each runs here too, so a wrong output fails this suite, and
 so does a change in the number of LPs the pass solves, the pivots they
-take, or the memo lookups, rule evaluations and lottery comparisons its
-axiom scans make."""
+take, or the memo lookups, misses, rule evaluations and lottery
+comparisons its axiom scans make."""
 
 import importlib.util
 import sys
@@ -73,19 +73,20 @@ LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 592, "electorate": 2}
 # under the margin certificate alone (1934), and the 789 PC LPs and 110 SD LPs the margins settle
 # took 0 and 14 before it (1948)
 PIVOTS = {"scan-ml": 12, "scan-nolp": 0, "corpus": 1334, "electorate": 5}
-# `axioms.Memo.outcome` lookups, the misses among them, the rule evaluations, and
-# `extensions.compare` calls of the same pass. The scans look an outcome up once per
-# distinct (tally vector, ballot class) and compare once per distinct (ballot, truthful
-# lottery, deviated lottery). A miss is a lookup of a vector not stored yet; a vector is
-# stored at its first lookup, and so is its orbit's least image, with the outcome pushed
-# forward. scan-ml meets 18 vectors, 4 of them stored as an orbit's least image before their
-# first lookup: 14 misses. scan-nolp meets 14 + 113 + 22 vectors in its three scans, 18 of
-# them stored early: 131 misses. Each scan's memo evaluates its rule once per orbit of the
-# vectors it meets: scan-ml 5 (above); scan-nolp 3 (rd: the top counts (1, 0, 0, 0),
-# (2, 0, 0, 0) and (1, 1, 0, 0)) + 42 (f1, pc, n <= 5) + 6 (f1, sd, until its witness) = 51
+# `axioms.Memo.outcomes` lookups (`get`, but for a miss's probes of the vector's images), the
+# misses among them (`Memo._miss`), the rule evaluations, and `extensions.compare` calls of the
+# same pass. The scans look an outcome up once per distinct (tally vector, ballot class) and
+# compare once per distinct (ballot, truthful lottery, deviated lottery). A miss is a lookup of
+# a vector not stored yet, and it stores the outcome at that vector alone, so the misses are
+# the distinct vectors met: scan-ml 18, scan-nolp 14 + 113 + 22 = 149 in its three scans. Each
+# scan's memo evaluates its rule once per orbit of the vectors it meets, at the first member
+# met, and answers a later member from the stored one: scan-ml 5 (above); scan-nolp 3 (rd: the
+# top counts (1, 0, 0, 0), (2, 0, 0, 0) and (1, 1, 0, 0)) + 42 (f1, pc, n <= 5) + 6 (f1, sd,
+# until its witness) = 51. When the memo stored each orbit's least image ahead of its first
+# lookup, the misses were 14 and 131
 MEMO_WORK = {
-    "scan-ml": (50, 14, 5, 26),
-    "scan-nolp": (988, 131, 51, 183),
+    "scan-ml": (50, 18, 5, 26),
+    "scan-nolp": (988, 149, 51, 183),
     "corpus": (0, 0, 0, 33),
     "electorate": (0, 0, 0, 0),
 }
@@ -116,18 +117,32 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
         return pivot(*args)
 
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
-    outcome, looked_up, evaluated = axioms.Memo.outcome, [], []
+    init, miss = axioms.Memo.__init__, axioms.Memo._miss
+    looked_up, missed, evaluated = [], [], []
 
-    def counting_outcome(memo, alternatives, vector, build):
-        looked_up.append((alternatives.names, vector) not in memo.outcomes)
+    class Lookups(dict):  # the kernel looks an outcome up by `Memo.outcomes.get`
+        def get(self, key, default=None):
+            looked_up.append(None)
+            return dict.get(self, key, default)
+
+    def counting_init(memo, *args):
+        init(memo, *args)
+        memo.outcomes = Lookups()
+
+    def counting_miss(memo, alternatives, vector, build):
+        missed.append(None)
 
         def counting_build():  # the memo builds a profile only to evaluate the rule on it
             evaluated.append(None)
             return build()
 
-        return outcome(memo, alternatives, vector, counting_build)
+        probes = len(looked_up)
+        found = miss(memo, alternatives, vector, counting_build)
+        del looked_up[probes:]  # its probes of the vector's images are no lookups
+        return found
 
-    monkeypatch.setattr(axioms.Memo, "outcome", counting_outcome)
+    monkeypatch.setattr(axioms.Memo, "__init__", counting_init)
+    monkeypatch.setattr(axioms.Memo, "_miss", counting_miss)
     home, attr, bound_in, _ = _load_spans().TARGETS["extensions.compare"]
     comparison, compared = getattr(home, attr), []
 
@@ -143,12 +158,12 @@ def test_one_pass_of_the_workload_passes_its_own_checks(monkeypatch, workload):
         lps += len(solves)
         pivots += len(pivoted)
         lookups += len(looked_up)
-        misses += sum(looked_up)
+        misses += len(missed)
         evaluations += len(evaluated)
         comparisons += len(compared)
         assert op.check(output) is None, op.label
         # the checks' own work is not the pass's, as in the tracer
-        for counted in (solves, pivoted, looked_up, evaluated, compared):
+        for counted in (solves, pivoted, looked_up, missed, evaluated, compared):
             counted.clear()
     assert lps == LP_SOLVES[workload]
     assert pivots == PIVOTS[workload]

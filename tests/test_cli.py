@@ -524,6 +524,29 @@ WITNESS_OUTPUTS = {
         "e770e3bce8ee4920bfe38a6e899ccf7ef7635ee4b5e38f4df6cfb38bf992798c",
         1,
     ),
+    # m = 4, where a reduced scan's memo answers most misses by pulling a
+    # stored image of the vector back through a relabelling: exit 1 after 42,
+    # 33 and 31 profiles, and 593 774 profiles that hold
+    "check --axiom pc-strategyproofness --rule ml --scan m=4,n<=4 --anonymous": (
+        "93375c9c3a0d233d60099caba5d8dad88fdd9ad38b965cbe9ac04ff0336bdfbd",
+        "c46b4e67f2fc8b1edd3697ae9306a67e4f6dcaa14bdf1d067f5c999936d0a3c3",
+        1,
+    ),
+    "check --axiom sd-strategyproofness --rule ml --scan m=4,n<=4 --anonymous": (
+        "2613ed3ee9075807dba1e5477ff7331a9b9be19c2fedbe3f86717596c495b216",
+        "2b0f199bec9dd383bd3658c46278b19c9d9f575de21431c10769ac836781644c",
+        1,
+    ),
+    "check --axiom pc-strategyproofness --rule condorcet-uniform --scan m=4,n<=3": (
+        "5efa8071ff4df43c841da7b067f1610bf888e84ab3fc631c7d3820613106c549",
+        "7674ab393d4822053d348412b739474e362ed7b110fc85d220938c8d29b7ee86",
+        1,
+    ),
+    "check --axiom sd-strategyproofness --rule rd --scan m=4,n<=6 --anonymous": (
+        "d8e74eea173c1ad02de7033abe01035ea9d05352fd4d4b47fe57b228a1bbbf90",
+        "45e957d421c4fccbb1a890172ad0f7c975df722af48bfe91a751dc9f6266a9ce",
+        0,
+    ),
     # pins which weights a random path draws: one per distinct ranking, in
     # `all_rankings` order, takes step 1 to a:3/8,b:3/8,c:1/4, where one per
     # voter took it to a:2/5,b:3/10,c:3/10

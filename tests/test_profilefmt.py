@@ -17,6 +17,17 @@ def test_lines_become_runs_and_format_writes_maximal_runs():
     assert parse_profile(text) == prof
 
 
+def test_equal_lines_share_one_ranking():
+    text = "alternatives: a b c\n2: a > b > c\n1: c > b > a\n3: a > b > c\n4: c > b > a\n"
+    prof = parse_profile(text)
+    first, second, third, fourth = (ballot for ballot, _ in prof.runs)
+    assert first is third and second is fourth and first is not second
+    assert format_profile(prof) == text
+    # a line with a new order is still checked
+    with pytest.raises(ParseError, match="line 4: ranking repeats alternative 'a'"):
+        parse_profile("alternatives: a b c\n1: a > b > c\n1: c > b > a\n1: a > a > c\n")
+
+
 def test_every_line_needs_a_count():
     with pytest.raises(ParseError, match="expected '<count>: <ranking>'"):
         parse_profile("alternatives: a b c\na > b > c\n")
