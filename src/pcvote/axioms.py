@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -29,6 +28,7 @@ from .model import (
     Lottery,
     Profile,
     Ranking,
+    Tally,
     absolute_winner,
     condorcet_winner,
     relabel,
@@ -165,6 +165,42 @@ def _check_rule_evaluations(count: int, what: str) -> None:
 _Relabelling = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], tuple[int, ...]]
 
 
+class _TallyTables:
+    """What a tally gives the rankings of one alternative set, by their
+    indices in `all_rankings`, one object per set and tally
+    (`_tally_tables`): each ranking's tally (`tallies`); the classes of
+    equal tallies, as each index's class named by its least index
+    (`class_of`) and those names in increasing order (`leaders`); and the
+    relabellings that act on the tally's vectors (`relabellings`). Each is
+    a plain attribute: a cached property stores through `__dict__`, which
+    on CPython 3.11 slows every later attribute read of the object."""
+
+    def __init__(self, alternatives: AlternativeSet, tally: Tally) -> None:
+        self.alternatives = alternatives
+        self.tallies = list(map(tally.of, alternatives._rankings))
+        least: dict[tuple[int, ...], int] = {}
+        self.class_of = [least.setdefault(vector, k) for k, vector in enumerate(self.tallies)]
+        self.leaders = list(least.values())
+        self._relabellings: Optional[list[_Relabelling]] = None
+
+    def relabellings(self) -> list[_Relabelling]:
+        """`_signed_maps`, on the first call budgeted and built."""
+        if self._relabellings is None:
+            self._relabellings = _signed_maps(self.alternatives, self.tallies)
+        return self._relabellings
+
+
+def _tally_tables(alternatives: AlternativeSet, tally: Tally) -> _TallyTables:
+    """The tally's tables on the alternative set, kept on the set, so a
+    process builds them once for the scans' shared default sets. The first
+    call for a set and a tally budgets its rankings (`all_rankings`)."""
+    found = alternatives._tally_tables.get(tally)
+    if found is None:
+        all_rankings(alternatives)
+        found = alternatives._tally_tables[tally] = _TallyTables(alternatives, tally)
+    return found
+
+
 class Memo:
     """The `evaluate` of `memoized(rule)`: the rule's outcomes cached by
     alternative set and tally vector, the vector being a profile's, summed
@@ -183,23 +219,20 @@ class Memo:
     is evaluated once per orbit of vectors under relabelling the
     alternatives, not once per vector: at the first vector of the orbit
     that is looked up. A missed vector v is relabelled by each relabelling
-    π (`relabellings`) in turn, and the first image πv that is stored
-    answers: neutrality gives f(πR) = π·f(R), so the outcome at v is the
-    one at πv pulled back through π. Every vector met is stored at its own
-    key, and the m! relabellings carry any member of v's orbit onto v, so
-    some image is stored exactly when the orbit was met before. Otherwise
-    the rule is evaluated at v. A tally that gets the identity alone
-    (`relabellings`) is keyed by the raw vector.
+    π of the tally's tables (`_tally_tables`) in turn, and the first image
+    πv that is stored answers: neutrality gives f(πR) = π·f(R), so the
+    outcome at v is the one at πv pulled back through π. Every vector met
+    is stored at its own key, and the m! relabellings carry any member of
+    v's orbit onto v, so some image is stored exactly when the orbit was
+    met before. Otherwise the rule is evaluated at v. A tally that gets the
+    identity alone (`_signed_maps`) is keyed by the raw vector.
 
     The rest is the checks' state for one scan, kept by `_Edits`:
     `comparisons` keys the misreport comparisons by the identities of the
     lotteries compared, across vectors with equal outcomes; `clean` holds
-    the keys of the per-ballot checks that found no violation at a vector;
-    `classes` holds, per alternative set (by its names), the classes of
-    equal ranking tallies. Each ranking's tally and the relabellings are
-    kept on the alternative set, once per tally (`ranking_tallies`,
-    `relabellings`), so they are built once per process for the shared
-    default sets.
+    the keys of the per-ballot checks that found no violation at a vector.
+    The rankings' tallies, classes and relabellings are the tally's, not
+    the memo's: they are kept on the alternative set (`_tally_tables`).
     """
 
     def __init__(self, rule: SocialDecisionScheme, orbit_keys: bool = False) -> None:
@@ -209,39 +242,9 @@ class Memo:
         self.lotteries: dict[tuple, Lottery] = {}
         self.comparisons: dict[tuple, dict[int, bool]] = {}
         self.clean: set[tuple] = set()
-        self.classes: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
 
     def __call__(self, profile: Profile) -> Lottery:
         return self.outcome(profile.alternatives, self.rule.statistic(profile), lambda: profile)
-
-    def ranking_tallies(self, alternatives: AlternativeSet) -> list[tuple[int, ...]]:
-        """Each ranking's tally, by its index in `all_rankings`, kept on the
-        alternative set per tally; the first call for a set and a tally
-        budgets its rankings."""
-        tally = self.rule.statistic
-        found = alternatives._ranking_tallies.get(tally)
-        if found is None:
-            found = alternatives._ranking_tallies[tally] = list(map(tally.of, all_rankings(alternatives)))
-        return found
-
-    def relabellings(self, alternatives: AlternativeSet) -> list[_Relabelling]:
-        """The relabellings of the alternatives that act on tally vectors,
-        the identity first, kept on the alternative set per tally; the first
-        call for a set and a tally budgets its relabelling tables
-        (`_tables_to_first`).
-
-        Table t sends ranking q to ranking t[q], so a profile's vector goes
-        to the sum of t[q]'s tallies over its ballots q. When coordinate i of
-        those tallies, taken over every q, is plus or minus coordinate j of
-        the tallies themselves, the image's coordinate i is plus or minus the
-        vector's coordinate j. A tally with some coordinate that no such j
-        gives, under some table, gets the identity alone."""
-        tally = self.rule.statistic
-        found = alternatives._relabellings.get(tally)
-        if found is None:
-            tallies = self.ranking_tallies(alternatives)
-            found = alternatives._relabellings[tally] = _signed_maps(alternatives, tallies)
-        return found
 
     def outcome(
         self, alternatives: AlternativeSet, vector: tuple[int, ...], build: Callable[[], Profile]
@@ -274,7 +277,7 @@ class Memo:
         names = alternatives.names
         signed = vector + tuple(-x for x in vector)
         stored = self.outcomes.get
-        for image, to in self.relabellings(alternatives)[1:]:
+        for image, to in _tally_tables(alternatives, self.rule.statistic).relabellings()[1:]:
             found = stored((names, image(signed)))
             if found is not None:
                 return self._permuted(found, to)
@@ -295,7 +298,16 @@ class Memo:
 
 
 def _signed_maps(alternatives: AlternativeSet, tallies: list[tuple[int, ...]]) -> list[_Relabelling]:
-    """`Memo.relabellings` of a tally: one per table of `_tables_to_first`."""
+    """The relabellings of the alternatives that act on the vectors of a
+    tally whose rankings' tallies are `tallies`: one per table of
+    `_tables_to_first`, the identity first.
+
+    Table t sends ranking q to ranking t[q], so a profile's vector goes to
+    the sum of t[q]'s tallies over its ballots q. When coordinate i of those
+    tallies, taken over every q, is plus or minus coordinate j of the
+    tallies themselves, the image's coordinate i is plus or minus the
+    vector's coordinate j. A tally with some coordinate that no such j
+    gives, under some table, gets the identity alone."""
     d = len(tallies[0])
     # each coordinate's column over the rankings, then its negation, by
     # where it sits in v followed by -v
@@ -354,7 +366,8 @@ class _Edits:
     For a memoized rule (`memoized`) an edit's outcome is one memo lookup by
     its tally vector: the profile's (`base`: the statistic of the profile
     given, or the ballots' tallies summed by index when first read), minus
-    the tally of the ballot taken out, plus those of the ballots put in. Its
+    the tally of the ballot taken out, plus those of the ballots put in,
+    read off the tally's tables (`tables`), which are fetched once. Its
     `Profile` is made by `build` only on a miss. The misreport search makes
     these lookups in its own loop (`_misreports`), and memoizes its
     comparisons by the identities of the memo's lotteries. Every clean
@@ -376,6 +389,7 @@ class _Edits:
         self._profile = profile
         self.alternatives = alternatives if profile is None else profile.alternatives
         self.base = None if self.memo is None or profile is None else self.memo.rule.statistic(profile)
+        self._tables: Optional[_TallyTables] = None
 
     @property
     def profile(self) -> Profile:
@@ -385,10 +399,12 @@ class _Edits:
             self._profile = Profile.from_ballots(self.alternatives, [rankings[k] for k in self.indices])
         return self._profile
 
-    @cached_property
-    def tallies(self) -> list[tuple[int, ...]]:
-        """Each ranking's tally, by index (`Memo.ranking_tallies`)."""
-        return self.memo.ranking_tallies(self.alternatives)
+    def tables(self) -> _TallyTables:
+        """The memo's tally's tables on these alternatives (`_tally_tables`),
+        fetched on the first call, which the caller has budgeted."""
+        if self._tables is None:
+            self._tables = _tally_tables(self.alternatives, self.memo.rule.statistic)
+        return self._tables
 
     def voters(
         self, listed: Optional[Sequence[int]] = None
@@ -425,20 +441,6 @@ class _Edits:
         """The ranking's index in `all_rankings`, or None without a memo."""
         return None if self.memo is None else self.alternatives._ranking_index[ranking.order]
 
-    def classes(self, rankings: tuple[Ranking, ...]) -> tuple[Sequence[int], Sequence[int]]:
-        """The `all_rankings` indices in classes of equal tallies: each
-        index's class, named by its least index, and the names in increasing
-        order. Without a memo every class is one ranking."""
-        if self.memo is None:
-            every = range(len(rankings))
-            return every, every
-        found = self.memo.classes.get(self.alternatives.names)
-        if found is None:
-            least: dict[tuple[int, ...], int] = {}
-            class_of = [least.setdefault(tally, k) for k, tally in enumerate(self.tallies)]
-            found = self.memo.classes[self.alternatives.names] = class_of, list(least.values())
-        return found
-
     def settled(self, *check: object) -> bool:
         """Has the check that `check` names come out clean on an earlier
         profile with these alternatives and this vector? Only a memoized
@@ -456,18 +458,16 @@ class _Edits:
 
     def vector(self, taken: Optional[int], put: Sequence[int] = ()) -> tuple[int, ...]:
         """The tally vector of the profile with `taken` out and `put` in."""
+        if self.base is not None and taken is None and not put:  # fetches no tables, so builds no rankings
+            return self.base
+        tallies = self.tables().tallies
         vector: Iterable[int] = self.base
         if vector is None:  # a scan's representative, whose rankings the scan has budgeted
-            # Assigned, not read through the `tallies` cached property: that
-            # property stores through `__dict__`, which on CPython 3.11 makes
-            # every later attribute read of this object slower, and a scan's
-            # checks read many (measured on the scan-nolp workload, CHANGES.md).
-            self.tallies = tallies = self.memo.ranking_tallies(self.alternatives)
             vector = self.base = tuple(map(sum, zip(*map(tallies.__getitem__, self.indices))))
         if taken is not None:
-            vector = map(sub, vector, self.tallies[taken])
+            vector = map(sub, vector, tallies[taken])
         for k in put:
-            vector = map(add, vector, self.tallies[k])
+            vector = map(add, vector, tallies[k])
         return tuple(vector)
 
     def outcome(
@@ -503,12 +503,12 @@ def find_manipulation(
     `Profile` is built only on a memo miss and for the witness, once.
 
     Misreports with equal tallies give equal vectors, so equal outcomes
-    (`_Edits.classes`), and one with the true ballot's tally gives the
-    truthful outcome, which every extension compares as indifferent. So
-    each class is tried once, by its least index, in order, and the true
-    ballot's class not at all: the first witness is the full loop's. A
-    ballot that manipulates at no misreport is not tried again at an equal
-    vector (`_Edits.settled`).
+    (the tally's classes, `_TallyTables`), and one with the true ballot's
+    tally gives the truthful outcome, which every extension compares as
+    indifferent. So each class is tried once, by its least index, in
+    order, and the true ballot's class not at all: the first witness is
+    the full loop's. A ballot that manipulates at no misreport is not
+    tried again at an equal vector (`_Edits.settled`).
     """
     return _misreports(_Edits(rule, profile), extension, mode, voters)
 
@@ -536,11 +536,14 @@ def _misreports(
     candidates = alts._rankings
     index = alts._ranking_index
     check = ("misreport", extension.value, mode.value)
-    class_of, leaders = edits.classes(candidates)
     truthful = edits.own()
     memo = edits.memo
-    if memo is not None:  # read once `own` has summed the base, as `_Edits.vector` leaves them
-        base, tallies, outcomes, names = edits.base, edits.tallies, memo.outcomes, alts.names
+    if memo is None:  # one class per ranking
+        class_of = leaders = range(len(candidates))
+    else:  # read once `own` has summed the base
+        tables = edits.tables()
+        base, tallies, outcomes, names = edits.base, tables.tallies, memo.outcomes, alts.names
+        class_of, leaders = tables.class_of, tables.leaders
     built: tuple = ()  # (voter, misreport, profile) of the last deviation built
 
     def build() -> Profile:  # the deviation the loop is at, kept for a witness there

@@ -115,9 +115,6 @@ def _sd_rows(ballot: Ranking, p: Lottery) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_DOMINATOR_ROWS = {Extension.PC: _pc_rows, Extension.SD: _sd_rows}
-
-
 def _efficient_without_lp(profile: Profile, mass: Sequence[int], extension: Extension) -> bool:
     """Is p certified efficient with no LP? `mass` is p's int mass over its
     denominator (`Lottery._mass`). Two clauses, the cheaper first.
@@ -194,7 +191,7 @@ def _dominator_lp(
     mass, _ = p._mass
     if _efficient_without_lp(profile, mass, extension):
         return None
-    ballot_rows = _DOMINATOR_ROWS[extension]
+    ballot_rows = _pc_rows if extension is Extension.PC else _sd_rows
     totals = profile._ranking_totals
     if weights is None:
         weights = [count for _, count in totals]
@@ -252,7 +249,7 @@ def find_dominator(
     """
     if p.alternatives != profile.alternatives:
         raise DomainError("lottery must range over the profile's alternatives")
-    if extension not in _DOMINATOR_ROWS:
+    if extension is not Extension.PC and extension is not Extension.SD:
         raise DomainError("find_dominator solves PC and SD; use pc1_find_dominator for PC1")
     totals = None if weights is None else _ballot_weights(profile, weights)
     q = _dominator_lp(profile, p, extension, totals)

@@ -153,18 +153,16 @@ def sd_compare(ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:
     return ComparisonOutcome.Incomparable
 
 
-_COMPARATORS: dict[Extension, Comparator] = {
-    Extension.PC: pc_compare,
-    Extension.PC1: pc1_compare,
-    Extension.SD: sd_compare,
-}
-
-
 def comparator(extension: Extension) -> Comparator:
-    try:
-        return _COMPARATORS[extension]
-    except KeyError:
-        raise DomainError(f"unknown extension {extension!r}") from None
+    # by identity: a table keyed by the members would hash each one with a
+    # Python-level `Enum.__hash__` call, once per comparison
+    if extension is Extension.PC:
+        return pc_compare
+    if extension is Extension.SD:
+        return sd_compare
+    if extension is Extension.PC1:
+        return pc1_compare
+    raise DomainError(f"unknown extension {extension!r}")
 
 
 def compare(extension: Extension, ranking: Ranking, p: Lottery, q: Lottery) -> ComparisonOutcome:

@@ -62,7 +62,9 @@ def _scaled(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class AlternativeSet:
-    """An ordered set of distinct alternative labels."""
+    """An ordered set of distinct alternative labels. It keeps, each built on
+    first use and budgeted by `axioms`, its rankings, their relabelling
+    tables and each tally's tables."""
 
     names: tuple[str, ...]
 
@@ -119,15 +121,10 @@ class AlternativeSet:
         return tuple(tables)
 
     @cached_property
-    def _ranking_tallies(self) -> dict["Tally", list[tuple[int, ...]]]:
-        """Each ranking's tally under each `Tally` asked for so far, by the
-        ranking's index in `_rankings`; filled by `axioms`, which budgets it."""
-        return {}
-
-    @cached_property
-    def _relabellings(self) -> dict["Tally", list]:
-        """The relabellings that act on each `Tally`'s vectors, as a scan's
-        memo uses them; filled by `axioms`, which budgets them."""
+    def _tally_tables(self) -> dict["Tally", object]:
+        """The tables of each `Tally` asked for so far on this set: its
+        rankings' tallies, their classes and its relabellings, one object
+        per tally; filled by `axioms._tally_tables`, which budgets them."""
         return {}
 
     def __len__(self) -> int:
@@ -486,11 +483,11 @@ class MarginMatrix:
 # profile statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tally:
     """A statistic of the ballot multiset that is a sum over ballots: each
     ranking contributes the int vector `of(ranking)`, and a profile's value
-    is the count-weighted sum of its runs' vectors.
+    is the count-weighted sum of its runs' vectors. It hashes by identity.
 
     Putting a ballot in or taking one out moves the value by that ballot's
     vector, so the value of a profile with one ballot swapped is its

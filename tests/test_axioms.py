@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -57,8 +58,10 @@ from pcvote.axioms import (
     AxiomSpec,
     EnumerationBudgetError,
     _Edits,
+    _alternatives,
     _least_in_orbit,
     _tables_to_first,
+    _tally_tables,
     exists_strict_improvement,
     memoized,
 )
@@ -1098,7 +1101,7 @@ def test_each_relabelling_sends_a_tally_to_the_relabelled_profiles(m, n_max):
     identity = tuple(range(m))
     images = {}
     for name, tally in TALLIES.items():
-        maps = _orbit_memo(SocialDecisionScheme(name, rd, statistic=tally, neutral=True)).relabellings(alts)
+        maps = _tally_tables(alts, tally).relabellings()
         # every relabelling acts, the identity first
         assert sorted(perm for _, perm in maps) == list(itertools.permutations(identity)), name
         assert maps[0][1] == identity
@@ -1124,7 +1127,7 @@ def test_a_tally_no_relabelling_acts_on_is_keyed_by_the_raw_vector():
     # declared neutral, which it is not: the memo finds no relabelling to trust it with
     rule, calls = counting(SocialDecisionScheme("by-product", by_product, statistic=products, neutral=True))
     memo = _orbit_memo(rule)
-    assert [perm for _, perm in memo.relabellings(alternative_set("abc"))] == [(0, 1, 2)]
+    assert [perm for _, perm in _tally_tables(alternative_set("abc"), products).relabellings()] == [(0, 1, 2)]
     vectors = set()
     for n in range(1, 4):
         for prof in enumerate_profiles(3, n):
@@ -1143,28 +1146,46 @@ def test_ranking_tallies_and_relabellings_are_built_once_per_set_and_tally(monke
 
     monkeypatch.setattr(axioms_module, "_signed_maps", counting)
     alts = alternative_set("xyz")
-    margins = [_orbit_memo(get_rule(name)) for name in ("ml", "ml", "condorcet-uniform")]
-    tops = _orbit_memo(get_rule("rd"))
-    for memo in margins + [tops]:
-        memo.relabellings(alts)
-    # the three margin memos share one list of each; rd's tally gets its own
-    assert len({id(memo.ranking_tallies(alts)) for memo in margins}) == 1
-    assert len({id(memo.relabellings(alts)) for memo in margins}) == 1
-    assert tops.ranking_tallies(alts) is not margins[0].ranking_tallies(alts)
+    # read with no rule in hand, by the rules' declared tallies
+    margins = [_tally_tables(alts, get_rule(name).statistic) for name in ("ml", "ml", "condorcet-uniform")]
+    tops = _tally_tables(alts, get_rule("rd").statistic)
+    for tables in margins + [tops]:
+        tables.relabellings()
+    # the three margin rules share one object, and so one list of each; rd's tally gets its own
+    assert len({id(tables) for tables in margins}) == 1
+    assert len({id(tables.tallies) for tables in margins}) == 1
+    assert len({id(tables.relabellings()) for tables in margins}) == 1
+    assert tops is not margins[0] and tops.tallies is not margins[0].tallies
     assert built == [(("x", "y", "z"), 3), (("x", "y", "z"), 3)]
     # a scan on a shared default set builds them at most once per process
     exhaustive_scan(get_rule("ml"), 3, 2, "pc-strategyproofness")
     built.clear()
     exhaustive_scan(get_rule("ml"), 3, 2, "pc-strategyproofness")
     assert built == []
-    # the first call for a set and a tally still budgets the rankings and the tables
+    # and a reduced scan's memo, like its checks, reads the object a
+    # rule-free caller gets
+    fetched: dict[str, set[int]] = {}
+    tally_tables = axioms_module._tally_tables
+
+    def recording(alternatives, tally):
+        found = tally_tables(alternatives, tally)
+        fetched.setdefault(sys._getframe(1).f_code.co_name, set()).add(id(found))
+        return found
+
+    monkeypatch.setattr(axioms_module, "_tally_tables", recording)
+    exhaustive_scan(get_rule("ml"), 3, 3, "sd-strategyproofness", up_to_anonymity=True)
+    shared = id(tally_tables(_alternatives(3), margin_tally))
+    assert fetched == {"_pulled_back": {shared}, "tables": {shared}}
+    # the first call for a set and a tally still budgets the rankings, and
+    # the first read of its relabellings the tables
     ten, seven = alternative_set("abcdefghij"), alternative_set("abcdefg")
     with pytest.raises(EnumerationBudgetError, match="10! rankings"):
-        margins[0].ranking_tallies(ten)
+        tally_tables(ten, margin_tally)
+    sevens = tally_tables(seven, margin_tally)
     with pytest.raises(EnumerationBudgetError, match="25401600 relabelling table entries"):
-        margins[0].relabellings(seven)
+        sevens.relabellings()
     assert "_rankings" not in ten.__dict__ and "_to_first" not in seven.__dict__
-    assert not ten._ranking_tallies and not seven._relabellings
+    assert not ten._tally_tables and sevens._relabellings is None
 
 
 def _one_profile_per_vector(tally, m, n_max):

@@ -1,8 +1,11 @@
-"""Every name a pcvote module imports at module level is used there.
+"""Every name a pcvote module imports at module level is used there, and
+no module holds an `assert` statement.
 
 A leftover import outlives the code that needed it and hides that the
 code is gone; `__init__.py` is exempt, since its imports are the package's
-re-exports. Read with the standard library's `ast`, with no import run.
+re-exports. An `assert` is stripped under `python -O`, so a library
+invariant is guarded by an explicit `InternalError` or `DomainError`
+instead. Read with the standard library's `ast`, with no import run.
 """
 
 import ast
@@ -64,3 +67,20 @@ def test_every_module_level_import_is_used(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("from .model import _scaled, Lottery\nimport math\n\ndef f(x: 'Lottery'):\n    return x\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"_scaled", "math"}
+
+
+def _asserts(tree: ast.Module) -> list[int]:
+    """The line of every `assert` statement in the module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_holds_an_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _asserts(tree)
+    assert not lines, f"{path.name} has assert statements, which python -O strips, at lines {lines}"
+
+
+def test_an_assert_is_caught():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n")
+    assert _asserts(tree) == [3]
