@@ -4,10 +4,11 @@ A lottery p is inefficient (under a given extension) when some lottery q
 makes every voter weakly better off and at least one strictly better off.
 For PC and SD that existence question is a small exact linear program,
 one block of rows per ranking and one objective, each ranking's weight
-times its block's column sums, built only when no certificate settles it
+times its block's column sums, solved only when no certificate settles it
 first: under SD a lottery whose support is first-ranked alternatives is
-efficient, and under PC (and SD, with a condition on p's zeros) so is one
-the margins beat or tie; for PC1 it reduces to a finite case split
+efficient, under PC (and SD, with a condition on p's zeros) so is one
+the margins beat or tie, and under both so is one whose program's rows
+sum to >= 0 in every column; for PC1 it reduces to a finite case split
 because two non-degenerate lotteries are never PC1-comparable; ex-post
 efficiency just reads the Pareto-dominated set. The module also provides
 a calibrated mass-shift perturbation whose comparison against the
@@ -143,7 +144,8 @@ def _efficient_without_lp(profile: Profile, mass: Sequence[int], extension: Exte
     each verdict here rests on an argument the code checks.
 
     Neither notion depends on voter weights, so both clauses hold for
-    weighted calls too."""
+    weighted calls too. When both fail, `_dominator_lp` builds the rows and
+    asks one more clause of them (`_efficient_by_unit_multipliers`)."""
     if extension is Extension.SD:
         tops = profile._top_counts
         if all(tops[x] for x, w in enumerate(mass) if w):
@@ -159,6 +161,22 @@ def _efficient_without_lp(profile: Profile, mass: Sequence[int], extension: Exte
     )
 
 
+def _efficient_by_unit_multipliers(unit: Sequence[int]) -> bool:
+    """Is p certified efficient by the multipliers λ_r = 1 on every row of
+    the dominator program? `unit` is the plain sum of its rows a_r, per
+    column, read off the block column sums the objective is made of.
+
+    When Σ_r a_r >= 0 componentwise, a lottery q that meets every row,
+    a_r · q <= 0, has Σ_r a_r · q >= 0 as well, so every a_r · q is 0: no
+    voter is strictly better off, and the objective, with weights > 0, is
+    0 at q. That is a Stiemke certificate (Stiemke 1915), one the margin
+    clause of `_efficient_without_lp` gives with λ_r = n_r for PC; here
+    each distinct ranking's rows count once, for PC and SD alike, and for
+    weighted calls too. A program with no rows (SD at m = 1) has a unit sum
+    of 0 in every column, which certifies it, as its optimum is 0."""
+    return min(unit) >= 0
+
+
 def _dominator_lp(
     profile: Profile,
     p: Lottery,
@@ -168,7 +186,10 @@ def _dominator_lp(
     """A lottery q that satisfies every ballot type's rows and maximizes
     their weighted total slack, if that total is positive; None when it is
     0, that is, when p is efficient. When p's support or G p <= 0
-    certifies that (`_efficient_without_lp`), no program is built.
+    certifies that (`_efficient_without_lp`), no program is built; when
+    the rows' plain sum is >= 0 in every column
+    (`_efficient_by_unit_multipliers`, read off the block column sums the
+    objective is made of), the program is built and not solved.
 
     Every row reads a · q <= 0, so the rows cut out a cone that holds p,
     and the program closes it with Σq <= 1. The rows are ints with rhs 0
@@ -197,11 +218,16 @@ def _dominator_lp(
         weights = [count for _, count in totals]
     rows: list[tuple[int, ...]] = []
     objective: list[Rational] = [0] * profile.m
+    unit = [0] * profile.m
     for (ballot, _), weight in zip(totals, weights):
         block = ballot_rows(ballot, p)
         rows += block
         for j, column in enumerate(zip(*block)):
-            objective[j] -= weight * sum(column)
+            total = sum(column)
+            objective[j] -= weight * total
+            unit[j] += total
+    if _efficient_by_unit_multipliers(unit):
+        return None
     rows.append((1,) * profile.m)
     rhs = (0,) * (len(rows) - 1) + (1,)
     outcome = lp_solve(IntRowProgram(tuple(objective), tuple(rows), rhs))
@@ -239,12 +265,13 @@ def find_dominator(
     A lottery certified efficient with no LP (`_efficient_without_lp`)
     gets None: under SD, one whose every outcome is some voter's first
     choice, such as `rd`'s; under PC or SD, one with G p <= 0 (for SD also
-    with no two adjacent zeros of p on a ballot). Otherwise the LP
-    (`_dominator_lp`) has one block of rows per ballot type, in sorted
-    order. Optional strictly positive per-voter weights are summed per
-    ranking (`_ballot_weights`) and tilt the objective (any choice keeps
-    the oracle sound); the default is all-ones, each ranking weighted by
-    its voter count. The witness is a function of the ballot multiset and
+    with no two adjacent zeros of p on a ballot), or one whose program's
+    rows sum to >= 0 in every column. Otherwise the LP (`_dominator_lp`)
+    has one block of rows per ballot type, in sorted order. Optional
+    strictly positive per-voter weights are summed per ranking
+    (`_ballot_weights`) and tilt the objective (any choice keeps the
+    oracle sound); the default is all-ones, each ranking weighted by its
+    voter count. The witness is a function of the ballot multiset and
     each ranking's weight total.
     """
     if p.alternatives != profile.alternatives:

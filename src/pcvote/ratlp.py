@@ -44,6 +44,11 @@ surplus column has a nonzero (so negative) reduced cost therefore has
 slack 0 at every optimum: its dual value is nonzero. Only the sign is
 read, so no scale is needed. The report is sound, not complete: at a
 degenerate optimum a row can be tight everywhere with a zero dual.
+
+The same read-off, in the same pass, gives `zeros`: a structural column
+with a nonzero reduced cost is nonbasic (every basic entry of the row is
+0) and is 0 at every optimum, as the bound x_j >= 0 carries a nonzero
+dual. It is sound and not complete in the same way.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .model import DomainError, InternalError, _require_exact, _scaled
@@ -131,14 +137,16 @@ class LpStatus(Enum):
 @dataclass(frozen=True)
 class LpOutcome:
     """`tight` indexes the constraints, all inequalities, that the final
-    tableau proves tight at every optimal point; empty unless optimal. It
-    is evidence about the solve, not part of the answer, so it is left out
+    tableau proves tight at every optimal point, and `zeros` the variables
+    it proves 0 at every optimal point; both empty unless optimal. They are
+    evidence about the solve, not part of the answer, so they are left out
     of the repr and of equality."""
 
     status: LpStatus
     solution: Optional[tuple[Fraction, ...]]
     value: Optional[Fraction]
     tight: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
+    zeros: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -348,4 +356,5 @@ def lp_solve(lp: LinearProgram | IntRowProgram) -> LpOutcome:
     value = Fraction(sum(c * v * (den // d) for c, v, d in costed), den * scale)
     # the inequality rows have, in order, the slack or surplus columns n, n + 1, ...
     tight = frozenset(i for k, i in enumerate(inequalities) if z[n + k])
-    return LpOutcome(LpStatus.Optimal, tuple(x), value, tight)
+    zeros = frozenset(compress(range(n), z))
+    return LpOutcome(LpStatus.Optimal, tuple(x), value, tight, zeros)

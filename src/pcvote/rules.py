@@ -20,6 +20,7 @@ All rules return exact `Lottery` values. `RULES` registers each with the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -182,14 +183,46 @@ def _ml_program(margins: MarginMatrix, fixed: dict[int, Fraction], free: list[in
     return IntRowProgram((1,) * (m + len(t)), tuple(rows), rhs)
 
 
+def _even_split(
+    margins: MarginMatrix, fixed: dict[int, Fraction], free: Sequence[int]
+) -> Optional[tuple[Fraction, ...]]:
+    """The point that keeps each pinned value in `fixed` and splits the rest
+    of the mass evenly over `free`, if it is in the optimal set: G p <= 0,
+    checked in ints on the point times L·|free|, with L the lcm of the
+    pinned values' denominators. With nothing pinned it is the uniform
+    lottery, whose int mass is all ones, so G times it is the row sums: in
+    O exactly when every row of G sums to 0 (the row sums sum to 0, G being
+    skew-symmetric)."""
+    m, k = len(margins.alternatives), len(free)
+    if fixed:
+        scale = math.lcm(*(value.denominator for value in fixed.values()))
+        pinned = {j: value.numerator * (scale // value.denominator) for j, value in fixed.items()}
+        rest = scale - sum(pinned.values())
+        beats = margins.times([pinned[j] * k if j in pinned else rest for j in range(m)])
+    else:
+        scale = rest = 1
+        beats = map(sum, margins.rows)
+    if max(beats) > 0:
+        return None
+    share = Fraction(rest, scale * k)
+    return tuple(fixed.get(j, share) for j in range(m))
+
+
 def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction, ...]:
     """The leximin point of the optimal set, by iterated max-min: raise the
     smallest coordinate as far as the optimal set allows, pin every
     coordinate that cannot go higher, repeat on the rest. The coordinates in
     `zeros`, 0 at every optimal point, are pinned to 0 from the start.
 
-    One LP per round, homogenized (Charnes & Cooper 1962) into int rows
-    with rhs >= 0 (`_ml_program`): max Σp + t over (p, t). Let f be the
+    Each round first tries the even split (`_even_split`): with s the
+    pinned mass and F the free coordinates, every point of the round has
+    min over F <= (1 − s)/|F|, and only the even split reaches it, where
+    the pins hold by construction. So when that split is in O it is the
+    round's one point at its floor, every free coordinate is stuck there,
+    and the loop returns it with no LP.
+
+    Otherwise one LP per round, homogenized (Charnes & Cooper 1962) into int
+    rows with rhs >= 0 (`_ml_program`): max Σp + t over (p, t). Let f be the
     floor of the round on the simplex: max t subject to Σp = 1, G p <= 0,
     the pins p_j = num/den and t <= p_j for free j. A feasible (p, t) with
     s = Σp > 0 scales to (p/s, t/s), feasible there, so t <= s·f and
@@ -199,23 +232,29 @@ def _ml_leximin(margins: MarginMatrix, zeros: tuple[int, ...]) -> tuple[Fraction
 
     Its tableau proves some floor rows tight: t has objective 1 and appears
     only in the floor rows, each with a 1, so the duals of the floor rows
-    sum to at least 1 and one of them is nonzero. When every free
-    coordinate sits at the floor they are all stuck, since their sum is
-    fixed; the last free coordinate is 1 minus the fixed ones."""
+    sum to at least 1 and one of them is nonzero. A free p_j that the
+    tableau proves 0 (`LpOutcome.zeros`) is stuck too: it caps t at 0, so
+    the floor is 0 and p_j sits at it. At a floor > 0 no free coordinate is
+    0, so that report names only coordinates of a floor-0 round. A round
+    whose free coordinates all sit at the floor has the even split as its
+    point, which the check before it would have returned. The last free
+    coordinate is 1 minus the fixed ones."""
     m = len(margins.alternatives)
     fixed: dict[int, Fraction] = {j: Fraction(0) for j in zeros}
     free = [j for j in range(m) if j not in fixed]
     while len(free) > 1:
+        split = _even_split(margins, fixed, free)
+        if split is not None:
+            return split
         program = _ml_program(margins, fixed, free)
         outcome = lp_solve(program)
         if outcome.status is not LpStatus.Optimal:
             raise InternalError(f"an LP over the margin game's optimal set came out {outcome.status.name}")
         if outcome.solution is None:
             raise InternalError("the max-min LP of ml came out optimal with no solution")
-        *point, floor = outcome.solution
+        floor = outcome.solution[-1]
         first = len(program.constraints) - len(free)  # the floor rows come last
-        proven = [j for k, j in enumerate(free) if first + k in outcome.tight]
-        stuck = free if all(point[j] == floor for j in free) else proven
+        stuck = [j for k, j in enumerate(free) if first + k in outcome.tight or j in outcome.zeros]
         if not stuck:
             raise InternalError("a max-min round of ml pinned no coordinate")
         for j in stuck:
@@ -283,7 +322,8 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
       `Lottery.degenerate` of the alternative set;
     * when every row of G sums to 0 the uniform lottery is in O, and it is
       the leximin point, the one point of the simplex whose least entry is
-      1/m: `Lottery.uniform`, with no LP;
+      1/m: `Lottery.uniform`, with no LP. This is the even split that
+      starts every leximin round (`_even_split`), with nothing pinned;
     * otherwise one LP, max Σp subject to G p <= 0 and Σp <= 1, finds some
       p in O from its all-slack basis (`_ml_point`). Let S be its
       support and Z the alternatives x with (G p)_x < 0. Lemma: every q in
@@ -301,7 +341,10 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
       1997), so this case always ends here;
     * otherwise the leximin point is computed by iterated max-min, with the
       coordinates in Z pinned to 0 from the start, which by the lemma
-      leaves O as it is.
+      leaves O as it is (`_ml_leximin`). A round whose even split of the
+      free mass is in O ends the loop with no LP, and a floor-0 round pins
+      the coordinates its tableau proves 0 as well as those whose floor
+      rows it proves tight.
 
     Each step yields one `Lottery` (the leximin step also reads the point
     LP's), and a closing guard reads its int mass (`Lottery._mass`): an
@@ -311,7 +354,7 @@ def maximal_lottery(margins: MarginMatrix) -> Lottery:
     winner = margins.condorcet_index()
     if winner is not None:
         lottery = Lottery.degenerate(alts, alts.names[winner])
-    elif not any(map(sum, margins.rows)):
+    elif _even_split(margins, {}, range(len(alts))) is not None:
         lottery = Lottery.uniform(alts)
     else:
         point = Lottery(alts, _ml_point(margins))

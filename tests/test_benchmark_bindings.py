@@ -46,33 +46,43 @@ def test_the_ml_rule_is_registered_for_tracing():
 # scan-ml checks ml on the 36 ordered 2-voter profiles over 3 alternatives. Its memo evaluates
 # ml once per relabelling orbit of the margin vectors it meets, at the first member met:
 # (2, 2, 2) and (2, 2, 0) have a Condorcet winner, and (0, 0, 0) zero row sums (0 LPs each);
-# (0, 2, 2) takes the point LP, which proves c 0, then one max-min round over a and b; (0, 0, 2)
-# takes the point LP, which proves nothing, then two rounds. So 0 + 0 + 0 + 2 + 3 = 5 LPs.
+# (0, 2, 2) takes the point LP, which proves c 0, and the even split of a and b is maximal, so
+# the loop ends before any round; (0, 0, 2) takes the point LP, which proves nothing, then one
+# max-min round at floor 0, after which the even split of the coordinates left free is
+# maximal. So 0 + 0 + 0 + 1 + 2 = 3 LPs. Before the even split: one round more in each of the
+# last two orbits, 5 LPs.
 # electorate: ml's point LP, which the certificate proves the whole optimal set (a 3-cycle over
 # a, b, c, with d proven 0), and the 201-voter dominator LP: 2.
-# corpus: 1669 dominator LP builds (`efficiency._dominator_lp`), 220 ml LPs. The builds are 1056
+# corpus: 1669 dominator LP builds (`efficiency._dominator_lp`), 145 ml LPs. The builds are 1056
 # PC (on ml and rd, 24 of them canonical improvement-path steps), 508 SD (on rd) and the 105 PC
 # builds of `pc1_find_dominator` on a degenerate rd. The 105 PC1-degenerate builds and the 24
 # path steps no longer pass through `find_dominator`, whose `--trace 1` calls are 1540. `rd` puts
 # its mass on the first-ranked alternatives, so p's support settles all 508 SD builds with no LP
 # (the margins settled 110 of them before the support clause, and the LP decided the other 398).
 # G p <= 0 settles 789 PC builds with no LP (684 direct, all 105 of PC1's, whose degenerate rd
-# sits on a Condorcet winner). Of its 557 ml calls, 397 have a Condorcet winner and 46 zero row sums
-# (0 LPs), 41 all-odd margins (1 LP each, certified), and the other 73 take 179: the point LP
-# each and 106 max-min rounds, 73 at a positive floor and 33 at floor 0. 1669 − 789 − 508 + 41 +
-# 179 = 592. With the margin certificate alone, 990 (the 398 SD LPs more); before any
-# certificate every call solved its LP: 1669 + 220 = 1889.
-LP_SOLVES = {"scan-ml": 5, "scan-nolp": 0, "corpus": 592, "electorate": 2}
+# sits on a Condorcet winner). Of the other 372 PC builds, the unit multipliers (each ranking's
+# rows summed, >= 0 in every column) settle 103, and 269 solve their LP: 144 efficient and 125
+# dominated. Of its 557 ml calls, 397 have a Condorcet winner and 46 zero row sums (0 LPs), 41
+# all-odd margins (1 LP each, certified), and the other 73 take the point LP each and 31 max-min
+# rounds: 44 end by the even split of the coordinates the point LP left free, 27 take one round
+# at floor 0 and then end by the even split, and 2 take a round at floor 0 and one at a positive
+# floor and end on their last free coordinate; 27 + 2·2 = 31. 1669 − 789 − 508 − 103 + 41 + 73
+# + 31 = 414. Before the even split, the zero report and the unit multipliers, 592 (the 103
+# dominator LPs and 75 of ml's more: 106 rounds, 73 at a positive floor and 33 at floor 0); with
+# the margin certificate alone, 990; before any certificate every call solved its LP: 1669 + 220
+# = 1889.
+LP_SOLVES = {"scan-ml": 3, "scan-nolp": 0, "corpus": 414, "electorate": 2}
 # `ratlp._pivot` calls of the same pass; every LP starts on its all-slack basis.
-# scan-ml: 4 for the (0, 2, 2) orbit's two LPs (1 in the point LP, 3 in the round), 8 for the
-# (0, 0, 2) orbit's three (1 in the point LP, 7 in the two rounds), 4 + 8 = 12. The old form's
-# rounds took 5 and 12 pivots there, phase one and two: 6 + 13 = 19.
+# scan-ml: 1 for the (0, 2, 2) orbit's point LP, 5 for the (0, 0, 2) orbit's two LPs (1 in the
+# point LP, 4 in the round), 1 + 5 = 6. With their rounds before the even split they took 4
+# and 8, 12; the old form's rounds took 5 and 12 pivots there, phase one and two: 6 + 13 = 19.
 # electorate: 3 for ml's point LP and 2 for the dominator LP, 3 + 2 = 5.
-# corpus: 668 in the 372 PC dominator LPs, 239 in ml's point LPs and 427 in its rounds, 668 +
-# 239 + 427 = 1334. The 508 SD calls p's support settles take no pivot; their 398 LPs took 600
-# under the margin certificate alone (1934), and the 789 PC LPs and 110 SD LPs the margins settle
-# took 0 and 14 before it (1948)
-PIVOTS = {"scan-ml": 12, "scan-nolp": 0, "corpus": 1334, "electorate": 5}
+# corpus: 563 in the 269 PC dominator LPs, 239 in ml's point LPs and 118 in its 31 rounds, 563
+# + 239 + 118 = 920. The 103 PC LPs the unit multipliers settle took 105 pivots, and the 75
+# rounds the even split and the zero report save 309 (1334). The 508 SD calls p's support
+# settles take no pivot; their 398 LPs took 600 under the margin certificate alone (1934), and
+# the 789 PC LPs and 110 SD LPs the margins settle took 0 and 14 before it (1948)
+PIVOTS = {"scan-ml": 6, "scan-nolp": 0, "corpus": 920, "electorate": 5}
 # `axioms.Memo.outcomes` lookups (`get`, but for a miss's probes of the vector's images), the
 # misses among them (`Memo._miss`), the rule evaluations, and `extensions.compare` calls of the
 # same pass. The scans look an outcome up once per distinct (tally vector, ballot class) and

@@ -225,6 +225,32 @@ def test_path_json_lists_lotteries(capsys):
     assert doc["result"]["lotteries"][-1] == doc["result"]["lotteries"][0]
 
 
+# One alternative: every lottery is the degenerate one, ml's margin matrix is
+# (0), and the SD dominator program has no row but Σq <= 1. Each command exits
+# 0 with these bytes.
+ONE_ALTERNATIVE_OUTPUTS = {
+    ("compute", "--rule", "ml"): "a:1\n",
+    ("efficient", "--ext", "pc", "--lottery", "a:1"): "pc-efficient\n",
+    ("efficient", "--ext", "sd", "--lottery", "a:1"): "sd-efficient\n",
+    ("dominate", "--ext", "sd", "--lottery", "a:1"): "no sd-dominator: the lottery is sd-efficient\n",
+    ("path", "--start", "a:1", "--max-steps", "3"): "start: a:1\ntermination: reached-efficient\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ONE_ALTERNATIVE_OUTPUTS))
+def test_one_alternative_profiles_print_their_pinned_bytes(tmp_path, capsys, argv):
+    doc = tmp_path / "one.profile"
+    doc.write_text("alternatives: a\n2: a\n")
+    code, out, _ = run(capsys, *argv, "--profile", str(doc))
+    assert (code, out) == (0, ONE_ALTERNATIVE_OUTPUTS[argv])
+
+
+@pytest.mark.parametrize("axiom", ["pc-efficiency", "sd-efficiency"])
+def test_one_alternative_efficiency_scans_hold(capsys, axiom):
+    code, out, _ = run(capsys, "check", "--axiom", axiom, "--rule", "ml", "--scan", "m=1,n<=2")
+    assert (code, out) == (0, f"{axiom} holds for ml (2 profile(s) checked)\n")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

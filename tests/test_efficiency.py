@@ -39,7 +39,7 @@ from pcvote import (
     rd,
     f1,
 )
-from pcvote.extensions import pc_form
+from pcvote.extensions import pc_form, pc_weights
 from pcvote import efficiency, ratlp, rules
 from pcvote.profilefmt import format_lottery, parse_profile
 from pcvote.ratlp import LpOutcome, LpStatus, lp_solve
@@ -243,7 +243,7 @@ def _on_first_ranked_alternatives(prof, p):
     return all(x in firsts for x in prof.alternatives.names if p.prob(x) > 0)
 
 
-def _settled_without_lp(prof, p, extension):
+def _settled_before_rows(prof, p, extension):
     """For SD, p on first-ranked alternatives; else G p <= 0, each sum in
     Fractions, and for SD no ballot with two adjacent alternatives that p
     both gives 0: the cases `efficiency._efficient_without_lp` must
@@ -257,17 +257,53 @@ def _settled_without_lp(prof, p, extension):
     )
 
 
-def _recording_the_certificate(monkeypatch, bypass):
-    """Each `_efficient_without_lp` verdict, in call order; with `bypass`
-    the call answers False, so every case goes on to the LP."""
-    settled = []
-    certify = efficiency._efficient_without_lp
+def _settled_by_unit_multipliers(prof, p, extension):
+    """The plain sum of the dominator rows, one block per distinct ranking,
+    is >= 0 in every column, in Fractions: for PC the rows are
+    −`pc_weights`, for SD each proper prefix's row is its mass under p
+    minus its indicator. The cases `efficiency._efficient_by_unit_multipliers`
+    must settle."""
+    names = prof.alternatives.names
+    total = [F(0)] * len(names)
+    for ballot in {ballot.order: ballot for ballot in prof.ballots}.values():
+        if extension is Extension.PC:
+            rows = [[-w for w in pc_weights(ballot, p)]]
+        else:
+            prefixes = [ballot.order[:k] for k in range(1, len(names))]
+            rows = [
+                [sum((p.prob(x) for x in prefix), F(0)) - (y in prefix) for y in names]
+                for prefix in prefixes
+            ]
+        for row in rows:
+            total = [a + b for a, b in zip(total, row)]
+    return min(total) >= 0
 
-    def recording(*args):
-        settled.append(certify(*args))
+
+def _settled_without_lp(prof, p, extension):
+    """Either certificate: the cases `efficiency._dominator_lp` settles
+    with no LP."""
+    return _settled_before_rows(prof, p, extension) or _settled_by_unit_multipliers(prof, p, extension)
+
+
+def _recording_the_certificate(monkeypatch, bypass):
+    """Each case's certificate verdict, in call order: that of
+    `_efficient_without_lp`, or, when it answers False and the rows are
+    built, that of `_efficient_by_unit_multipliers`. With `bypass` both
+    answer False, so every case goes on to the LP."""
+    settled = []
+    before_rows = efficiency._efficient_without_lp
+    on_rows = efficiency._efficient_by_unit_multipliers
+
+    def recording_before(*args):
+        settled.append(before_rows(*args))
         return settled[-1] and not bypass
 
-    monkeypatch.setattr(efficiency, "_efficient_without_lp", recording)
+    def recording_on(*args):
+        settled[-1] = settled[-1] or on_rows(*args)
+        return settled[-1] and not bypass
+
+    monkeypatch.setattr(efficiency, "_efficient_without_lp", recording_before)
+    monkeypatch.setattr(efficiency, "_efficient_by_unit_multipliers", recording_on)
     return settled
 
 
@@ -277,8 +313,9 @@ def test_verdicts_equal_the_per_voter_lp(monkeypatch, region):
     objective, and the certificate settles only efficient lotteries, so no
     verdict moves: PC and SD, all-ones and seeded weights, for rd, ml, the
     uniform lottery and a seeded one. In every region the margins settle
-    PC and SD cases, and p's support settles SD cases where G p has a
-    positive entry (rd's among them)."""
+    PC and SD cases, p's support settles SD cases where G p has a
+    positive entry (rd's among them), and the unit multipliers settle
+    cases that both leave open, every one of them efficient."""
     rng = random.Random(3)
     ml = rules.get_rule("ml")
     settled = _recording_the_certificate(monkeypatch, bypass=False)
@@ -297,16 +334,35 @@ def test_verdicts_equal_the_per_voter_lp(monkeypatch, region):
                     assert settled == [_settled_without_lp(prof, p, extension)], (prof, p, extension)
                     verdicts.add(efficient)
                     seen[extension, settled[0], maximal] += 1
+                    if not _settled_before_rows(prof, p, extension):
+                        seen["unit", extension, efficient] += _settled_by_unit_multipliers(prof, p, extension)
     assert verdicts == {True, False}
     assert seen[Extension.PC, True, True] and seen[Extension.SD, True, True], seen
     assert seen[Extension.SD, True, False], seen
-    assert not seen[Extension.PC, False, True] and not seen[Extension.PC, True, False], seen
+    assert not seen[Extension.PC, False, True], seen
+    assert seen["unit", Extension.PC, True] and not seen["unit", Extension.PC, False], seen
+    assert not seen["unit", Extension.SD, False], seen
     # SD cases with G p <= 0 that go on to the LP: p gives probability to an
     # alternative no voter ranks first, and a ballot puts two alternatives
     # outside supp p next to each other. Each of the four regions had some
-    # under the margins alone; p's support now settles every one in the
-    # small and repeat-heavy regions
-    assert seen[Extension.SD, False, True] == {"small": 0, "anonymous": 2, "corpus": 10, "repeat-heavy": 0}[region]
+    # under the margins alone; p's support settled every one in the small and
+    # repeat-heavy regions, and the unit multipliers settle the anonymous
+    # region's 2 and 6 of the corpus's 10 (the counts are over both weight
+    # vectors)
+    assert seen[Extension.SD, False, True] == {"small": 0, "anonymous": 0, "corpus": 4, "repeat-heavy": 0}[region]
+
+
+def test_a_program_with_no_rows_is_settled_by_the_unit_multipliers(monkeypatch):
+    """At m = 1 the SD blocks have no rows: the unit sum is 0 in the one
+    column, which settles the program with no LP once the clauses before
+    the rows are bypassed. PC has one row per ranking, all 0."""
+    monkeypatch.setattr(efficiency, "_efficient_without_lp", lambda *args: False)
+    monkeypatch.setattr(efficiency, "lp_solve", None)  # any LP would raise
+    prof = profile("a", [("a",), ("a",)])
+    p = Lottery.degenerate(prof.alternatives, "a")
+    for extension in (Extension.PC, Extension.SD):
+        assert find_dominator(prof, p, extension) is None
+        assert find_dominator(prof, p, extension, [F(1), F(3)]) is None
 
 
 def _first_ranked_cases(region):
@@ -401,7 +457,7 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
     then the closing row Σq <= 1, so the simplex starts on the all-slack
     basis with no phase one. q = 0 is then feasible, and an efficient p
     returns None also when the solver's vertex is q = 0. The certificate is
-    bypassed, so every case builds its program, and each case either of its
+    bypassed, so every case builds its program, and each case one of its
     clauses would settle is one where the LP's value is 0. With voter
     counts, the PC objective read off the margins, G · mass, is Σ_r n_r
     `pc_form(b_r, p)`."""
@@ -446,13 +502,15 @@ def test_dominator_lps_start_on_the_all_slack_basis(monkeypatch):
     # programs. Of the other 127 with G p <= 0, the margins settle 122; in
     # 5 some ballot puts two alternatives outside supp p next to each
     # other. 3 241 + 122 = 3 363 SD programs settled; the margins alone
-    # settled 530
+    # settled 530. The unit multipliers, λ_r = 1 on every row, settle 569 of
+    # the 2 747 PC programs the margins leave open and 60 of the 1 369 SD
+    # ones: 1 985 + 569 = 2 554 and 3 363 + 60 = 3 423, each with value 0
     assert on_firsts == 3241
     assert certified == {
-        (Extension.PC, True): 1985,
-        (Extension.PC, False): 2747,
-        (Extension.SD, True): 3363,
-        (Extension.SD, False): 1369,
+        (Extension.PC, True): 2554,
+        (Extension.PC, False): 2178,
+        (Extension.SD, True): 3423,
+        (Extension.SD, False): 1309,
     }
 
 
@@ -491,8 +549,8 @@ def _ml_round_programs(monkeypatch):
 
 
 def _dominator_programs(monkeypatch):
-    """Every case's program, also where the margin certificate would
-    settle the case with none."""
+    """Every case's program, also where a certificate would settle the
+    case with none."""
     programs = []
 
     def recording(lp):
@@ -607,8 +665,8 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
     and m−1 for SD: the simplex row closes the program. The certificate is
     bypassed, so every case builds its program; it would settle exactly
     the cases with G p <= 0 (and, for SD, no two adjacent zeros on a
-    ballot) and, for SD, those with p on first-ranked alternatives. On the
-    electorate that is only SD on rd."""
+    ballot), for SD those with p on first-ranked alternatives, and those
+    whose rows sum to >= 0. On the electorate that is only SD on rd."""
     sizes = []
 
     def recording(lp):
@@ -636,8 +694,9 @@ def test_each_ranking_gives_one_block_of_rows(monkeypatch):
     # on first-ranked alternatives in 44: the 41 rd cases, and 3 uniform
     # ones where every alternative is some ballot's first. The margins
     # settle no SD case off the first-ranked alternatives here; alone, they
-    # settled 2
-    assert certified == {Extension.PC: 14, Extension.SD: 44}
+    # settled 2. The unit multipliers settle 18 more PC cases and 3 more SD
+    # ones, none of them on the electorate: 14 + 18 = 32 and 44 + 3 = 47
+    assert certified == {Extension.PC: 32, Extension.SD: 47}
     for extension in (Extension.PC, Extension.SD):
         assert find_dominator(ELECTORATE, rd(ELECTORATE), extension) is None
 

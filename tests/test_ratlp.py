@@ -305,11 +305,41 @@ def test_rows_reported_tight_stay_tight_over_the_optimal_face():
     assert optimal == 164 and reported > 100, (optimal, reported)
 
 
+def test_columns_reported_zero_stay_zero_over_the_optimal_face():
+    # The same 1000 programs. A reported column's value, maximized over the
+    # optimal face, must stay 0; the small programs are checked by the
+    # basic-solution enumerator, which reads no tableau.
+    rng = random.Random(1729)
+    reported = optimal = 0
+    for k in range(1000):
+        lp = random_lp(rng) if k < 500 else random_lp(rng, max_vars=6, max_constraints=10)
+        out = lp_solve(lp)
+        if out.status is not LpStatus.Optimal:
+            assert not out.zeros, k
+            continue
+        optimal += 1
+        face = lp.constraints + (Constraint(lp.objective, GE, out.value),)
+        for j in out.zeros:
+            assert out.solution[j] == 0, (k, j)
+            value_max = LinearProgram(tuple(int(i == j) for i in range(len(lp.objective))), face)
+            if k < 500:
+                assert bfs_reference_solve(value_max) == (LpStatus.Optimal, 0), (k, j)
+            else:
+                assert lp_solve(value_max).value == 0, (k, j)
+            reported += 1
+    assert optimal == 164 and reported > 100, (optimal, reported)
+
+
 def test_the_tight_report_is_left_out_of_repr_and_equality():
     out = solve([1, 1], [c([1, 2], LE, 4), c([3, 1], LE, 6)])
-    assert out.tight == {0, 1}
+    assert out.tight == {0, 1} and out.zeros == frozenset()
     bare = LpOutcome(out.status, out.solution, out.value)
     assert bare == out and repr(bare) == repr(out) and hash(bare) == hash(out)
+    # max x subject to x + y <= 1: y is nonbasic with reduced cost −1
+    zero = solve([1, 0], [c([1, 1], LE, 1)])
+    assert zero.solution == (1, 0) and zero.zeros == {1}
+    bare = LpOutcome(zero.status, zero.solution, zero.value)
+    assert bare == zero and repr(bare) == repr(zero) and hash(bare) == hash(zero)
 
 
 def _assert_canonical(rows, basis):
@@ -383,10 +413,10 @@ def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
     fixtures = len(lps)
     lps += _corpus_lps(monkeypatch)
     # one corpus pass: 1669 dominator calls, of which G p <= 0 settles 789 PC
-    # ones and rd's support all 508 SD ones with no LP, and 220 LPs of ml:
-    # 1669 - 789 - 508 + 220 = 592 (see `LP_SOLVES` in
-    # test_benchmark_bindings.py)
-    assert len(lps) - fixtures == 592
+    # ones, rd's support all 508 SD ones and the unit multipliers 103 PC
+    # ones with no LP, and 145 LPs of ml: 1669 - 789 - 508 - 103 + 145 = 414
+    # (see `LP_SOLVES` in test_benchmark_bindings.py)
+    assert len(lps) - fixtures == 414
     optimal = corpus_optimal = 0
     for k, lp in enumerate(lps):
         out = lp_solve(lp)
@@ -397,7 +427,8 @@ def test_the_value_is_the_fraction_sum_over_the_solution(monkeypatch):
         want = sum(c * v for c, v in zip(lp.objective, out.solution))
         assert type(out.value) is Fraction and repr(out.value) == repr(want), k
     # 275 of the 1770 random programs have an optimum, and every corpus LP
-    # does (each is feasible at 0 and bounded by its Σ <= 1 row): 275 + 592 =
-    # 867. With the margin certificate alone the corpus gave 990, 1265 in
-    # all; before any certificate 1889, 2164 in all
-    assert (optimal, corpus_optimal) == (867, 592), optimal
+    # does (each is feasible at 0 and bounded by its Σ <= 1 row): 275 + 414 =
+    # 689. Before the unit multipliers and ml's even split the corpus gave
+    # 592, 867 in all; with the margin certificate alone 990, 1265 in all;
+    # before any certificate 1889, 2164 in all
+    assert (optimal, corpus_optimal) == (689, 414), optimal

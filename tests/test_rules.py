@@ -343,6 +343,12 @@ def test_ml_leximin_equals_the_reference_after_a_positive_pin(monkeypatch, upper
     assert got == reference_ml_leximin(mm) == POSITIVE_PINS[upper]
     *_, floor = rounds[0][1].solution
     assert floor > 0 and len(_floor_rows(rounds[1][0])) == 3, rounds
+    # Two rounds each. In the first three the second round leaves at most one
+    # free coordinate. In (1/5, 1/5, 3/10, 3/10) it pins b at 1/5, and the
+    # even split of what the pins leave, 3/10 each for c and d, ends the loop;
+    # a split that ignored the pinned 2/5 (1/2 each) would not be maximal,
+    # and a third round would pin c and d
+    assert len(rounds) == 2, rounds
     assert rules.maximal_lottery(mm).probs == got
 
 
@@ -363,6 +369,16 @@ def _tie_heavy_profile(rng):
 def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
     solves = {"point": 0, "loop": 0, "reference": 0}
     rounds = []
+    split, splits = rules._even_split, collections.Counter()
+
+    def counting_split(margins, fixed, free):
+        # which even splits end the loop: before any round, or after one
+        point = split(margins, fixed, free)
+        if point is not None:
+            splits["after a round" if rounds else "before any round"] += 1
+        return point
+
+    monkeypatch.setattr(rules, "_even_split", counting_split)
 
     def counting(key):
         def solve(lp):
@@ -397,17 +413,22 @@ def test_ml_leximin_equals_the_reference_on_tie_heavy_profiles(monkeypatch):
     # One point LP per matrix. The loop takes one LP per round, against the
     # reference's one per round and per coordinate at the floor. Of the 600
     # matrices, 321 have a Condorcet winner, whose point proves every other
-    # coordinate 0, so the loop runs no round; 191 have zero row sums and take
-    # one round, with every coordinate at the floor 1/m; the other 88 take
-    # 158 rounds (299 with no coordinate pinned). 0 + 191 + 158 = 349. Those
-    # 158 rounds are 88 at a positive floor and 70 at floor 0. The rounds of
-    # the old form, max t subject to Σp = 1 and p_j - t >= 0 (a phase-one
-    # `LinearProgram`), were the same 88 and 43 at floor 0: 322 in all. At
-    # floor 0 the row t - p_j <= 0 and the bound p_j >= 0 are both tight at
-    # the optimum, and the dual the homogenized tableau ends on proves fewer
-    # floor rows tight, so 27 more rounds pin the same zeros. The results
-    # are the same
-    assert solves == {"point": 600, "loop": 349, "reference": 3841}
+    # coordinate 0, so the loop runs no round; 191 have zero row sums, and
+    # the even split of the whole mass, the uniform lottery, ends the loop
+    # before any round (one round each when the loop had no split). Of the
+    # other 88, 45 end by the even split over the coordinates the point LP
+    # left free, before any round; 42 take one round at floor 0, and the
+    # even split of what it leaves free ends them; 1 takes a round at floor
+    # 0 and one at a positive floor, and ends on its last free coordinate.
+    # 0 + 0 + 42 + 2 = 44 rounds, 43 at floor 0. Before the even split they
+    # took 158 rounds (349 with the 191): 88 at a positive floor and 70 at
+    # floor 0, 27 more than the 43 of the old phase-one form, because the
+    # homogenized tableau proves fewer floor rows tight; a floor-0 round now
+    # also pins the free coordinates the tableau proves 0
+    # (`LpOutcome.zeros`), which wins those 27 back. The results are the
+    # same
+    assert splits == {"before any round": 191 + 45, "after a round": 42}
+    assert solves == {"point": 600, "loop": 44, "reference": 3841}
 
 
 def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypatch):
@@ -437,8 +458,14 @@ def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypat
         # alone rules out a second point; the rank decides at any other
         # point, such as the leximin point `ml` returns
         assert rules._ml_certificate(mm, got._mass[0])[0] == unique, mm.rows
-        # the certificate path is the point LP alone; the loop adds a round
-        assert (lps == 1) == unique, mm.rows
+        # One LP exactly when the point is certified or the even split of the
+        # coordinates not proven 0 is maximal, which ends the loop before
+        # any round; otherwise the loop adds a round
+        rest = [x for x in range(len(mm.alternatives)) if x not in zeros]
+        split = [F(1, len(rest)) if x in rest else F(0) for x in range(len(mm.alternatives))]
+        even = reference_beats_or_ties_every_alternative(mm, split)
+        assert (lps == 1) == (unique or even), mm.rows
+        seen["even split"] += even and not unique
         if all(g % 2 for i, row in enumerate(mm.rows) for j, g in enumerate(row) if j != i):
             assert unique, mm.rows
             seen["all odd"] += 1
@@ -447,7 +474,7 @@ def test_the_certificate_holds_exactly_when_the_optimal_set_is_a_point(monkeypat
             assert all(reference[x] == 0 for x in zeros), mm.rows
         seen["point" if unique else "not a point"] += 1
         seen["zeros"] += bool(zeros)
-    assert min(seen.values()) > 0 and len(seen) == 5, seen
+    assert min(seen.values()) > 0 and len(seen) == 6, seen
 
 
 def test_the_bareiss_rank_equals_the_fraction_rank():
@@ -588,9 +615,10 @@ def test_ml_case_selection_counts_lps(monkeypatch):
         # even margins, a 3-cycle over a, b, c above d: the optimal set is the
         # point (1/3, 1/3, 1/3, 0), certified after the point LP
         ("a certified point", DOUBLED_CYCLE, 1),
-        # the point LP, then one max-min round over a and b alone, whose
-        # point has both at the floor 1/2; with c and d free it takes two
-        ("pinned zeros", TIED_PAIR, 2),
+        # the point LP, which proves c and d 0; the even split of a and b,
+        # (1/2, 1/2, 0, 0), is maximal, so no max-min round (one before the
+        # even split, and two with c and d free)
+        ("pinned zeros", TIED_PAIR, 1),
         # the point LP, then two max-min rounds
         ("the loop", TRIANGLE, 3),
     )
@@ -643,7 +671,8 @@ def test_ml_raises_when_the_max_min_lp_has_no_point(monkeypatch):
 
 def test_ml_raises_when_a_max_min_round_pins_nothing(monkeypatch):
     assert ml(TRIANGLE).probs == (F(1, 4), F(1, 2), F(0), F(1, 4))
-    monkeypatch.setattr(rules, "lp_solve", lambda lp: replace(lp_solve(lp), tight=frozenset()))
+    no_evidence = {"tight": frozenset(), "zeros": frozenset()}
+    monkeypatch.setattr(rules, "lp_solve", lambda lp: replace(lp_solve(lp), **no_evidence))
     assert ml(DOUBLED_CYCLE).probs == (F(1, 3), F(1, 3), F(1, 3), F(0))  # no max-min round
     with pytest.raises(InternalError, match="pinned no coordinate"):
         ml(TRIANGLE)
